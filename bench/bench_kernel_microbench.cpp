@@ -1,5 +1,5 @@
 // K1: microbenchmarks of the simulator kernels -- SIMD bit-kernels, arbiter
-// grant loops, SRAM row reads and the two batch execution engines. These
+// grant loops, SRAM row reads and the fast engine vs its lockstep oracle. These
 // measure the *reproduction's* software performance (how fast the simulator
 // itself runs), not the modelled hardware.
 //
@@ -7,7 +7,7 @@
 // the binary always builds and can feed the benchmark-regression gate.
 // Absolute ns/op numbers are host-dependent and reported as information
 // only; the within-run speedup *ratios* (SIMD backend vs scalar, pipelined
-// engine vs sequential) are what scripts/check_bench.py gates, since they
+// engine vs lockstep) are what scripts/check_bench.py gates, since they
 // are comparable across hosts.
 //
 // Usage: bench_kernel_microbench [--smoke] [--json PATH]
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
     std::printf("%-28s %12.2f\n", "sram_row_read_into", read_ns);
   }
 
-  // --- execution engines: pipelined vs sequential tile walk -----------------
+  // --- execution engines: pipelined vs lockstep tile walk -----------------
   {
     util::Rng rng(3);
     const std::vector<std::size_t> shape =
@@ -194,15 +194,14 @@ int main(int argc, char** argv) {
     arch::SystemSimulator sim(tech::imec3nm(), snn, {});
     const auto inputs = random_inputs(smoke ? 8 : 16, 768, 100, 0.19);
 
-    arch::RunConfig seq_cfg;
-    seq_cfg.engine = arch::ExecutionEngine::kSequential;
-    arch::RunConfig pipe_cfg;
-    pipe_cfg.engine = arch::ExecutionEngine::kPipelined;
+    // An observer selects the lockstep engine: the reference the fast
+    // engine is timed against.
+    arch::NoopObserver lockstep;
     const double seq_ns = ns_per_op(
-        [&] { g_sink = sim.run_batched(inputs, nullptr, seq_cfg).cycles; },
+        [&] { g_sink = sim.run(inputs, nullptr, &lockstep).cycles; },
         smoke ? 0.0 : window, inputs.size());
     const double pipe_ns = ns_per_op(
-        [&] { g_sink = sim.run_batched(inputs, nullptr, pipe_cfg).cycles; },
+        [&] { g_sink = sim.run_batched(inputs, nullptr, {}).cycles; },
         smoke ? 0.0 : window, inputs.size());
     const double speedup = seq_ns / pipe_ns;
     std::printf("\n%-28s %12.0f ns/inference\n", "engine_sequential", seq_ns);

@@ -41,27 +41,17 @@ struct AreaBreakdown {
   Area total{};  ///< including clock/fabric overhead
 };
 
-/// How the simulator software executes one batch stream. Both engines model
-/// the *same* hardware schedule and produce bit-identical predictions,
-/// cycle counts and ledger energies (pinned by tests/test_parallel.cpp and
-/// tests/test_engine_equivalence.cpp); they differ only in how fast the
-/// simulation itself runs.
-enum class ExecutionEngine : std::uint8_t {
-  /// Software-pipelined: each tile runs each sample to completion in a
-  /// burst (stage-major), and the cascaded-tile cycle schedule -- fills,
-  /// stalls, in-order retirement -- is reconstructed from the per-stage
-  /// busy-cycle counts. Much faster: no per-cycle sweep over idle tiles,
-  /// each tile's working set stays hot while it bursts.
-  kPipelined,
-  /// Cycle-by-cycle lockstep sweep over all tiles (the reference engine;
-  /// also the only engine with PipelineObserver support).
-  kSequential,
-};
-
 /// Execution configuration of the batched engine. This is a *simulation
 /// software* concern (how fast the simulator itself runs), not a hardware
 /// model parameter: the modelled cycle counts and energies depend only on
-/// `batch_size`, never on `num_threads` or `engine`.
+/// `batch_size`, never on `num_threads`.
+///
+/// There is one execution engine: each batch runs software-pipelined -- every
+/// tile bursts through each sample (walk_cascade) and the cascaded-tile
+/// schedule (fills, stalls, in-order retirement) is rebuilt from the burst
+/// durations. The cycle-by-cycle lockstep sweep runs only under a
+/// PipelineObserver (run() with an observer), where it doubles as the
+/// differential test oracle (tests/test_engine_equivalence.cpp).
 struct RunConfig {
   /// Worker threads sharding the batches; 0 = hardware concurrency.
   std::size_t num_threads = 1;
@@ -71,8 +61,6 @@ struct RunConfig {
   /// batch size. Each batch pays its own pipeline fill/drain, so modelled
   /// cycles and energies depend on this value and on nothing else here.
   std::size_t batch_size = 0;
-  /// Simulation engine for each batch stream (results are identical).
-  ExecutionEngine engine = ExecutionEngine::kPipelined;
 
   /// Suggested batch size for frontends that want parallelism without
   /// exposing the knob (the CLI's --threads defaults --batch to this).
@@ -107,7 +95,7 @@ struct OnlineTrainConfig {
   /// single read-modify-write -- the throughput win, see
   /// OnlineLearner::apply_column). 1 (the default) commits after every
   /// sample and is bit-identical to the serial immediate-update reference;
-  /// any k is deterministic across thread counts and engines.
+  /// any k is deterministic across thread counts.
   std::size_t update_interval = 1;
   /// Pipeline-wide learning configuration: base STDP seed (per-tile rule
   /// seeds are derived), teacher behaviour, hidden-rule selection.
@@ -116,13 +104,11 @@ struct OnlineTrainConfig {
   /// num_threads is a simulation-software knob only: eval results are
   /// bit-identical for every thread count.
   RunConfig eval{};
-  /// Execution config of the training windows: num_threads workers shard
-  /// each window's forward passes over per-worker tile clones (resynced
-  /// column-wise after every commit). Pure simulation-software knob --
-  /// modelled results depend only on update_interval; the engine field is
-  /// accepted for symmetry but training always uses the per-sample burst
-  /// walk (both engines are bit-identical per sample anyway).
-  RunConfig train{};
+  /// Worker threads sharding each training window's forward passes over
+  /// per-worker tile clones (resynced column-wise after every commit);
+  /// 0 = hardware concurrency. Pure simulation-software knob -- modelled
+  /// results depend only on update_interval.
+  std::size_t train_threads = 1;
 };
 
 /// Per-epoch outcome of an online-training run.
@@ -212,8 +198,10 @@ class SystemSimulator {
 
   /// Streams `inputs` through the pipeline back-to-back and measures
   /// system-level metrics. When `labels` is non-null, fills accuracy.
-  /// An optional observer receives per-cycle tile activity (e.g. a
-  /// VcdTraceWriter for waveform inspection).
+  /// Without an observer this is run_batched(inputs, labels, {}). An
+  /// observer receives per-cycle tile activity (e.g. a VcdTraceWriter for
+  /// waveform inspection) and selects the lockstep engine, the only one
+  /// with a per-cycle order; its results are bit-identical.
   RunResult run(const std::vector<BitVec>& inputs,
                 const std::vector<std::uint8_t>* labels = nullptr,
                 PipelineObserver* observer = nullptr);
@@ -233,7 +221,7 @@ class SystemSimulator {
   /// Online-training engine: per epoch, cuts the sample stream into
   /// k-sample windows (OnlineTrainConfig::update_interval), runs each
   /// window's forward passes against the window-start weights -- sharded
-  /// over OnlineTrainConfig::train worker threads with per-worker tile
+  /// over OnlineTrainConfig::train_threads workers with per-worker tile
   /// clones -- lets the per-tile learning rules stage their observations in
   /// sample order, and commits the staged column updates once per window
   /// (deterministic tile/column order; repeated events on one column
@@ -243,7 +231,7 @@ class SystemSimulator {
   /// leakage integrated over the windowed pipeline cycles); the commit cost
   /// is accounted once, under EnergyCategory::kLearning. update_interval 1
   /// is bit-identical to the serial immediate-update reference, and every
-  /// k is bit-identical across thread counts and engines
+  /// k is bit-identical across thread counts
   /// (tests/test_online_trainer.cpp, tests/test_delayed_updates.cpp).
   /// This overload trains and evaluates on the same stream (the rolling
   /// field scenario).
@@ -276,30 +264,29 @@ class SystemSimulator {
 
  private:
   /// One per-batch pipeline stream over `tiles`, executed cycle-by-cycle in
-  /// lockstep (ExecutionEngine::kSequential; the core loop of run() and the
-  /// only path with observer support). Appends predictions and adds
-  /// cycles/energy into the out-parameters. Energy accounting: each tile
-  /// posts into its own stage ledger, merged in tile order, with the clock
-  /// tree and leakage integrated in closed form over the batch -- the exact
-  /// scheme of the pipelined engine, so the two are bit-identical.
+  /// lockstep: the observer path of run() and the differential oracle of
+  /// the fast engine. Appends predictions and adds cycles/energy into the
+  /// out-parameters. Energy accounting: each tile posts into its own stage
+  /// ledger, merged in tile order, with the clock tree and leakage
+  /// integrated in closed form over the batch -- the exact scheme of
+  /// stream_batch_pipelined, so the two are bit-identical.
   void stream_batch(std::vector<Tile>& tiles, std::span<const BitVec> inputs,
-                    PipelineObserver* observer,
+                    PipelineObserver& observer,
                     std::vector<std::size_t>& predictions,
                     std::uint64_t& cycles, EnergyLedger& ledger) const;
 
-  /// Software-pipelined equivalent (ExecutionEngine::kPipelined): runs each
-  /// tile over each sample in a burst and reconstructs the lockstep cycle
-  /// schedule from the per-(tile, sample) busy-cycle counts. A tile posts
-  /// energy only while busy and processes samples in order with identical
-  /// per-sample dynamics in both engines, so the per-stage ledger streams
-  /// -- and therefore the merged ledger -- match stream_batch exactly.
+  /// The fast engine: walks each sample down the cascade (walk_cascade) and
+  /// rebuilds the lockstep cycle schedule from the per-(tile, sample) busy
+  /// cycles. A tile posts energy only while busy and processes samples in
+  /// order with the same per-sample dynamics as under lockstep, so the
+  /// per-stage ledger streams -- and the merged ledger -- match exactly.
   void stream_batch_pipelined(std::vector<Tile>& tiles,
                               std::span<const BitVec> inputs,
                               std::vector<std::size_t>& predictions,
                               std::uint64_t& cycles,
                               EnergyLedger& ledger) const;
   /// Merges the per-stage ledgers and the closed-form clock/leakage of one
-  /// batch into `ledger` (shared tail of both engines).
+  /// batch into `ledger` (shared tail of the fast and lockstep streams).
   void merge_batch_energy(std::vector<EnergyLedger>& stage_ledgers,
                           std::uint64_t batch_cycles,
                           EnergyLedger& ledger) const;

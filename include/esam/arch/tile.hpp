@@ -16,8 +16,11 @@
 // the next tile over the binary-pulse fabric.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "esam/arbiter/arbiter.hpp"
@@ -55,6 +58,10 @@ struct TileConfig {
   /// timestep / rate-coded operation); default resets per inference.
   bool carry_membrane = false;
 };
+
+/// Hang detector of every simulated inference: no tile may stay busy this
+/// many cycles on one input (a healthy tile needs about fan-in / ports).
+inline constexpr std::uint64_t kMaxBurstCycles = std::uint64_t{1} << 20;
 
 /// Per-tile activity counters.
 struct TileStats {
@@ -99,6 +106,11 @@ class Tile {
 
   /// Advances one clock cycle (no-op when idle).
   void step();
+
+  /// Latches `input_spikes` and steps until the fire phase -- one tile's
+  /// burst on one inference. Returns the cycles spent busy; throws
+  /// std::logic_error past kMaxBurstCycles (the hang detector).
+  std::uint64_t run_inference(const BitVec& input_spikes);
 
   /// Consumes the fired output spikes (hidden tiles; requires output_ready).
   BitVec take_output();
@@ -232,5 +244,51 @@ class Tile {
   /// neuron compare_energy() * outputs.
   Energy compare_energy_total_;
 };
+
+/// The fast engine's per-sample cascade walk: `input` runs down `tiles` one
+/// tile at a time, each tile bursting to completion (run_inference) before
+/// its fired spikes latch into the next. Weights are read, never written, so
+/// the walk is independent per sample and per pipeline clone.
+///  - busy: when non-empty, busy[t] receives tile t's burst cycles.
+///  - ledgers: when non-empty, tile t posts into ledgers[t] for its burst
+///    (detached afterwards, on error too).
+///  - before_handoff(t, tile): runs after tile t fires and before its output
+///    is taken -- where learning rules observe the pass.
+///  - handoff: caller-owned inter-tile spike buffer, reused across samples.
+/// Returns the winner-take-all class: the first maximum of the output tile's
+/// offset-corrected scores.
+template <typename Hook>
+std::size_t walk_cascade(std::span<Tile> tiles, const BitVec& input,
+                         BitVec& handoff, std::span<std::uint64_t> busy,
+                         std::span<EnergyLedger> ledgers,
+                         Hook&& before_handoff) {
+  const BitVec* spikes = &input;
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    Tile& tile = tiles[t];
+    std::uint64_t cycles = 0;
+    if (ledgers.empty()) {
+      cycles = tile.run_inference(*spikes);
+    } else {
+      tile.attach_ledger(&ledgers[t]);
+      try {
+        cycles = tile.run_inference(*spikes);
+      } catch (...) {
+        tile.attach_ledger(nullptr);
+        throw;
+      }
+      tile.attach_ledger(nullptr);
+    }
+    if (!busy.empty()) busy[t] = cycles;
+    before_handoff(t, std::as_const(tile));
+    if (t + 1 == tiles.size()) break;
+    handoff = tile.take_output();
+    spikes = &handoff;
+  }
+  Tile& out = tiles.back();
+  const std::vector<float> scores = out.output_scores();
+  out.consume_output();
+  return static_cast<std::size_t>(
+      std::max_element(scores.begin(), scores.end()) - scores.begin());
+}
 
 }  // namespace esam::arch

@@ -40,6 +40,17 @@ class PipelineObserver {
   virtual void end(std::uint64_t total_cycles) = 0;
 };
 
+/// Observer that records nothing. Passing it to SystemSimulator::run selects
+/// the cycle-by-cycle lockstep engine without tracing -- the differential
+/// oracle for the fast engine and the reference the bench speedup ratios
+/// time it against.
+class NoopObserver final : public PipelineObserver {
+ public:
+  void begin(std::size_t, util::Time) override {}
+  void cycle(std::uint64_t, const std::vector<TileActivity>&) override {}
+  void end(std::uint64_t) override {}
+};
+
 /// PipelineObserver writing IEEE 1364 VCD.
 class VcdTraceWriter final : public PipelineObserver {
  public:

@@ -222,8 +222,8 @@ class EsamSystem {
 
   /// Streams up to `max_inferences` test images (0 = all) and reports the
   /// system metrics. batch_size 0 streams everything through one pipeline
-  /// (the reference single-stream engine, regardless of num_threads); a
-  /// non-zero batch_size uses the batched multi-threaded engine. Modelled
+  /// (a single stream, regardless of num_threads); a non-zero batch_size
+  /// shards the stream over num_threads workers. Modelled
   /// metrics depend only on batch_size, never on num_threads (see
   /// arch::SystemSimulator::run_batched).
   SystemReport evaluate(std::size_t max_inferences = 0,

@@ -1,12 +1,12 @@
 // System-level online-training engine (paper secs. 2.2, 4.4.1).
 //
-// A thin conductor over per-tile learning rules: one sample is streamed
-// serially through the cascaded tiles, each plastic hidden tile's rule
-// observes its pre/post spike pair (on_forward), the winner is read from the
-// output tile's membrane potentials (winner-take-all), and the output tile's
-// supervised teacher turns (winner, label) into reward/punish column updates
-// (on_label) -- each update one column read-modify-write through the
-// transposed RW port of that tile's macros.
+// A thin conductor over per-tile learning rules: one sample is walked
+// through the cascaded tiles (arch::walk_cascade), each plastic hidden
+// tile's rule observes its pre/post spike pair (on_forward), the winner is
+// read from the output tile's membrane potentials (winner-take-all), and the
+// output tile's supervised teacher turns (winner, label) into reward/punish
+// column updates (on_label) -- each update one column read-modify-write
+// through the transposed RW port of that tile's macros.
 //
 // k-step delayed updates: the rules stage their observations (see
 // LearningRule::commit), so the trainer splits a training step into
@@ -69,15 +69,12 @@ class OnlineTrainer {
   /// tile must be an output layer exposing Vmem).
   OnlineTrainer(std::vector<arch::Tile>& tiles, TrainerConfig cfg);
 
-  /// Forward pass only: streams `input` serially through the tiles and
-  /// returns the winner-take-all class from the output tile's neuron Vmem
-  /// (offset-corrected, i.e. the same readout the inference engine reports,
-  /// so teacher and eval always agree on what "wrong" means).
-  [[nodiscard]] std::size_t classify(const util::BitVec& input);
-
-  /// One supervised step: classifies `input`, lets every hidden rule
-  /// observe its tile's pre/post spikes, then drives the output teacher
-  /// with (winner, label) and commits the staged updates immediately
+  /// One supervised step: forwards `input` through the tiles
+  /// (arch::walk_cascade), reads the winner-take-all class from the output
+  /// tile's offset-corrected Vmem (the readout the inference engine reports,
+  /// so teacher and eval always agree on what "wrong" means), lets every
+  /// hidden rule observe its tile's pre/post spikes, then drives the output
+  /// teacher with (winner, label) and commits the staged updates immediately
   /// (stage_sample + commit_pending). Returns the pre-update winner, so
   /// callers can fold it into an online-accuracy estimate.
   std::size_t train_sample(const util::BitVec& input, std::size_t label);
@@ -124,31 +121,12 @@ class OnlineTrainer {
   [[nodiscard]] LearningStats stats() const;
   /// Column-update stats of tile `t` (all-zero for non-plastic tiles).
   [[nodiscard]] LearningStats tile_stats(std::size_t t) const;
-  void reset_stats();
-
-  /// Training-phase metering: when set, the ledger is attached to every
-  /// tile for the duration of each forward pass (and detached around the
-  /// column updates, whose cost is accounted once -- by the rules'
-  /// LearningStats -- not double-posted through the macro ledger).
-  void set_train_ledger(util::EnergyLedger* ledger);
-
-  /// Tile-step cycles spent in training forward passes (serial: one tile
-  /// stepping at a time), for clock/leakage integration by the caller.
-  [[nodiscard]] std::uint64_t forward_cycles() const {
-    return forward_cycles_;
-  }
 
  private:
-  /// Runs the pipeline serially for one input; leaves every tile's
-  /// last_input/last_output pair and the output tile's Vmem readable.
-  void forward(const util::BitVec& input);
-  void attach_all(util::EnergyLedger* ledger);
-
   std::vector<arch::Tile>* tiles_;
   TrainerConfig cfg_;
   std::vector<std::unique_ptr<LearningRule>> rules_;
-  util::EnergyLedger* train_ledger_ = nullptr;
-  std::uint64_t forward_cycles_ = 0;
+  util::BitVec handoff_;  ///< inter-tile spike buffer of stage_sample
 };
 
 }  // namespace esam::learning

@@ -110,7 +110,6 @@ class LearningRule {
   /// The seeded STDP configuration this rule draws from.
   [[nodiscard]] const StdpConfig& config() const { return learner_.config(); }
   [[nodiscard]] const LearningStats& stats() const { return learner_.stats(); }
-  void reset_stats() { learner_.reset_stats(); }
 
  protected:
   /// Appends one staged update (slot-reused storage: BitVec capacity is

@@ -152,8 +152,9 @@ class InferenceServer {
   /// Enqueues one request; any thread may call this. The future resolves
   /// when a worker serves the request's batch. A label makes the sample
   /// available to the background adaptation engine. Throws
-  /// std::invalid_argument on a spike-width mismatch and std::logic_error
-  /// when the server is not accepting (not started or stopped).
+  /// std::invalid_argument on a spike-width mismatch or a label that is not
+  /// an output class, and std::logic_error when the server is not accepting
+  /// (not started or stopped).
   std::future<InferenceResult> submit(util::BitVec input,
                                       std::uint64_t client_id = 0,
                                       std::optional<std::uint8_t> label = {})
@@ -216,6 +217,7 @@ class InferenceServer {
   arch::SystemConfig hw_;
   ServerConfig cfg_;
   std::size_t input_width_ = 0;
+  std::size_t output_width_ = 0;
 
   /// Published-model slot: shared_ptr swapped under model_mutex_; version_
   /// doubles as the lock-free staleness probe for workers.

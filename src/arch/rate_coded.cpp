@@ -1,6 +1,7 @@
 #include "esam/arch/rate_coded.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace esam::arch {
@@ -47,22 +48,11 @@ void RateCodedRunner::reset_membranes() {
 }
 
 std::uint64_t RateCodedRunner::run_timestep(const BitVec& spikes) {
-  std::uint64_t cycles = 0;
-  BitVec current = spikes;
-  for (std::size_t l = 0; l < tiles_.size(); ++l) {
-    Tile& tile = tiles_[l];
-    tile.start_inference(current);
-    while (tile.busy()) {
-      tile.step();
-      ++cycles;
-    }
-    if (l + 1 < tiles_.size()) {
-      current = tile.take_output();
-    } else {
-      tile.consume_output();
-    }
-  }
-  return cycles;
+  std::vector<std::uint64_t> busy(tiles_.size());
+  BitVec handoff;
+  (void)walk_cascade(tiles_, spikes, handoff, busy, {},
+                     [](std::size_t, const Tile&) {});
+  return std::accumulate(busy.begin(), busy.end(), std::uint64_t{0});
 }
 
 RateCodedResult RateCodedRunner::classify(

@@ -1,10 +1,9 @@
 #include "esam/arch/system.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <stdexcept>
-#include <thread>
+
+#include "esam/util/parallel.hpp"
 
 namespace esam::arch {
 namespace {
@@ -16,10 +15,49 @@ constexpr double kClockCapPerFlopFf = 0.85;
 /// Area overhead for clock distribution + inter-tile fabric.
 constexpr double kSystemAreaOverhead = 0.05;
 
-/// Sanity bound on any worker-pool size: deliberate oversubscription is
-/// allowed (it cannot change results), but a garbage request like
-/// (size_t)-1 must not exhaust OS threads.
-constexpr std::size_t kMaxThreads = 256;
+/// The cascaded-tile cycle schedule, rebuilt from burst durations alone. A
+/// tile's busy cycles per sample do not depend on the schedule (while it
+/// waits for the downstream tile it holds its output and does nothing), so
+/// feeding each sample's per-tile busy cycles in order reproduces the
+/// lockstep fills, stalls and in-order retirement:
+///   latch[0](s)   = freed[0](s-1)  (tile 0 re-latches the cycle its previous
+///                   output was taken; the first sample latches at 0);
+///   fire[t](s)    = latch[t](s) + busy[t](s);
+///   freed[t](s)   = t == last ? fire (retired immediately, in order)
+///                   : max(fire[t](s), freed[t+1](s-1))  (the downstream-
+///                   first handoff scan allows a same-cycle chain);
+///   latch[t+1](s) = freed[t](s).
+class CascadeSchedule {
+ public:
+  explicit CascadeSchedule(std::size_t tiles) : freed_(tiles, 0) {}
+
+  /// Feeds the next sample's per-tile busy cycles; returns the cycle at
+  /// which the last tile retires it.
+  std::uint64_t retire(std::span<const std::uint64_t> busy) {
+    const std::size_t last = freed_.size() - 1;
+    std::uint64_t latch = freed_[0];
+    for (std::size_t t = 0; t < last; ++t) {
+      const std::uint64_t fire = latch + busy[t];
+      freed_[t] = std::max(fire, freed_[t + 1]);
+      latch = freed_[t];
+    }
+    freed_[last] = latch + busy[last];
+    return freed_[last];
+  }
+
+ private:
+  std::vector<std::uint64_t> freed_;
+};
+
+void check_inputs(const std::vector<BitVec>& inputs,
+                  const std::vector<std::uint8_t>* labels) {
+  if (inputs.empty()) {
+    throw std::invalid_argument("SystemSimulator::run: no inputs");
+  }
+  if (labels != nullptr && labels->size() != inputs.size()) {
+    throw std::invalid_argument("SystemSimulator::run: label count mismatch");
+  }
+}
 
 }  // namespace
 
@@ -108,7 +146,7 @@ void SystemSimulator::merge_batch_energy(
 
 void SystemSimulator::stream_batch(std::vector<Tile>& tiles,
                                    std::span<const BitVec> inputs,
-                                   PipelineObserver* observer,
+                                   PipelineObserver& observer,
                                    std::vector<std::size_t>& predictions,
                                    std::uint64_t& cycles,
                                    EnergyLedger& ledger) const {
@@ -127,37 +165,33 @@ void SystemSimulator::stream_batch(std::vector<Tile>& tiles,
   std::vector<std::uint64_t> served_before(tiles.size(), 0);
   std::vector<bool> busy_before(tiles.size(), false);
   std::vector<bool> ready_before(tiles.size(), false);
-  // Generous bound: no inference should take more than ~width cycles per
-  // tile; used purely as a hang detector.
+  // Hang detector: a pipeline whose every burst stays under the per-tile
+  // limit retires n samples within (n + tiles) bursts.
   const std::uint64_t cycle_limit =
-      (static_cast<std::uint64_t>(n) + tiles.size() + 4) * 4096;
+      (static_cast<std::uint64_t>(n) + tiles.size()) * kMaxBurstCycles;
 
   while (completed < n) {
     if (++batch_cycles > cycle_limit) {
       throw std::logic_error("SystemSimulator: pipeline deadlock");
     }
 
-    if (observer != nullptr) {
-      for (std::size_t i = 0; i < tiles.size(); ++i) {
-        served_before[i] = tiles[i].stats().spikes_served;
-        busy_before[i] = tiles[i].busy();
-        ready_before[i] = tiles[i].output_ready();
-      }
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      served_before[i] = tiles[i].stats().spikes_served;
+      busy_before[i] = tiles[i].busy();
+      ready_before[i] = tiles[i].output_ready();
     }
 
     for (auto& t : tiles) t.step();
 
-    if (observer != nullptr) {
-      for (std::size_t i = 0; i < tiles.size(); ++i) {
-        activity[i].busy = busy_before[i];
-        activity[i].grants = static_cast<std::uint32_t>(
-            tiles[i].stats().spikes_served - served_before[i]);
-        activity[i].pending =
-            static_cast<std::uint32_t>(tiles[i].pending_requests());
-        activity[i].fired = !ready_before[i] && tiles[i].output_ready();
-      }
-      observer->cycle(batch_cycles - 1, activity);
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      activity[i].busy = busy_before[i];
+      activity[i].grants = static_cast<std::uint32_t>(
+          tiles[i].stats().spikes_served - served_before[i]);
+      activity[i].pending =
+          static_cast<std::uint32_t>(tiles[i].pending_requests());
+      activity[i].fired = !ready_before[i] && tiles[i].output_ready();
     }
+    observer.cycle(batch_cycles - 1, activity);
 
     // Handoffs, downstream first so a freed tile can accept in the same
     // cycle it drained.
@@ -189,62 +223,19 @@ void SystemSimulator::stream_batch_pipelined(
     std::vector<std::size_t>& predictions, std::uint64_t& cycles,
     EnergyLedger& ledger) const {
   std::vector<EnergyLedger> stage_ledgers(tiles.size());
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    tiles[i].attach_ledger(&stage_ledgers[i]);
-  }
-
-  const std::size_t n = inputs.size();
-  const std::size_t last = tiles.size() - 1;
-  // Same hang-detector spirit as the lockstep engine, per inference here.
-  constexpr std::uint64_t kStepLimit = std::uint64_t{1} << 20;
-
-  // Schedule reconstruction. A tile's busy-cycle count per sample is
-  // schedule-independent (while stalled waiting for the downstream tile it
-  // holds its output and does nothing), so the lockstep schedule follows
-  // from the burst durations alone:
-  //   latch[0](s)   = s == 0 ? cycle 1 : freed[0](s-1)  (tile 0 re-latches
-  //                   the cycle its previous output was taken);
-  //   fire[t](s)    = latch[t](s) + busy_cycles;
-  //   freed[t](s)   = t == last ? fire (retired immediately, in order)
-  //                   : max(fire[t](s), freed[t+1](s-1))  (the downstream-
-  //                   first handoff scan allows a same-cycle chain);
-  //   latch[t+1](s) = freed[t](s).
-  // The batch ends when the last tile retires the last sample.
-  std::vector<std::uint64_t> freed(tiles.size(), 0);
-  std::uint64_t batch_cycles = 0;
+  std::vector<std::uint64_t> busy(tiles.size());
+  CascadeSchedule schedule(tiles.size());
   BitVec handoff;
-
-  for (std::size_t s = 0; s < n; ++s) {
-    std::uint64_t latch = s == 0 ? 1 : freed[0];
-    const BitVec* spikes = &inputs[s];
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      Tile& tile = tiles[t];
-      tile.start_inference(*spikes);
-      std::uint64_t busy_cycles = 0;
-      while (tile.busy()) {
-        tile.step();
-        if (++busy_cycles > kStepLimit) {
-          throw std::logic_error("SystemSimulator: pipeline deadlock");
-        }
-      }
-      const std::uint64_t fire = latch + busy_cycles;
-      if (t == last) {
-        const std::vector<float> scores = tile.output_scores();
-        predictions.push_back(static_cast<std::size_t>(
-            std::max_element(scores.begin(), scores.end()) - scores.begin()));
-        tile.consume_output();
-        freed[t] = fire;
-        batch_cycles = fire;
-      } else {
-        handoff = tile.take_output();
-        spikes = &handoff;
-        freed[t] = std::max(fire, freed[t + 1]);
-        latch = freed[t];
-      }
-    }
+  std::uint64_t retired = 0;
+  for (const BitVec& input : inputs) {
+    predictions.push_back(walk_cascade(tiles, input, handoff, busy,
+                                       stage_ledgers,
+                                       [](std::size_t, const Tile&) {}));
+    retired = schedule.retire(busy);
   }
-
-  for (auto& t : tiles) t.attach_ledger(nullptr);
+  // Lockstep latches the first sample at the end of its first cycle, one
+  // cycle after the schedule's origin.
+  const std::uint64_t batch_cycles = retired + 1;
   merge_batch_energy(stage_ledgers, batch_cycles, ledger);
   cycles += batch_cycles;
 }
@@ -279,20 +270,15 @@ void SystemSimulator::finalize_metrics(
 RunResult SystemSimulator::run(const std::vector<BitVec>& inputs,
                                const std::vector<std::uint8_t>* labels,
                                PipelineObserver* observer) {
-  if (inputs.empty()) {
-    throw std::invalid_argument("SystemSimulator::run: no inputs");
-  }
-  if (labels != nullptr && labels->size() != inputs.size()) {
-    throw std::invalid_argument("SystemSimulator::run: label count mismatch");
-  }
+  if (observer == nullptr) return run_batched(inputs, labels, {});
+  check_inputs(inputs, labels);
 
   RunResult result;
   result.predictions.reserve(inputs.size());
-
-  if (observer != nullptr) observer->begin(tiles_.size(), clock_period());
-  stream_batch(tiles_, std::span<const BitVec>(inputs), observer,
+  observer->begin(tiles_.size(), clock_period());
+  stream_batch(tiles_, std::span<const BitVec>(inputs), *observer,
                result.predictions, result.cycles, result.ledger);
-  if (observer != nullptr) observer->end(result.cycles);
+  observer->end(result.cycles);
 
   finalize_metrics(result, inputs.size(), labels);
   return result;
@@ -301,13 +287,7 @@ RunResult SystemSimulator::run(const std::vector<BitVec>& inputs,
 RunResult SystemSimulator::run_batched(const std::vector<BitVec>& inputs,
                                        const std::vector<std::uint8_t>* labels,
                                        const RunConfig& run_cfg) {
-  if (inputs.empty()) {
-    throw std::invalid_argument("SystemSimulator::run_batched: no inputs");
-  }
-  if (labels != nullptr && labels->size() != inputs.size()) {
-    throw std::invalid_argument(
-        "SystemSimulator::run_batched: label count mismatch");
-  }
+  check_inputs(inputs, labels);
 
   const std::size_t n = inputs.size();
   // batch_size 0 = the whole stream as one batch; clamping to n also keeps
@@ -315,67 +295,32 @@ RunResult SystemSimulator::run_batched(const std::vector<BitVec>& inputs,
   const std::size_t batch_size =
       run_cfg.batch_size != 0 ? std::min(run_cfg.batch_size, n) : n;
   const std::size_t num_batches = (n + batch_size - 1) / batch_size;
-  std::size_t threads = run_cfg.num_threads != 0
-                            ? run_cfg.num_threads
-                            : std::max<std::size_t>(
-                                  1, std::thread::hardware_concurrency());
-  threads = std::min({threads, num_batches, kMaxThreads});
+  const std::size_t workers =
+      util::resolve_workers(run_cfg.num_threads, num_batches);
 
   // Every batch is an independent, deterministic unit of work: stream its
   // slice through a pipeline, record predictions / cycles / a private
   // ledger. The merge below happens in batch order regardless of which
-  // worker ran which batch, so the result is invariant to `threads`.
+  // worker ran which batch, so the result is invariant to `workers`.
   struct BatchOutcome {
     std::vector<std::size_t> predictions;
     std::uint64_t cycles = 0;
     EnergyLedger ledger;
   };
   std::vector<BatchOutcome> outcomes(num_batches);
+  // Worker 0 streams through the canonical tiles; every other worker gets
+  // one deep-cloned pipeline, reused across its batches.
+  std::vector<std::vector<Tile>> clones(workers - 1, tiles_);
 
   const std::span<const BitVec> all(inputs);
-  auto run_one_batch = [&](std::vector<Tile>& tiles, std::size_t b) {
+  util::parallel_for(num_batches, workers, [&](std::size_t w, std::size_t b) {
     const std::size_t first = b * batch_size;
     const std::size_t count = std::min(batch_size, n - first);
     outcomes[b].predictions.reserve(count);
-    if (run_cfg.engine == ExecutionEngine::kPipelined) {
-      stream_batch_pipelined(tiles, all.subspan(first, count),
-                             outcomes[b].predictions, outcomes[b].cycles,
-                             outcomes[b].ledger);
-    } else {
-      stream_batch(tiles, all.subspan(first, count), nullptr,
-                   outcomes[b].predictions, outcomes[b].cycles,
-                   outcomes[b].ledger);
-    }
-  };
-
-  if (threads <= 1) {
-    for (std::size_t b = 0; b < num_batches; ++b) run_one_batch(tiles_, b);
-  } else {
-    std::atomic<std::size_t> next_batch{0};
-    std::vector<std::exception_ptr> worker_errors(threads);
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          // One deep-cloned pipeline per worker, reused across its batches.
-          std::vector<Tile> local_tiles(tiles_);
-          while (true) {
-            const std::size_t b =
-                next_batch.fetch_add(1, std::memory_order_relaxed);
-            if (b >= num_batches) break;
-            run_one_batch(local_tiles, b);
-          }
-        } catch (...) {
-          worker_errors[w] = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-    for (const auto& err : worker_errors) {
-      if (err) std::rethrow_exception(err);
-    }
-  }
+    stream_batch_pipelined(w == 0 ? tiles_ : clones[w - 1],
+                           all.subspan(first, count), outcomes[b].predictions,
+                           outcomes[b].cycles, outcomes[b].ledger);
+  });
 
   RunResult result;
   result.predictions.reserve(n);
@@ -386,7 +331,7 @@ RunResult SystemSimulator::run_batched(const std::vector<BitVec>& inputs,
     result.ledger += out.ledger;
   }
   result.batches = num_batches;
-  result.threads = threads;
+  result.threads = workers;
 
   finalize_metrics(result, n, labels);
   return result;
@@ -449,11 +394,6 @@ OnlineRunResult SystemSimulator::run_online(
   const std::size_t n = inputs.size();
   const std::size_t k = cfg.update_interval;
   const std::size_t last = tiles_.size() - 1;
-  std::size_t max_workers =
-      cfg.train.num_threads != 0
-          ? cfg.train.num_threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  max_workers = std::min({max_workers, k, kMaxThreads});
 
   // Which tiles have a rule staging into them (the output teacher always
   // does; hidden tiles only under a hidden rule).
@@ -480,51 +420,29 @@ OnlineRunResult SystemSimulator::run_online(
     r.hidden_cols.resize(tiles_.size());
   }
 
-  // Forward `input` through `tiles` in a per-sample burst (the pipelined
-  // engine's per-sample walk), recording busy cycles, stage ledgers and the
-  // rule observations. Weights are frozen within a window, so this is
-  // independent per sample -- workers run it concurrently on their clones.
-  constexpr std::uint64_t kStepLimit = std::uint64_t{1} << 20;
+  // Forward `input` through `tiles` with the per-sample cascade walk,
+  // recording busy cycles, stage ledgers and the rule observations. Weights
+  // are frozen within a window, so this is independent per sample --
+  // workers run it concurrently on their clones.
   auto forward_one = [&](std::vector<Tile>& tiles, const BitVec& input,
                          SampleRecord& rec) {
-    const BitVec* spikes = &input;
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      Tile& tile = tiles[t];
-      rec.ledgers[t].reset();
-      tile.attach_ledger(&rec.ledgers[t]);
-      if (plastic[t] != 0) rec.pre[t] = *spikes;
-      tile.start_inference(*spikes);
-      std::uint64_t busy_cycles = 0;
-      while (tile.busy()) {
-        tile.step();
-        if (++busy_cycles > kStepLimit) {
-          tile.attach_ledger(nullptr);
-          throw std::logic_error("SystemSimulator: training deadlock");
-        }
-      }
-      rec.busy[t] = busy_cycles;
-      tile.attach_ledger(nullptr);
-      if (t == last) {
-        const std::vector<float> scores = tile.output_scores();
-        rec.winner = static_cast<std::size_t>(
-            std::max_element(scores.begin(), scores.end()) - scores.begin());
-        tile.consume_output();
-      } else {
-        if (plastic[t] != 0) {
-          trainer.rule(t)->resolve_forward(tile, rec.hidden_cols[t]);
-        }
-        rec.handoff = tile.take_output();
-        spikes = &rec.handoff;
-      }
-    }
+    for (EnergyLedger& l : rec.ledgers) l.reset();
+    rec.winner = walk_cascade(
+        tiles, input, rec.handoff, rec.busy, rec.ledgers,
+        [&](std::size_t t, const Tile& tile) {
+          if (plastic[t] == 0) return;
+          rec.pre[t] = tile.last_input();
+          if (t != last) {
+            trainer.rule(t)->resolve_forward(tile, rec.hidden_cols[t]);
+          }
+        });
   };
 
   // Per-worker deep-cloned pipelines (worker 0 always runs the canonical
-  // tiles), built lazily on the first multi-worker window and kept in sync
+  // tiles), built on the first multi-worker window and kept in sync
   // column-wise after every commit.
   std::vector<std::vector<Tile>> clone_pipelines;
   std::vector<std::vector<std::size_t>> updated_cols;
-  std::vector<std::uint64_t> freed(tiles_.size(), 0);
   std::vector<Time> cg_drains;  // per-column-group commit-queue scratch
 
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
@@ -536,71 +454,29 @@ OnlineRunResult SystemSimulator::run_online(
 
     for (std::size_t w0 = 0; w0 < n; w0 += k) {
       const std::size_t wn = std::min(k, n - w0);
-      const std::size_t workers = std::min(max_workers, wn);
+      const std::size_t workers = util::resolve_workers(cfg.train_threads, wn);
 
-      // Phase 1: the window's forward passes, sharded contiguously.
-      if (workers <= 1) {
-        for (std::size_t s = 0; s < wn; ++s) {
-          forward_one(tiles_, inputs[w0 + s], recs[s]);
-        }
-      } else {
-        while (clone_pipelines.size() < workers - 1) {
-          clone_pipelines.emplace_back(tiles_);
-        }
-        const std::size_t chunk = (wn + workers - 1) / workers;
-        std::vector<std::exception_ptr> errors(workers);
-        std::vector<std::thread> pool;
-        pool.reserve(workers - 1);
-        for (std::size_t w = 1; w < workers; ++w) {
-          pool.emplace_back([&, w] {
-            try {
-              std::vector<Tile>& wt = clone_pipelines[w - 1];
-              const std::size_t s1 = std::min(wn, (w + 1) * chunk);
-              for (std::size_t s = w * chunk; s < s1; ++s) {
-                forward_one(wt, inputs[w0 + s], recs[s]);
-              }
-            } catch (...) {
-              errors[w] = std::current_exception();
-            }
-          });
-        }
-        try {
-          const std::size_t s1 = std::min(wn, chunk);
-          for (std::size_t s = 0; s < s1; ++s) {
-            forward_one(tiles_, inputs[w0 + s], recs[s]);
-          }
-        } catch (...) {
-          errors[0] = std::current_exception();
-        }
-        for (std::thread& th : pool) th.join();
-        for (const auto& err : errors) {
-          if (err) std::rethrow_exception(err);
-        }
+      // Phase 1: the window's forward passes, fanned out over the workers.
+      while (clone_pipelines.size() + 1 < workers) {
+        clone_pipelines.emplace_back(tiles_);
       }
+      util::parallel_for(wn, workers, [&](std::size_t w, std::size_t s) {
+        forward_one(w == 0 ? tiles_ : clone_pipelines[w - 1], inputs[w0 + s],
+                    recs[s]);
+      });
 
       // Phase 2: retire in sample order -- accuracy, (sample, tile)-ordered
-      // ledger merge, the window's pipelined cycle schedule (the closed-form
-      // recurrence of stream_batch_pipelined, with the first latch at 0 so a
+      // ledger merge, the window's cycle schedule (first latch at 0, so a
       // one-sample window costs exactly its serial burst sum), and the rule
       // observations staged in sample order.
-      std::fill(freed.begin(), freed.end(), 0);
+      CascadeSchedule schedule(tiles_.size());
       std::uint64_t window_cycles = 0;
       for (std::size_t s = 0; s < wn; ++s) {
         SampleRecord& rec = recs[s];
         const std::size_t i = w0 + s;
         if (rec.winner == labels[i]) ++online_hits;
-        std::uint64_t latch = s == 0 ? 0 : freed[0];
-        for (std::size_t t = 0; t < tiles_.size(); ++t) {
-          train_ledger += rec.ledgers[t];
-          const std::uint64_t fire = latch + rec.busy[t];
-          if (t == last) {
-            freed[t] = fire;
-            window_cycles = fire;
-          } else {
-            freed[t] = std::max(fire, freed[t + 1]);
-            latch = freed[t];
-          }
-        }
+        for (const EnergyLedger& stage : rec.ledgers) train_ledger += stage;
+        window_cycles = schedule.retire(rec.busy);
         for (std::size_t t = 0; t + 1 < tiles_.size(); ++t) {
           if (plastic[t] != 0) {
             trainer.stage_hidden(t, rec.pre[t], rec.hidden_cols[t]);

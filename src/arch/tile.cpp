@@ -277,6 +277,19 @@ void Tile::step() {
   if (all_empty) fire_phase();
 }
 
+std::uint64_t Tile::run_inference(const BitVec& input_spikes) {
+  start_inference(input_spikes);
+  std::uint64_t cycles = 0;
+  while (busy()) {
+    step();
+    if (++cycles > kMaxBurstCycles) {
+      throw std::logic_error("Tile::run_inference: burst cycle limit "
+                             "exceeded (pipeline deadlock)");
+    }
+  }
+  return cycles;
+}
+
 void Tile::fire_phase() {
   // R_empty: every neuron compares Vmem >= Vth; firing neurons raise their
   // request bits and reset. The pre-reset membrane is snapshotted first so

@@ -114,8 +114,8 @@ SystemReport EsamSystem::evaluate(std::size_t max_inferences,
                                        static_cast<std::ptrdiff_t>(n));
 
   // run_batched handles every shape (batch_size 0 = one batch covering the
-  // whole stream, single-threaded included) and honours run_cfg.engine; the
-  // lockstep run() stays the observer/reference path.
+  // whole stream, single-threaded included) on the fast engine; lockstep
+  // runs only under an observer (run() with a trace).
   const auto wall_start = std::chrono::steady_clock::now();
   const arch::RunResult r = sim_.run_batched(inputs, &labels, run_cfg);
   const double wall_s =
@@ -218,7 +218,7 @@ OnlineReport EsamSystem::learn_online(const OnlineOptions& opt) {
   cfg.update_interval = opt.update_interval;
   cfg.trainer = opt.trainer;
   cfg.eval = opt.run;
-  cfg.train = opt.run;  // training windows reuse the eval worker count
+  cfg.train_threads = opt.run.num_threads;  // reuse the eval worker count
   rep.update_interval = opt.update_interval;
   const arch::OnlineRunResult r =
       sim_.run_online(train_in, train_lab, eval_in, eval_lab, cfg);

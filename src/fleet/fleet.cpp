@@ -1,16 +1,14 @@
 #include "esam/fleet/fleet.hpp"
 
 #include "esam/sram/bitcell.hpp"
+#include "esam/util/parallel.hpp"
 #include "esam/util/table.hpp"
 #include "esam/util/units.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace esam::fleet {
@@ -116,39 +114,11 @@ FleetReport FleetSimulator::run() const {
   const std::size_t n = cfg_.devices;
   std::vector<DeviceReport> reports(n);
 
-  std::size_t workers = cfg_.workers == 0
-                            ? std::max(1u, std::thread::hardware_concurrency())
-                            : cfg_.workers;
-  workers = std::min(workers, n);
-
-  // Work-stealing over device ids; each worker writes only its device's
-  // pre-sized slot, so the merged vector is independent of scheduling.
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(workers);
-  const auto work = [&](std::size_t worker_id) {
-    try {
-      for (;;) {
-        const std::size_t id = next.fetch_add(1, std::memory_order_relaxed);
-        if (id >= n) return;
-        reports[id] = run_device(id);
-      }
-    } catch (...) {
-      errors[worker_id] = std::current_exception();
-    }
-  };
-  if (workers <= 1) {
-    work(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back(work, w);
-    }
-    for (std::thread& t : pool) t.join();
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  // Each device writes only its pre-sized slot, so the merged vector is
+  // independent of which worker ran which die.
+  util::parallel_for(n, cfg_.workers, [&](std::size_t, std::size_t id) {
+    reports[id] = run_device(id);
+  });
 
   FleetReport rep;
   rep.devices = n;

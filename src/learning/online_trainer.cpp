@@ -1,6 +1,5 @@
 #include "esam/learning/online_trainer.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "esam/util/rng.hpp"
@@ -45,34 +44,6 @@ OnlineTrainer::OnlineTrainer(std::vector<arch::Tile>& tiles, TrainerConfig cfg)
                         .update_on_correct = cfg.update_on_correct}));
 }
 
-void OnlineTrainer::forward(const util::BitVec& input) {
-  std::vector<arch::Tile>& tiles = *tiles_;
-  util::BitVec spikes = input;
-  for (std::size_t l = 0; l + 1 < tiles.size(); ++l) {
-    tiles[l].start_inference(spikes);
-    while (tiles[l].busy()) {
-      tiles[l].step();
-      ++forward_cycles_;
-    }
-    spikes = tiles[l].take_output();
-  }
-  arch::Tile& out = tiles.back();
-  out.start_inference(spikes);
-  while (out.busy()) {
-    out.step();
-    ++forward_cycles_;
-  }
-}
-
-std::size_t OnlineTrainer::classify(const util::BitVec& input) {
-  forward(input);
-  arch::Tile& out = tiles_->back();
-  const std::vector<float> scores = out.output_scores();
-  out.consume_output();
-  return static_cast<std::size_t>(
-      std::max_element(scores.begin(), scores.end()) - scores.begin());
-}
-
 std::size_t OnlineTrainer::train_sample(const util::BitVec& input,
                                         std::size_t label) {
   const std::size_t winner = stage_sample(input, label);
@@ -86,18 +57,13 @@ std::size_t OnlineTrainer::stage_sample(const util::BitVec& input,
   if (label >= tiles.back().config().outputs) {
     throw std::out_of_range("OnlineTrainer::stage_sample: label out of range");
   }
-  // Meter the forward pass only: the rules' column updates are accounted
-  // once, through their LearningStats (folded into the kLearning category
-  // by the caller), so the macro ledger must be detached while they run.
-  if (train_ledger_ != nullptr) attach_all(train_ledger_);
-  const std::size_t winner = classify(input);
-  if (train_ledger_ != nullptr) attach_all(nullptr);
-
-  for (std::size_t t = 0; t + 1 < tiles.size(); ++t) {
-    if (rules_[t] != nullptr) {
-      rules_[t]->on_forward(tiles[t].last_input(), tiles[t].last_output());
-    }
-  }
+  const std::size_t winner = arch::walk_cascade(
+      tiles, input, handoff_, {}, {},
+      [this](std::size_t t, const arch::Tile& tile) {
+        if (t + 1 < rules_.size() && rules_[t] != nullptr) {
+          rules_[t]->on_forward(tile.last_input(), tile.last_output());
+        }
+      });
   rules_.back()->on_label(tiles.back().last_input(), winner, label);
   return winner;
 }
@@ -147,21 +113,6 @@ LearningStats OnlineTrainer::stats() const {
 LearningStats OnlineTrainer::tile_stats(std::size_t t) const {
   const auto& r = rules_.at(t);
   return r != nullptr ? r->stats() : LearningStats{};
-}
-
-void OnlineTrainer::reset_stats() {
-  for (auto& r : rules_) {
-    if (r != nullptr) r->reset_stats();
-  }
-}
-
-void OnlineTrainer::set_train_ledger(util::EnergyLedger* ledger) {
-  train_ledger_ = ledger;
-  if (ledger == nullptr) attach_all(nullptr);
-}
-
-void OnlineTrainer::attach_all(util::EnergyLedger* ledger) {
-  for (arch::Tile& t : *tiles_) t.attach_ledger(ledger);
 }
 
 }  // namespace esam::learning

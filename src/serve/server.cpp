@@ -58,6 +58,7 @@ InferenceServer::InferenceServer(const tech::TechnologyParams& node,
   cfg_.adapt_batch = std::max<std::size_t>(1, cfg_.adapt_batch);
   cfg_.update_interval = std::max<std::size_t>(1, cfg_.update_interval);
   input_width_ = ckpt.network.layers().front().in_features();
+  output_width_ = ckpt.network.layers().back().out_features();
   auto p = std::make_shared<Published>();
   p->ckpt = std::move(ckpt);
   p->version = 1;
@@ -138,6 +139,14 @@ std::future<InferenceResult> InferenceServer::submit(
         "InferenceServer::submit: input width " +
         std::to_string(input.size()) + " does not match the deployed model (" +
         std::to_string(input_width_) + ")");
+  }
+  // Checked here, on the client's thread: an out-of-range label reaching the
+  // adaptation thread would escape it and terminate the process.
+  if (label.has_value() && *label >= output_width_) {
+    throw std::invalid_argument(
+        "InferenceServer::submit: label " + std::to_string(*label) +
+        " is not an output class (model has " +
+        std::to_string(output_width_) + ")");
   }
   Request req;
   req.input = std::move(input);

@@ -25,7 +25,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "esam/arch/trace.hpp"
@@ -35,6 +34,7 @@
 #include "esam/learning/online_learner.hpp"
 #include "esam/serve/server.hpp"
 #include "esam/sram/timing.hpp"
+#include "esam/util/parallel.hpp"
 #include "esam/util/parse.hpp"
 #include "esam/util/simd.hpp"
 #include "esam/util/table.hpp"
@@ -73,7 +73,6 @@ enum class OptId {
   kAdapt,
   kAdaptBatch,
   kSimd,
-  kEngine,
   kDevices,
   kDefectRate,
   kSigma,
@@ -95,7 +94,8 @@ const OptionDef kOptionTable[] = {
     {OptId::kInferences, "--inferences", "N",
      "test inferences to stream (default 500, 0 = all)"},
     {OptId::kTrace, "--trace", "FILE.vcd",
-     "write a pipeline activity trace"},
+     "write a pipeline activity trace (runs the cycle-by-cycle lockstep "
+     "engine; results are bit-identical)"},
     {OptId::kLowPower, "--low-power", nullptr,
      "use the HVT 500 mV operating point"},
     {OptId::kThreads, "--threads", "N",
@@ -145,9 +145,6 @@ const OptionDef kOptionTable[] = {
     {OptId::kSimd, "--simd", "NAME",
      "kernel backend: scalar | avx2 | neon (default: best available; the "
      "ESAM_SIMD env var sets the same thing)"},
-    {OptId::kEngine, "--engine", "NAME",
-     "batch execution engine: pipe | seq (default pipe; modelled results "
-     "are bit-identical, seq is the slow lockstep reference)"},
     {OptId::kDevices, "--devices", "N",
      "simulated dies in the fleet (default 16)"},
     {OptId::kDefectRate, "--defect-rate", "F",
@@ -191,7 +188,6 @@ struct CliOptions {
   double max_delay_us = 200.0;
   bool adapt = false;
   std::size_t adapt_batch = 32;
-  arch::ExecutionEngine engine = arch::ExecutionEngine::kPipelined;
   std::size_t devices = 16;
   double defect_rate = 1e-3;
   double sigma = 0.04;
@@ -205,8 +201,7 @@ struct CliOptions {
     const std::size_t effective_batch =
         (threads != 1 && batch == 0) ? arch::RunConfig::kDefaultBatchSize
                                      : batch;
-    return {.num_threads = threads, .batch_size = effective_batch,
-            .engine = engine};
+    return {.num_threads = threads, .batch_size = effective_batch};
   }
 };
 
@@ -251,21 +246,23 @@ const VerbDef kVerbs[] = {
      "train/load the model, run the system, print the Fig. 8 metrics",
      "Trains the BNN (or loads the cached model), deploys it on the selected\n"
      "cell/voltage configuration and streams test inferences through the\n"
-     "cycle-accurate pipeline. With --learn it instead runs the online-\n"
-     "learning scenario: drift the inputs, adapt the deployed weights in\n"
-     "the field, report accuracy recovery and the update cost.",
+     "cycle-accurate pipeline (the fast software-pipelined engine; --trace\n"
+     "runs the lockstep engine instead, with identical results). With\n"
+     "--learn it instead runs the online-learning scenario: drift the\n"
+     "inputs, adapt the deployed weights in the field, report accuracy\n"
+     "recovery and the update cost.",
      0, 0,
      {OptId::kCell, OptId::kVprech, OptId::kInferences, OptId::kTrace,
       OptId::kLowPower, OptId::kThreads, OptId::kBatch, OptId::kLearn,
       OptId::kEpochs, OptId::kDrift, OptId::kHiddenRule, OptId::kWtaK,
-      OptId::kHoldout, OptId::kUpdateInterval, OptId::kSimd, OptId::kEngine},
+      OptId::kHoldout, OptId::kUpdateInterval, OptId::kSimd},
      cmd_report},
     {"sweep-cells", "", "all five cells side by side (Fig. 8)",
      "Evaluates the same trained model on every bitcell variant and prints\n"
      "the Fig. 8 comparison table.",
      0, 0,
      {OptId::kVprech, OptId::kInferences, OptId::kThreads, OptId::kBatch,
-      OptId::kSimd, OptId::kEngine},
+      OptId::kSimd},
      cmd_sweep_cells},
     {"sweep-vprech", "", "the Fig. 7 precharge-voltage study",
      "Analytic per-op access time/energy across precharge voltages and read\n"
@@ -291,7 +288,7 @@ const VerbDef kVerbs[] = {
      {OptId::kCell, OptId::kVprech, OptId::kLowPower, OptId::kInferences,
       OptId::kThreads, OptId::kBatch, OptId::kLearn, OptId::kEpochs,
       OptId::kDrift, OptId::kHiddenRule, OptId::kWtaK, OptId::kHoldout,
-      OptId::kUpdateInterval, OptId::kNote, OptId::kSimd, OptId::kEngine},
+      OptId::kUpdateInterval, OptId::kNote, OptId::kSimd},
      cmd_checkpoint},
     {"serve", "", "in-process inference-server demo",
      "Deploys a model (--checkpoint FILE, or the trained/cached model) into\n"
@@ -583,20 +580,6 @@ std::optional<ParsedArgs> parse_args(const VerbDef& verb, int argc,
         }
         break;
       }
-      case OptId::kEngine: {
-        const char* v = need_value();
-        if (v == nullptr) return std::nullopt;
-        const std::string name = v;
-        if (name == "pipe") {
-          opt.engine = arch::ExecutionEngine::kPipelined;
-        } else if (name == "seq") {
-          opt.engine = arch::ExecutionEngine::kSequential;
-        } else {
-          std::fprintf(stderr, "esam: unknown engine '%s' (pipe | seq)\n", v);
-          return std::nullopt;
-        }
-        break;
-      }
       case OptId::kDevices:
         if (!need_size(opt.devices)) return std::nullopt;
         if (opt.devices == 0) {
@@ -848,9 +831,9 @@ int cmd_report(const CliOptions& opt, const std::vector<std::string>&) {
                    "ignoring --threads/--batch\n");
     }
   }
-  // The traced run needs the lockstep reference engine (one well-defined
-  // cycle order); everything else goes through the batched engine, which
-  // honors --engine/--threads/--batch and is bit-identical to it.
+  // A trace needs the lockstep engine (one well-defined cycle order), which
+  // run() selects for an observer; everything else goes through the batched
+  // fast engine, which honors --threads/--batch and is bit-identical to it.
   const arch::RunResult r =
       tracer == nullptr
           ? sim.run_batched(inputs, &labels, opt.run_config())
@@ -1066,37 +1049,33 @@ int cmd_serve(const CliOptions& opt, const std::vector<std::string>&) {
   std::atomic<std::size_t> mismatches{0};
   std::atomic<std::size_t> correct{0};
   std::atomic<std::size_t> total{0};
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<std::pair<std::size_t,
-                            std::future<serve::InferenceResult>>> futs;
-      for (std::size_t j = 0;; ++j) {
-        std::size_t idx = c + j * clients;
-        if (opt.requests > 0) {
-          if (j >= opt.requests) break;
-          idx %= n;
-        } else if (idx >= n) {
-          break;
-        }
-        futs.emplace_back(
-            idx, server.submit(eval.spikes[idx], c,
-                               opt.adapt ? std::optional<std::uint8_t>(
-                                               eval.labels[idx])
-                                         : std::nullopt));
+  // One worker per client, so the clients submit concurrently.
+  util::parallel_for(clients, clients, [&](std::size_t, std::size_t c) {
+    std::vector<std::pair<std::size_t,
+                          std::future<serve::InferenceResult>>> futs;
+    for (std::size_t j = 0;; ++j) {
+      std::size_t idx = c + j * clients;
+      if (opt.requests > 0) {
+        if (j >= opt.requests) break;
+        idx %= n;
+      } else if (idx >= n) {
+        break;
       }
-      for (auto& [idx, fut] : futs) {
-        const serve::InferenceResult r = fut.get();
-        ++total;
-        if (r.prediction == eval.labels[idx]) ++correct;
-        // Bit-exactness only holds while the model is not republished
-        // under adaptation.
-        if (!opt.adapt && r.prediction != ref.predictions[idx]) ++mismatches;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
+      futs.emplace_back(
+          idx, server.submit(eval.spikes[idx], c,
+                             opt.adapt ? std::optional<std::uint8_t>(
+                                             eval.labels[idx])
+                                       : std::nullopt));
+    }
+    for (auto& [idx, fut] : futs) {
+      const serve::InferenceResult r = fut.get();
+      ++total;
+      if (r.prediction == eval.labels[idx]) ++correct;
+      // Bit-exactness only holds while the model is not republished
+      // under adaptation.
+      if (!opt.adapt && r.prediction != ref.predictions[idx]) ++mismatches;
+    }
+  });
   server.stop();
 
   const serve::ServerStats stats = server.stats();

@@ -32,6 +32,13 @@
 //                                ESAM_PT_GUARDED_BY user in the same file,
 //                                so the clang -Wthread-safety lane actually
 //                                checks something for that lock.
+//   no-raw-thread      library   std::thread / std::jthread are banned:
+//                                sharded work goes through the one worker
+//                                pool, util::parallel_for. Exempt are
+//                                util/parallel.hpp itself and the serve
+//                                module (src/serve/, include/esam/serve/),
+//                                whose long-lived worker and adaptation
+//                                threads are not a parallel loop.
 //
 // "library" means src/ (minus src/tools/) and include/; "all" adds
 // src/tools/, bench/ and examples/ (both scanned at tool scope -- they may
@@ -301,6 +308,19 @@ void rule_mutex_needs_guard(const SourceFile& f, std::vector<Finding>& out) {
   }
 }
 
+void rule_no_raw_thread(const SourceFile& f, std::vector<Finding>& out) {
+  for (const char* exempt :
+       {"util/parallel.hpp", "src/serve/", "include/esam/serve/"}) {
+    if (f.display_path.find(exempt) != std::string::npos) return;
+  }
+  check_line_rule(
+      f, out, "no-raw-thread", /*library_only=*/true,
+      [](const std::string& s) {
+        return has_word(s, "std::thread") || has_word(s, "std::jthread");
+      },
+      "raw thread in library code; shard work through util::parallel_for");
+}
+
 constexpr RuleFn kRules[] = {
     rule_no_rand,
     rule_no_wall_clock,
@@ -309,6 +329,7 @@ constexpr RuleFn kRules[] = {
     rule_no_atoi,
     rule_no_naked_new,
     rule_mutex_needs_guard,
+    rule_no_raw_thread,
 };
 
 SourceFile load_file(const fs::path& path, Scope scope,

@@ -87,7 +87,7 @@ OnlineTrainConfig train_config(std::size_t k, std::size_t train_threads,
                              .seed = 99};
   }
   cfg.eval = {.num_threads = 1, .batch_size = 16};
-  cfg.train.num_threads = train_threads;
+  cfg.train_threads = train_threads;
   return cfg;
 }
 

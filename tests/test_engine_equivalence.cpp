@@ -1,10 +1,13 @@
-// The two batch execution engines -- the cycle-by-cycle lockstep sweep and
-// the software-pipelined stage-major engine -- model the same hardware
-// schedule. These tests pin their results as bit-for-bit identical:
+// The fast engine (per-sample cascade walk + rebuilt schedule) against its
+// differential oracle, the cycle-by-cycle lockstep sweep -- which run()
+// selects whenever an observer is attached. Both model the same hardware
+// schedule; these tests pin their results as bit-for-bit identical:
 // predictions, cycle counts and per-category ledger energies, across
 // network shapes (multi-array tiles included), batch shapes and SIMD
 // backends.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "esam/arch/system.hpp"
 #include "esam/tech/technology.hpp"
@@ -53,14 +56,45 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.accuracy, b.accuracy);
 }
 
-RunResult run_with_engine(SystemSimulator& sim,
+/// The lockstep oracle of run_batched(inputs, labels, {.batch_size =
+/// batch}): one observed run() per batch-sized chunk, results concatenated
+/// and ledgers summed in batch order -- exactly how the batched engine
+/// merges its batches.
+RunResult lockstep_oracle(SystemSimulator& sim,
                           const std::vector<util::BitVec>& inputs,
                           const std::vector<std::uint8_t>& labels,
-                          ExecutionEngine engine, std::size_t batch_size = 0) {
-  RunConfig cfg;
-  cfg.engine = engine;
-  cfg.batch_size = batch_size;
-  return sim.run_batched(inputs, &labels, cfg);
+                          std::size_t batch = 0) {
+  const std::size_t n = inputs.size();
+  const std::size_t chunk = batch == 0 ? n : std::min(batch, n);
+  NoopObserver observer;
+  RunResult total;
+  std::size_t correct = 0;
+  for (std::size_t first = 0; first < n; first += chunk) {
+    const auto end = static_cast<std::ptrdiff_t>(std::min(n, first + chunk));
+    const auto begin = static_cast<std::ptrdiff_t>(first);
+    const std::vector<util::BitVec> xs(inputs.begin() + begin,
+                                       inputs.begin() + end);
+    const std::vector<std::uint8_t> ys(labels.begin() + begin,
+                                       labels.begin() + end);
+    const RunResult part = sim.run(xs, &ys, &observer);
+    total.predictions.insert(total.predictions.end(),
+                             part.predictions.begin(), part.predictions.end());
+    total.cycles += part.cycles;
+    total.ledger += part.ledger;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (part.predictions[i] == ys[i]) ++correct;
+    }
+  }
+  total.elapsed = total.ledger.elapsed();
+  total.accuracy = static_cast<double>(correct) / static_cast<double>(n);
+  return total;
+}
+
+RunResult fast_run(SystemSimulator& sim,
+                   const std::vector<util::BitVec>& inputs,
+                   const std::vector<std::uint8_t>& labels,
+                   std::size_t batch = 0) {
+  return sim.run_batched(inputs, &labels, {.batch_size = batch});
 }
 
 TEST(EngineEquivalence, PipelinedMatchesSequentialExactly) {
@@ -80,17 +114,14 @@ TEST(EngineEquivalence, PipelinedMatchesSequentialExactly) {
     for (std::size_t i = 0; i < labels.size(); ++i) {
       labels[i] = static_cast<std::uint8_t>(i % shape.back());
     }
-    const RunResult seq =
-        run_with_engine(sim, inputs, labels, ExecutionEngine::kSequential);
-    const RunResult pipe =
-        run_with_engine(sim, inputs, labels, ExecutionEngine::kPipelined);
-    expect_identical(seq, pipe);
+    expect_identical(lockstep_oracle(sim, inputs, labels),
+                     fast_run(sim, inputs, labels));
   }
 }
 
 TEST(EngineEquivalence, PipelinedMatchesLockstepReferenceRun) {
-  // run() is the lockstep reference path; the default-config batched engine
-  // (one batch, pipelined) must reproduce it exactly.
+  // run() without an observer is the fast engine; with one it is lockstep.
+  // The two must agree exactly, derived metrics included.
   const nn::SnnNetwork snn = random_snn({96, 48, 9}, 310);
   SystemSimulator sim(tech::imec3nm(), snn, {});
   const auto inputs = random_inputs(50, 96, 311);
@@ -98,9 +129,12 @@ TEST(EngineEquivalence, PipelinedMatchesLockstepReferenceRun) {
   for (std::size_t i = 0; i < labels.size(); ++i) {
     labels[i] = static_cast<std::uint8_t>(i % 9);
   }
-  const RunResult reference = sim.run(inputs, &labels);
-  const RunResult pipelined = sim.run_batched(inputs, &labels, {});
-  expect_identical(reference, pipelined);
+  NoopObserver observer;
+  const RunResult reference = sim.run(inputs, &labels, &observer);
+  const RunResult fast = sim.run(inputs, &labels);
+  expect_identical(reference, fast);
+  EXPECT_EQ(reference.throughput_inf_per_s, fast.throughput_inf_per_s);
+  EXPECT_EQ(reference.average_power.base(), fast.average_power.base());
 }
 
 TEST(EngineEquivalence, EnginesAgreePerBatchShape) {
@@ -113,18 +147,16 @@ TEST(EngineEquivalence, EnginesAgreePerBatchShape) {
   }
   for (std::size_t batch : {std::size_t{0}, std::size_t{1}, std::size_t{16},
                             std::size_t{70}, std::size_t{1000}}) {
-    const RunResult seq = run_with_engine(sim, inputs, labels,
-                                          ExecutionEngine::kSequential, batch);
-    const RunResult pipe = run_with_engine(sim, inputs, labels,
-                                           ExecutionEngine::kPipelined, batch);
-    expect_identical(seq, pipe);
+    SCOPED_TRACE(batch);
+    expect_identical(lockstep_oracle(sim, inputs, labels, batch),
+                     fast_run(sim, inputs, labels, batch));
   }
 }
 
 TEST(EngineEquivalence, ResultsIdenticalAcrossSimdBackends) {
   // The modelled outcome must not depend on the kernel backend. Runs the
-  // pipelined engine under every available backend and compares against
-  // the scalar result.
+  // fast engine and the lockstep oracle under every available backend and
+  // compares against the scalar result.
   const nn::SnnNetwork snn = random_snn({130, 66, 9}, 330);
   const auto inputs = random_inputs(40, 130, 331);
   std::vector<std::uint8_t> labels(inputs.size());
@@ -137,12 +169,13 @@ TEST(EngineEquivalence, ResultsIdenticalAcrossSimdBackends) {
   ASSERT_TRUE(simd::set_active_backend(simd::Backend::kScalar));
   SystemSimulator scalar_sim(tech::imec3nm(), snn, {});
   const RunResult scalar = scalar_sim.run_batched(inputs, &labels, {});
+  expect_identical(scalar, lockstep_oracle(scalar_sim, inputs, labels));
   for (simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kNeon}) {
     if (!simd::available(b)) continue;
     ASSERT_TRUE(simd::set_active_backend(b));
     SystemSimulator sim(tech::imec3nm(), snn, {});
-    const RunResult r = sim.run_batched(inputs, &labels, {});
-    expect_identical(scalar, r);
+    expect_identical(scalar, sim.run_batched(inputs, &labels, {}));
+    expect_identical(scalar, lockstep_oracle(sim, inputs, labels));
   }
   simd::set_active_backend(saved);
 }

@@ -1,12 +1,22 @@
 // Tests for the batched multi-threaded simulation engine: sharded runs must
 // be bit-for-bit identical to single-threaded runs (predictions, cycle
 // counts, merged ledger energies), tiles must deep-clone, and the engine
-// must reject malformed input like run() does.
+// must reject malformed input like run() does. Also covers the worker pool
+// every sharded loop shares, util::parallel_for.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <stdexcept>
+#include <thread>
+
 #include "esam/arch/system.hpp"
+#include "esam/data/dataset.hpp"
+#include "esam/fleet/fleet.hpp"
 #include "esam/learning/online_learner.hpp"
 #include "esam/tech/technology.hpp"
+#include "esam/util/parallel.hpp"
 #include "esam/util/rng.hpp"
 
 namespace esam::arch {
@@ -223,6 +233,93 @@ TEST(Parallel, TileDeepCopyIsIndependent) {
   detached.start_inference(spikes);
   while (detached.busy()) detached.step();
   EXPECT_EQ(ledger.total_energy().base(), 0.0);
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t n : {0u, 1u, 7u, 1000u}) {
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " workers=" << workers);
+      std::vector<std::atomic<int>> hits(n);
+      std::atomic<std::size_t> bad_worker{0};
+      const std::size_t resolved = util::resolve_workers(workers, n);
+      util::parallel_for(n, workers, [&](std::size_t w, std::size_t i) {
+        if (w >= resolved) ++bad_worker;
+        ++hits[i];
+      });
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+      EXPECT_EQ(bad_worker.load(), 0u);
+    }
+  }
+}
+
+TEST(ParallelFor, RethrowsOnlyAfterEveryWorkerJoined) {
+  std::atomic<int> in_flight{0};
+  std::atomic<int> started{0};
+  bool caught = false;
+  try {
+    util::parallel_for(64, 4, [&](std::size_t, std::size_t i) {
+      ++in_flight;
+      ++started;
+      if (i == 5) {
+        --in_flight;
+        throw std::runtime_error("index 5");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      --in_flight;
+    });
+  } catch (const std::runtime_error& e) {
+    caught = true;
+    EXPECT_STREQ(e.what(), "index 5");
+    // Every call that started has returned: no worker outlives the throw.
+    EXPECT_EQ(in_flight.load(), 0);
+  }
+  EXPECT_TRUE(caught);
+  EXPECT_GE(started.load(), 6);
+}
+
+TEST(ParallelFor, GarbageWorkerCountIsClampedAndCompletes) {
+  constexpr std::size_t kHuge = SIZE_MAX;
+  EXPECT_EQ(util::resolve_workers(kHuge, 1000), util::kMaxWorkers);
+  EXPECT_EQ(util::resolve_workers(kHuge, 3), 3u);
+  EXPECT_GE(util::resolve_workers(0, 1000), 1u);
+  std::atomic<std::size_t> sum{0};
+  util::parallel_for(300, kHuge,
+                     [&](std::size_t, std::size_t i) { sum += i; });
+  EXPECT_EQ(sum.load(), 300u * 299u / 2u);
+}
+
+TEST(ParallelFor, FleetWithGarbageWorkerCountMatchesSerial) {
+  util::Rng rng(77);
+  const nn::SnnNetwork snn =
+      nn::SnnNetwork::from_bnn(nn::BnnNetwork({768, 16, 10}, rng));
+  const data::PreparedDataset test = data::load_default_split(1, 48, 7).test;
+  fleet::FleetConfig fc;
+  fc.devices = 5;
+  fc.shard_inferences = 16;
+  fc.adapt_epochs = 1;
+  fc.update_interval = 2;
+
+  fc.workers = 1;
+  const fleet::FleetReport a =
+      fleet::FleetSimulator(snn, test, tech::imec3nm(), fc).run();
+  fc.workers = SIZE_MAX;
+  const fleet::FleetReport b =
+      fleet::FleetSimulator(snn, test, tech::imec3nm(), fc).run();
+
+  ASSERT_EQ(a.per_device.size(), b.per_device.size());
+  for (std::size_t i = 0; i < a.per_device.size(); ++i) {
+    const fleet::DeviceReport& x = a.per_device[i];
+    const fleet::DeviceReport& y = b.per_device[i];
+    EXPECT_EQ(x.id, y.id);
+    EXPECT_EQ(x.fault_cells, y.fault_cells);
+    EXPECT_EQ(x.column_updates, y.column_updates);
+    EXPECT_EQ(x.accuracy_clean, y.accuracy_clean);
+    EXPECT_EQ(x.accuracy_drifted, y.accuracy_drifted);
+    EXPECT_EQ(x.accuracy_final, y.accuracy_final);
+    EXPECT_EQ(x.energy_per_inf_pj, y.energy_per_inf_pj);
+  }
+  EXPECT_EQ(a.timing_yield, b.timing_yield);
+  EXPECT_EQ(a.functional_yield, b.functional_yield);
 }
 
 }  // namespace

@@ -281,6 +281,36 @@ TEST(Serve, AdaptTrainsAndPublishesNewCheckpoints) {
   EXPECT_GT(diff, 0u);
 }
 
+TEST(Serve, RejectsOutOfRangeLabelBeforeQueueing) {
+  // A label past the output width must be rejected on the client's thread:
+  // on the adaptation thread the trainer's range check would escape and
+  // terminate the process.
+  const nn::SnnNetwork snn = random_snn({64, 32, 6}, 416);
+  const auto inputs = random_inputs(2, 64, 417);
+
+  ServerConfig cfg;
+  cfg.num_workers = 1;
+  cfg.adapt = true;
+  cfg.adapt_batch = 1;
+  InferenceServer server(tech::imec3nm(), {},
+                         io::Checkpoint::from_network(snn), cfg);
+  server.start();
+  EXPECT_THROW((void)server.submit(inputs[0], 0, std::uint8_t{200}),
+               std::invalid_argument);
+  EXPECT_THROW((void)server.submit(inputs[0], 0, std::uint8_t{6}),
+               std::invalid_argument);
+
+  // The server is still up: a valid labeled request is answered and
+  // reaches the adaptation engine, and shutdown completes.
+  const InferenceResult ok =
+      server.submit(inputs[1], 0, std::uint8_t{5}).get();
+  EXPECT_LT(ok.prediction, 6u);
+  server.stop();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests_served, 1u);
+  EXPECT_EQ(stats.adapt_samples, 1u);
+}
+
 TEST(Serve, StressSubmitAdaptPublishStopRace) {
   // TSan-targeted stress: client threads hammer submit() (some labeled, so
   // the background adaptation engine trains and publishes checkpoints
