@@ -93,9 +93,9 @@ struct OnlineTrainConfig {
   /// observations in sample order, and one commit per window applies the
   /// staged column updates (repeated events on a column coalesce into a
   /// single read-modify-write -- the throughput win, see
-  /// OnlineLearner::apply_column). 1 (the default) commits after every
-  /// sample and is bit-identical to the serial immediate-update reference;
-  /// any k is deterministic across thread counts.
+  /// OnlineLearner::apply_column). A partial tail window commits at the
+  /// end of every epoch. 1 (the default) commits after every sample, the
+  /// immediate-update mode; any k is deterministic across thread counts.
   std::size_t update_interval = 1;
   /// Pipeline-wide learning configuration: base STDP seed (per-tile rule
   /// seeds are derived), teacher behaviour, hidden-rule selection.
@@ -143,6 +143,13 @@ struct OnlineEpochStats {
   Time train_time{};
 };
 
+/// Outcome of one SystemSimulator::train_pass (see OnlineEpochStats).
+struct TrainPassResult {
+  std::size_t online_hits = 0;  ///< samples whose pre-update winner = label
+  std::uint64_t cycles = 0;     ///< windowed forward pipeline cycles
+  Time train_time{};            ///< forward cycles + commit drains
+};
+
 /// Outcome of run_online: the accuracy-over-time curve plus the final eval
 /// with the cumulative learning cost folded into its ledger.
 struct OnlineRunResult {
@@ -179,9 +186,9 @@ class SystemSimulator {
   [[nodiscard]] std::size_t tile_count() const { return tiles_.size(); }
   [[nodiscard]] Tile& tile(std::size_t i) { return tiles_.at(i); }
   [[nodiscard]] const Tile& tile(std::size_t i) const { return tiles_.at(i); }
-  /// Learning-path access to the whole pipeline (external engines that
-  /// construct their own learning::OnlineTrainer over these tiles, e.g. the
-  /// serve adaptation thread).
+  /// The whole pipeline, for building a learning::OnlineTrainer that
+  /// train_pass accepts (e.g. the serve adaptation thread's) and for test
+  /// oracles that walk the tiles directly.
   [[nodiscard]] std::vector<Tile>& tiles() { return tiles_; }
   [[nodiscard]] const SystemConfig& config() const { return cfg_; }
 
@@ -218,23 +225,29 @@ class SystemSimulator {
                         const std::vector<std::uint8_t>* labels = nullptr,
                         const RunConfig& run_cfg = {});
 
-  /// Online-training engine: per epoch, cuts the sample stream into
-  /// k-sample windows (OnlineTrainConfig::update_interval), runs each
-  /// window's forward passes against the window-start weights -- sharded
-  /// over OnlineTrainConfig::train_threads workers with per-worker tile
-  /// clones -- lets the per-tile learning rules stage their observations in
-  /// sample order, and commits the staged column updates once per window
-  /// (deterministic tile/column order; repeated events on one column
-  /// coalesce into a single read-modify-write). Then evaluates the adapted
-  /// weights with the deterministic batched engine. The training forward
-  /// passes are metered (tile energies into a training ledger, clock +
-  /// leakage integrated over the windowed pipeline cycles); the commit cost
-  /// is accounted once, under EnergyCategory::kLearning. update_interval 1
-  /// is bit-identical to the serial immediate-update reference, and every
-  /// k is bit-identical across thread counts
-  /// (tests/test_online_trainer.cpp, tests/test_delayed_updates.cpp).
-  /// This overload trains and evaluates on the same stream (the rolling
-  /// field scenario).
+  /// The online-training loop: one pass of `trainer` (bound to tiles())
+  /// over `inputs`/`labels` in `update_interval`-sample windows. A window's
+  /// forward passes run against its start weights, sharded over `threads`
+  /// workers (0 = hardware concurrency; worker 0 on the canonical tiles,
+  /// the others on clones built per pass); the rules stage in sample order
+  /// (hidden tiles ascending, then the label) and commit once per window,
+  /// the partial tail included. Adds the stage energies to `ledger` in
+  /// (sample, tile) order, then clock and leakage over the windowed cycles;
+  /// the commit cost stays in the trainer's LearningStats. Bit-identical
+  /// for every `threads`. Throws std::invalid_argument, before touching a
+  /// tile, on a trainer bound elsewhere, a count mismatch, a label that is
+  /// not an output class, or update_interval 0.
+  TrainPassResult train_pass(learning::OnlineTrainer& trainer,
+                             const std::vector<BitVec>& inputs,
+                             const std::vector<std::uint8_t>& labels,
+                             std::size_t update_interval, std::size_t threads,
+                             EnergyLedger& ledger);
+
+  /// Online-training run: an eval, then per epoch one train_pass and an
+  /// eval of the adapted weights (batched engine); the commit cost lands
+  /// once, under EnergyCategory::kLearning. Bad inputs throw
+  /// std::invalid_argument before any tile is touched. This overload
+  /// trains and evaluates on the same stream (the rolling field scenario).
   OnlineRunResult run_online(const std::vector<BitVec>& inputs,
                              const std::vector<std::uint8_t>& labels,
                              const OnlineTrainConfig& cfg = {});
@@ -294,7 +307,7 @@ class SystemSimulator {
   void finalize_metrics(RunResult& result, std::size_t n,
                         const std::vector<std::uint8_t>* labels) const;
   /// Clock-tree energy of one pipeline cycle (shared by the batched eval
-  /// engine and the serial training-phase metering).
+  /// engine and the training-phase metering of train_pass).
   [[nodiscard]] Energy clock_energy_per_cycle() const;
 
   const TechnologyParams* tech_;

@@ -103,7 +103,7 @@ struct OnlineOptions {
   /// evaluate on the same stream (the rolling field scenario).
   double holdout_fraction = 0.0;
   /// k-step delayed updates: commit staged column updates every k training
-  /// samples (1 = the serial immediate-update reference; see
+  /// samples (1 = immediate updates; see
   /// arch::OnlineTrainConfig::update_interval).
   std::size_t update_interval = 1;
   /// Execution config of the eval phases (also reused for the training

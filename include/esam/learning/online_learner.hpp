@@ -57,6 +57,13 @@ struct PendingUpdate {
   bool causal = true;      ///< true = reward (potentiate), false = punish
 };
 
+/// One committed column read-modify-write: the column written and its RW
+/// port time (OnlineLearner::apply_column's return value).
+struct ColumnRmw {
+  std::size_t column = 0;
+  Time time{};
+};
+
 class OnlineLearner {
  public:
   OnlineLearner(arch::Tile& tile, StdpConfig cfg);
@@ -72,8 +79,10 @@ class OnlineLearner {
   /// write per row-group: read once, fold every event's stochastic mask over
   /// the in-flight value in staged order, write once. With a single event
   /// this is bit-identical (weights, Bernoulli stream, stats, energy) to
-  /// reward()/punish(). Every event must target column `j`.
-  void apply_column(std::size_t j,
+  /// reward()/punish(). Every event must target column `j`. Returns the
+  /// RMW's port time: the slowest row-group's, since they run in parallel
+  /// (zero for an empty batch).
+  Time apply_column(std::size_t j,
                     std::span<const PendingUpdate* const> events);
 
   /// The STDP configuration this learner draws from (seed included).

@@ -1,19 +1,18 @@
 // System-level online-training engine (paper secs. 2.2, 4.4.1).
 //
-// A thin conductor over per-tile learning rules: one sample is walked
+// A thin conductor over per-tile learning rules, driven by the one
+// training loop, arch::SystemSimulator::train_pass: each sample is walked
 // through the cascaded tiles (arch::walk_cascade), each plastic hidden
-// tile's rule observes its pre/post spike pair (on_forward), the winner is
-// read from the output tile's membrane potentials (winner-take-all), and the
-// output tile's supervised teacher turns (winner, label) into reward/punish
-// column updates (on_label) -- each update one column read-modify-write
-// through the transposed RW port of that tile's macros.
+// tile's winners are resolved from the pass (LearningRule::resolve_forward)
+// and staged (stage_hidden), the winner is read from the output tile's
+// membrane potentials (winner-take-all), and the output tile's supervised
+// teacher turns (winner, label) into reward/punish column updates
+// (stage_label) -- each update one column read-modify-write through the
+// transposed RW port of that tile's macros, applied by commit_pending().
 //
-// k-step delayed updates: the rules stage their observations (see
-// LearningRule::commit), so the trainer splits a training step into
-// stage_sample() and commit_pending(). train_sample() = stage + commit, the
-// immediate-update reference; the batched system engine stages k samples
-// (observations resolved on per-worker tile clones, replayed in sample
-// order) and commits once per window.
+// k-step delayed updates: train_pass stages k samples (forwards run on
+// per-worker tile clones, observations replayed in sample order) and
+// commits once per window; k = 1 is the immediate-update mode.
 //
 // Determinism contract: the trainer owns one LearningRule per plastic tile,
 // seeded with derive_learner_seed(base_seed, tile_index) so the per-tile
@@ -69,38 +68,32 @@ class OnlineTrainer {
   /// tile must be an output layer exposing Vmem).
   OnlineTrainer(std::vector<arch::Tile>& tiles, TrainerConfig cfg);
 
-  /// One supervised step: forwards `input` through the tiles
-  /// (arch::walk_cascade), reads the winner-take-all class from the output
-  /// tile's offset-corrected Vmem (the readout the inference engine reports,
-  /// so teacher and eval always agree on what "wrong" means), lets every
-  /// hidden rule observe its tile's pre/post spikes, then drives the output
-  /// teacher with (winner, label) and commits the staged updates immediately
-  /// (stage_sample + commit_pending). Returns the pre-update winner, so
-  /// callers can fold it into an online-accuracy estimate.
-  std::size_t train_sample(const util::BitVec& input, std::size_t label);
+  /// True when this trainer's rules write into `tiles` (the pipeline it
+  /// was constructed over).
+  [[nodiscard]] bool bound_to(const std::vector<arch::Tile>& tiles) const {
+    return tiles_ == &tiles;
+  }
 
-  /// train_sample without the commit: forwards `input` through the canonical
-  /// tiles and stages every rule's observation, leaving the SRAM untouched.
-  /// Pair with commit_pending() every k samples for delayed updates.
-  std::size_t stage_sample(const util::BitVec& input, std::size_t label);
-
-  /// Observation replay for the batched engine: stages reward updates for
-  /// hidden tile `t` (winners resolved elsewhere, e.g. via
-  /// rule(t)->resolve_forward on a worker clone). No-op for frozen tiles.
+  /// Stages reward updates for hidden tile `t` (winners resolved by
+  /// rule(t)->resolve_forward on the tile that ran the pass, canonical or a
+  /// worker clone). No-op for frozen tiles.
   void stage_hidden(std::size_t t, const util::BitVec& pre_spikes,
                     std::span<const std::size_t> winners);
 
-  /// Stages the output teacher's (winner, label) decision for a sample
-  /// whose forward ran elsewhere.
+  /// Stages the output teacher's (winner, label) decision. `winner` is the
+  /// winner-take-all class of the output tile's offset-corrected Vmem (the
+  /// readout the inference engine reports, so teacher and eval always agree
+  /// on what "wrong" means).
   void stage_label(const util::BitVec& pre_spikes, std::size_t winner,
                    std::size_t label);
 
   /// Commits every rule's staged updates to the canonical tiles, in
   /// ascending tile order (deterministic: per-tile Bernoulli streams are a
-  /// pure function of each tile's staged sequence). When `updated` is
+  /// pure function of each tile's staged sequence). When `written` is
   /// non-null it is resized to tile_count() and filled with the distinct
-  /// columns each tile wrote (commit order) -- the clone-resync lists.
-  void commit_pending(std::vector<std::vector<std::size_t>>* updated = nullptr);
+  /// columns each tile wrote (commit order) and their RMW port times -- the
+  /// clone-resync lists and the commit-drain input.
+  void commit_pending(std::vector<std::vector<ColumnRmw>>* written = nullptr);
 
   /// Total staged events awaiting commit_pending(), over all rules.
   [[nodiscard]] std::size_t pending_count() const;
@@ -123,10 +116,9 @@ class OnlineTrainer {
   [[nodiscard]] LearningStats tile_stats(std::size_t t) const;
 
  private:
-  std::vector<arch::Tile>* tiles_;
+  const std::vector<arch::Tile>* tiles_;  ///< only for bound_to()
   TrainerConfig cfg_;
   std::vector<std::unique_ptr<LearningRule>> rules_;
-  util::BitVec handoff_;  ///< inter-tile spike buffer of stage_sample
 };
 
 }  // namespace esam::learning

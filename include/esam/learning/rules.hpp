@@ -4,10 +4,9 @@
 // observations into column updates through its transposed RW port. Two
 // concrete rules cover the pipeline:
 //
-//  * SupervisedTeacherRule -- the output tile's reward/punish WTA teacher
-//    (previously hard-coded in OnlineTrainer::train_sample): reward the
-//    labelled neuron's column with the spikes that reached the tile, punish
-//    a wrong winner.
+//  * SupervisedTeacherRule -- the output tile's reward/punish WTA teacher:
+//    reward the labelled neuron's column with the spikes that reached the
+//    tile, punish a wrong winner.
 //  * WtaStdpRule -- unsupervised hidden-layer plasticity: of the spikes a
 //    hidden tile fired, the k most strongly driven columns (largest fire-time
 //    Vmem margin over threshold, captured by Tile::fire_vmem before the
@@ -16,15 +15,17 @@
 //    update is the same column read-modify-write the teacher pays -- the
 //    in-macro learning cost story extends to every cascaded tile.
 //
-// Accumulate/commit protocol (k-step delayed updates): the on_forward /
-// on_label hooks no longer touch the SRAM -- they *stage* their column
-// updates into a per-rule pending buffer, and commit() applies the staged
-// events through the learner in deterministic order (first-staged column
-// first, each column's events folded into one read-modify-write in staged
-// order). Committing after every observed sample reproduces the immediate-
-// update behaviour bit for bit; committing every k samples is the delayed-
-// update training mode, where repeated events on one column coalesce into a
-// single RMW (see OnlineLearner::apply_column).
+// Accumulate/commit protocol (k-step delayed updates): a hidden tile is
+// observed in two steps -- resolve_forward() picks the winning columns from
+// any tile that ran the pass (the canonical one or a worker clone), and
+// stage_rewards() stages them -- and the output tile's on_label() stages the
+// teacher's decision. Nothing touches the SRAM until commit() applies the
+// staged events through the learner in deterministic order (first-staged
+// column first, each column's events folded into one read-modify-write in
+// staged order). Committing after every observed sample reproduces the
+// immediate-update behaviour bit for bit; committing every k samples is the
+// delayed-update training mode, where repeated events on one column
+// coalesce into a single RMW (see OnlineLearner::apply_column).
 //
 // Rules own one seeded OnlineLearner each; OnlineTrainer derives the
 // per-tile seeds so multi-tile update streams stay decorrelated yet
@@ -68,29 +69,23 @@ class LearningRule {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// Called after the owning tile finishes one training forward pass, with
-  /// its pre-synaptic input spikes and fired output spikes. Stages updates;
-  /// nothing reaches the SRAM until commit().
-  virtual void on_forward(const util::BitVec& pre_spikes,
-                          const util::BitVec& post_spikes);
-
   /// Called once per supervised sample on the output tile's rule, with the
   /// spikes that reached the tile, the WTA winner and the teacher label.
   /// Stages updates; nothing reaches the SRAM until commit().
   virtual void on_label(const util::BitVec& pre_spikes, std::size_t winner,
                         std::size_t label);
 
-  /// Winner resolution of on_forward, decoupled from staging: fills `out`
-  /// with the columns the rule would reward for `observed`'s most recent
-  /// forward pass. Const and touching only `observed` + `out`, so the
-  /// batched training engine can resolve observations on per-worker tile
-  /// clones concurrently and replay them into the rule on retirement via
-  /// stage_rewards(). The base rule observes nothing (clears `out`).
+  /// Winner resolution of a forward pass: fills `out` with the columns the
+  /// rule would reward for `observed`'s most recent forward pass. Const and
+  /// touching only `observed` + `out`, so the training engine can resolve
+  /// observations on per-worker tile clones concurrently and replay them
+  /// into the rule on retirement via stage_rewards(). The base rule
+  /// observes nothing (clears `out`).
   virtual void resolve_forward(const arch::Tile& observed,
                                std::vector<std::size_t>& out) const;
 
-  /// Stages one causal (reward) update per column, in the given order --
-  /// the replay path for observations resolved on a tile clone.
+  /// Stages one causal (reward) update per column, in the given order (the
+  /// columns resolve_forward() picked).
   void stage_rewards(const util::BitVec& pre_spikes,
                      std::span<const std::size_t> columns);
 
@@ -98,10 +93,10 @@ class LearningRule {
   /// first-staged order, each column's events coalesced into one
   /// read-modify-write (events folded in staged order, so the per-rule
   /// Bernoulli stream is a pure function of the staged sequence). When
-  /// `updated_columns` is non-null it is filled with the distinct columns
-  /// written (commit order) -- the clone-resync list for the batched
-  /// training engine.
-  void commit(std::vector<std::size_t>* updated_columns = nullptr);
+  /// `written` is non-null it is filled with one entry per distinct column
+  /// written (commit order) and that RMW's port time -- the clone-resync
+  /// list and commit-drain input of the training engine.
+  void commit(std::vector<ColumnRmw>* written = nullptr);
 
   /// Staged events awaiting commit().
   [[nodiscard]] std::size_t pending_count() const { return pending_count_; }
@@ -149,8 +144,6 @@ class WtaStdpRule final : public LearningRule {
   /// `k` = winning columns per inference (>= 1).
   WtaStdpRule(arch::Tile& tile, StdpConfig stdp, std::size_t k);
   [[nodiscard]] std::string_view name() const override { return "wta-stdp"; }
-  void on_forward(const util::BitVec& pre_spikes,
-                  const util::BitVec& post_spikes) override;
   void resolve_forward(const arch::Tile& observed,
                        std::vector<std::size_t>& out) const override;
 
@@ -158,7 +151,6 @@ class WtaStdpRule final : public LearningRule {
 
  private:
   std::size_t k_;
-  std::vector<std::size_t> fired_scratch_;  ///< reused winner-selection buffer
 };
 
 }  // namespace esam::learning

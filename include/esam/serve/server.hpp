@@ -22,16 +22,18 @@
 // Serve-while-adapting: with ServerConfig::adapt enabled, labeled requests
 // are also fed to a background adaptation thread that owns a *mutable*
 // learning copy of the model (immutable serving weights vs mutable learning
-// copy). After every ServerConfig::adapt_batch labeled samples it trains
-// via learning::OnlineTrainer (committing staged column updates every
-// ServerConfig::update_interval samples) and atomically publishes the
-// adapted weights as a new checkpoint, each stamped with the previously
-// published checkpoint's content CRC as its lineage parent (shared_ptr
-// swap + version bump); workers refresh
-// their pipelines at the next batch boundary, so a batch never mixes two
-// weight versions. stop() drains the queue -- every accepted request is
-// answered -- and flushes any remaining labeled samples through one final
-// adaptation round before the threads join.
+// copy). Each time ServerConfig::adapt_batch labeled samples are buffered,
+// it takes exactly the oldest adapt_batch of them as one round, trains on
+// the round with one arch::SystemSimulator::train_pass (the same loop as
+// offline online training: staged column updates commit every
+// ServerConfig::update_interval samples, the partial tail window at the end
+// of the round) and atomically publishes the adapted weights as a new
+// checkpoint, each stamped with the previously published checkpoint's
+// content CRC as its lineage parent (shared_ptr swap + version bump);
+// workers refresh their pipelines at the next batch boundary, so a batch
+// never mixes two weight versions. stop() drains the queue -- every
+// accepted request is answered -- and flushes the remaining labeled samples
+// in rounds of at most adapt_batch before the threads join.
 #pragma once
 
 #include <atomic>
@@ -64,15 +66,16 @@ struct ServerConfig {
   double max_delay_us = 200.0;
   /// Background adaptation on labeled requests (serve + adapt).
   bool adapt = false;
-  /// Labeled samples per adaptation round; each round ends in an atomic
-  /// checkpoint publish.
+  /// Labeled samples per adaptation round (the oldest buffered ones; only
+  /// the shutdown flush runs a shorter last round); each round ends in an
+  /// atomic checkpoint publish.
   std::size_t adapt_batch = 32;
   /// k-step delayed updates for the adaptation engine: staged column
   /// updates commit every k samples (see
   /// arch::OnlineTrainConfig::update_interval). Any partial window is
   /// flushed at the end of each adaptation round, so a published
-  /// checkpoint never carries uncommitted staged updates. 1 = the serial
-  /// immediate-update reference (bit-identical weights).
+  /// checkpoint never carries uncommitted staged updates. 1 = immediate
+  /// updates.
   std::size_t update_interval = 1;
   /// Learning configuration of the adaptation engine's mutable model copy.
   learning::TrainerConfig trainer{};

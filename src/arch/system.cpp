@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "esam/util/parallel.hpp"
 
@@ -56,6 +57,15 @@ void check_inputs(const std::vector<BitVec>& inputs,
   }
   if (labels != nullptr && labels->size() != inputs.size()) {
     throw std::invalid_argument("SystemSimulator::run: label count mismatch");
+  }
+}
+
+void check_labels(const std::vector<std::uint8_t>& labels, std::size_t classes,
+                  const std::string& who) {
+  for (const std::uint8_t y : labels) {
+    if (y >= classes) {
+      throw std::invalid_argument(who + ": label exceeds output count");
+    }
   }
 }
 
@@ -345,62 +355,29 @@ OnlineRunResult SystemSimulator::run_online(
   return run_online(inputs, labels, inputs, labels, cfg);
 }
 
-OnlineRunResult SystemSimulator::run_online(
-    const std::vector<BitVec>& inputs, const std::vector<std::uint8_t>& labels,
-    const std::vector<BitVec>& eval_inputs,
-    const std::vector<std::uint8_t>& eval_labels,
-    const OnlineTrainConfig& cfg) {
-  if (inputs.empty() || eval_inputs.empty()) {
-    throw std::invalid_argument("SystemSimulator::run_online: no inputs");
-  }
-  if (labels.size() != inputs.size() ||
-      eval_labels.size() != eval_inputs.size()) {
+TrainPassResult SystemSimulator::train_pass(
+    learning::OnlineTrainer& trainer, const std::vector<BitVec>& inputs,
+    const std::vector<std::uint8_t>& labels, std::size_t update_interval,
+    std::size_t threads, EnergyLedger& ledger) {
+  if (!trainer.bound_to(tiles_)) {
     throw std::invalid_argument(
-        "SystemSimulator::run_online: label count mismatch");
+        "SystemSimulator::train_pass: trainer is bound to other tiles");
   }
-  const std::size_t classes = tiles_.back().config().outputs;
-  auto check_labels = [classes](const std::vector<std::uint8_t>& ys) {
-    for (const std::uint8_t y : ys) {
-      if (y >= classes) {
-        throw std::invalid_argument(
-            "SystemSimulator::run_online: label exceeds output count");
-      }
-    }
-  };
-  check_labels(labels);
-  check_labels(eval_labels);
-  if (cfg.update_interval == 0) {
+  if (labels.size() != inputs.size()) {
     throw std::invalid_argument(
-        "SystemSimulator::run_online: update_interval must be >= 1");
+        "SystemSimulator::train_pass: label count mismatch");
   }
-
-  OnlineRunResult out;
-  RunResult eval = run_batched(eval_inputs, &eval_labels, cfg.eval);
-  out.initial_accuracy = eval.accuracy;
-
-  learning::OnlineTrainer trainer(tiles_, cfg.trainer);
-  // Meter the training-phase forward passes: every sample's tile dynamic
-  // energies post into per-(sample, tile) stage ledgers while it streams,
-  // merged into this ledger in (sample, tile) order -- identical for every
-  // worker count -- and the clock tree and leakage are integrated over the
-  // windowed pipeline cycles afterwards, so the adapt-phase energy story
-  // covers inference + updates. The rules' column updates run with every
-  // ledger detached; their cost is accounted once, via LearningStats.
-  EnergyLedger train_ledger;
-  const Energy clock_per_cycle = clock_energy_per_cycle();
-  const Time period = clock_period();
-  const Power leak = total_leakage();
+  check_labels(labels, tiles_.back().config().outputs,
+               "SystemSimulator::train_pass");
+  if (update_interval == 0) {
+    throw std::invalid_argument(
+        "SystemSimulator::train_pass: update_interval must be >= 1");
+  }
 
   const std::size_t n = inputs.size();
-  const std::size_t k = cfg.update_interval;
+  const std::size_t k = update_interval;
+  const std::size_t window = std::min(k, n);
   const std::size_t last = tiles_.size() - 1;
-
-  // Which tiles have a rule staging into them (the output teacher always
-  // does; hidden tiles only under a hidden rule).
-  std::vector<std::uint8_t> plastic(tiles_.size(), 0);
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
-    plastic[t] = trainer.tile_plastic(t) ? 1 : 0;
-  }
 
   // One record per window slot, reused across windows (ledgers reset, the
   // BitVec / vector slots keep their capacity).
@@ -412,7 +389,7 @@ OnlineRunResult SystemSimulator::run_online(
     std::vector<std::vector<std::size_t>> hidden_cols;  // resolved winners
     BitVec handoff;                           // inter-tile spike chain
   };
-  std::vector<SampleRecord> recs(k);
+  std::vector<SampleRecord> recs(window);
   for (SampleRecord& r : recs) {
     r.busy.resize(tiles_.size());
     r.ledgers.resize(tiles_.size());
@@ -430,7 +407,7 @@ OnlineRunResult SystemSimulator::run_online(
     rec.winner = walk_cascade(
         tiles, input, rec.handoff, rec.busy, rec.ledgers,
         [&](std::size_t t, const Tile& tile) {
-          if (plastic[t] == 0) return;
+          if (!trainer.tile_plastic(t)) return;
           rec.pre[t] = tile.last_input();
           if (t != last) {
             trainer.rule(t)->resolve_forward(tile, rec.hidden_cols[t]);
@@ -438,112 +415,132 @@ OnlineRunResult SystemSimulator::run_online(
         });
   };
 
-  // Per-worker deep-cloned pipelines (worker 0 always runs the canonical
-  // tiles), built on the first multi-worker window and kept in sync
-  // column-wise after every commit.
-  std::vector<std::vector<Tile>> clone_pipelines;
-  std::vector<std::vector<std::size_t>> updated_cols;
+  // Worker 0 runs the canonical tiles; every other worker gets a tile
+  // clone built for this pass and kept in sync column-wise after every
+  // commit.
+  const std::size_t workers = util::resolve_workers(threads, window);
+  std::vector<std::vector<Tile>> clones(workers - 1, tiles_);
+  std::vector<std::vector<learning::ColumnRmw>> written;
   std::vector<Time> cg_drains;  // per-column-group commit-queue scratch
+  const Time period = clock_period();
 
+  TrainPassResult out;
+  for (std::size_t w0 = 0; w0 < n; w0 += k) {
+    const std::size_t wn = std::min(k, n - w0);
+
+    // Phase 1: the window's forward passes, fanned out over the workers.
+    util::parallel_for(wn, workers, [&](std::size_t w, std::size_t s) {
+      forward_one(w == 0 ? tiles_ : clones[w - 1], inputs[w0 + s], recs[s]);
+    });
+
+    // Phase 2: retire in sample order -- accuracy, (sample, tile)-ordered
+    // ledger merge, the window's cycle schedule (first latch at 0, so a
+    // one-sample window costs exactly its serial burst sum), and the rule
+    // observations staged in sample order.
+    CascadeSchedule schedule(tiles_.size());
+    std::uint64_t window_cycles = 0;
+    for (std::size_t s = 0; s < wn; ++s) {
+      SampleRecord& rec = recs[s];
+      const std::size_t i = w0 + s;
+      if (rec.winner == labels[i]) ++out.online_hits;
+      for (const EnergyLedger& stage : rec.ledgers) ledger += stage;
+      window_cycles = schedule.retire(rec.busy);
+      for (std::size_t t = 0; t < last; ++t) {
+        trainer.stage_hidden(t, rec.pre[t], rec.hidden_cols[t]);
+      }
+      trainer.stage_label(rec.pre[last], rec.winner, labels[i]);
+    }
+    out.cycles += window_cycles;
+
+    // Phase 3: one commit per window, then resync only the written
+    // columns into the clones (cost-free copies; the clones never learn,
+    // they only mirror).
+    trainer.commit_pending(&written);
+    for (std::vector<Tile>& clone : clones) {
+      for (std::size_t t = 0; t < tiles_.size(); ++t) {
+        for (const learning::ColumnRmw& rmw : written[t]) {
+          clone[t].copy_column_from(tiles_[t], rmw.column);
+        }
+      }
+    }
+
+    // The window's commit drain (see OnlineEpochStats::train_time), from
+    // each committed column's RMW port time. At k == 1 every RMW sits on
+    // the inter-sample critical path, so the drains serialize into the
+    // established learning.time sum; at k > 1 the per-(tile, column-group)
+    // queues drain through their own RW ports concurrently in a dedicated
+    // commit phase, so the window pays only the longest queue.
+    Time drain{};
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      const std::size_t dim = tiles_[t].config().max_array_dim;
+      cg_drains.assign(tiles_[t].col_groups(), Time{});
+      for (const learning::ColumnRmw& rmw : written[t]) {
+        if (k == 1) {
+          drain += rmw.time;
+        } else {
+          cg_drains[rmw.column / dim] += rmw.time;
+        }
+      }
+      for (const Time q : cg_drains) drain = std::max(drain, q);
+    }
+    out.train_time += period * static_cast<double>(window_cycles) + drain;
+  }
+
+  // Clock tree and leakage over the windowed pipeline cycles.
+  const auto cycles_d = static_cast<double>(out.cycles);
+  ledger.add(util::EnergyCategory::kClock, clock_energy_per_cycle() * cycles_d);
+  ledger.advance_time_with_leakage(period * cycles_d, total_leakage());
+  return out;
+}
+
+OnlineRunResult SystemSimulator::run_online(
+    const std::vector<BitVec>& inputs, const std::vector<std::uint8_t>& labels,
+    const std::vector<BitVec>& eval_inputs,
+    const std::vector<std::uint8_t>& eval_labels,
+    const OnlineTrainConfig& cfg) {
+  if (inputs.empty() || eval_inputs.empty()) {
+    throw std::invalid_argument("SystemSimulator::run_online: no inputs");
+  }
+  if (labels.size() != inputs.size() ||
+      eval_labels.size() != eval_inputs.size()) {
+    throw std::invalid_argument(
+        "SystemSimulator::run_online: label count mismatch");
+  }
+  const std::size_t classes = tiles_.back().config().outputs;
+  check_labels(labels, classes, "SystemSimulator::run_online");
+  check_labels(eval_labels, classes, "SystemSimulator::run_online");
+  if (cfg.update_interval == 0) {
+    throw std::invalid_argument(
+        "SystemSimulator::run_online: update_interval must be >= 1");
+  }
+
+  OnlineRunResult out;
+  RunResult eval = run_batched(eval_inputs, &eval_labels, cfg.eval);
+  out.initial_accuracy = eval.accuracy;
+
+  learning::OnlineTrainer trainer(tiles_, cfg.trainer);
+  // Meters the training-phase forward passes of every epoch (see
+  // train_pass), so the adapt-phase energy story covers inference +
+  // updates. The rules' column updates run with every ledger detached;
+  // their cost is accounted once, via LearningStats.
+  EnergyLedger train_ledger;
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     const learning::LearningStats before = trainer.stats();
     const EnergyLedger ledger_before = train_ledger;
-    std::uint64_t epoch_cycles = 0;
-    std::size_t online_hits = 0;
-    Time epoch_train_time{};
-
-    for (std::size_t w0 = 0; w0 < n; w0 += k) {
-      const std::size_t wn = std::min(k, n - w0);
-      const std::size_t workers = util::resolve_workers(cfg.train_threads, wn);
-
-      // Phase 1: the window's forward passes, fanned out over the workers.
-      while (clone_pipelines.size() + 1 < workers) {
-        clone_pipelines.emplace_back(tiles_);
-      }
-      util::parallel_for(wn, workers, [&](std::size_t w, std::size_t s) {
-        forward_one(w == 0 ? tiles_ : clone_pipelines[w - 1], inputs[w0 + s],
-                    recs[s]);
-      });
-
-      // Phase 2: retire in sample order -- accuracy, (sample, tile)-ordered
-      // ledger merge, the window's cycle schedule (first latch at 0, so a
-      // one-sample window costs exactly its serial burst sum), and the rule
-      // observations staged in sample order.
-      CascadeSchedule schedule(tiles_.size());
-      std::uint64_t window_cycles = 0;
-      for (std::size_t s = 0; s < wn; ++s) {
-        SampleRecord& rec = recs[s];
-        const std::size_t i = w0 + s;
-        if (rec.winner == labels[i]) ++online_hits;
-        for (const EnergyLedger& stage : rec.ledgers) train_ledger += stage;
-        window_cycles = schedule.retire(rec.busy);
-        for (std::size_t t = 0; t + 1 < tiles_.size(); ++t) {
-          if (plastic[t] != 0) {
-            trainer.stage_hidden(t, rec.pre[t], rec.hidden_cols[t]);
-          }
-        }
-        trainer.stage_label(rec.pre[last], rec.winner, labels[i]);
-      }
-      epoch_cycles += window_cycles;
-
-      // Phase 3: one commit per window, then resync only the written
-      // columns into the clones (cost-free copies; the clones never learn,
-      // they only mirror).
-      trainer.commit_pending(&updated_cols);
-      for (std::vector<Tile>& clone : clone_pipelines) {
-        for (std::size_t t = 0; t < tiles_.size(); ++t) {
-          for (const std::size_t j : updated_cols[t]) {
-            clone[t].copy_column_from(tiles_[t], j);
-          }
-        }
-      }
-
-      // The window's commit drain (see OnlineEpochStats::train_time). Each
-      // committed column is one RMW whose port time is the max over its
-      // row-group macros (exactly apply_column's worst_time). At k == 1
-      // every RMW sits on the inter-sample critical path, so the drains
-      // serialize into the established learning.time sum; at k > 1 the
-      // per-(tile, column-group) queues drain through their own RW ports
-      // concurrently in a dedicated commit phase, so the window pays only
-      // the longest queue.
-      Time drain{};
-      for (std::size_t t = 0; t < tiles_.size(); ++t) {
-        const Tile& tile = tiles_[t];
-        const std::size_t dim = tile.config().max_array_dim;
-        cg_drains.assign(tile.col_groups(), Time{});
-        for (const std::size_t j : updated_cols[t]) {
-          const std::size_t cg = j / dim;
-          Time worst{};
-          for (std::size_t rg = 0; rg < tile.row_groups(); ++rg) {
-            worst =
-                std::max(worst, tile.macro(rg, cg).column_update_cost().time);
-          }
-          if (k == 1) {
-            drain += worst;
-          } else {
-            cg_drains[cg] += worst;
-          }
-        }
-        for (const Time q : cg_drains) drain = std::max(drain, q);
-      }
-      epoch_train_time += period * static_cast<double>(window_cycles) + drain;
-    }
-
-    train_ledger.add(util::EnergyCategory::kClock,
-                     clock_per_cycle * static_cast<double>(epoch_cycles));
-    train_ledger.advance_time_with_leakage(
-        period * static_cast<double>(epoch_cycles), leak);
+    const TrainPassResult pass =
+        train_pass(trainer, inputs, labels, cfg.update_interval,
+                   cfg.train_threads, train_ledger);
     eval = run_batched(eval_inputs, &eval_labels, cfg.eval);
 
     OnlineEpochStats ep;
-    ep.online_accuracy =
-        static_cast<double>(online_hits) / static_cast<double>(n);
+    ep.online_accuracy = static_cast<double>(pass.online_hits) /
+                         static_cast<double>(inputs.size());
     ep.eval_accuracy = eval.accuracy;
     ep.learning = trainer.stats().since(before);
-    ep.train_cycles = epoch_cycles;
+    ep.train_cycles = pass.cycles;
     ep.train_energy = train_ledger.since(ledger_before).total_energy();
-    ep.train_time = epoch_train_time;
-    out.train_time += epoch_train_time;
+    ep.train_time = pass.train_time;
+    out.train_time += pass.train_time;
     out.epochs.push_back(ep);
   }
   out.learning = trainer.stats();
@@ -560,7 +557,7 @@ OnlineRunResult SystemSimulator::run_online(
   // every simulated cycle does.
   eval.ledger += train_ledger;
   eval.ledger.add(util::EnergyCategory::kLearning, out.learning.energy);
-  eval.ledger.advance_time_with_leakage(out.learning.time, leak);
+  eval.ledger.advance_time_with_leakage(out.learning.time, total_leakage());
   finalize_metrics(eval, eval_inputs.size(), &eval_labels);
   out.final_eval = std::move(eval);
   return out;

@@ -20,9 +20,9 @@ void OnlineLearner::punish(std::size_t j, const util::BitVec& pre_spikes) {
   apply_column(j, std::span<const PendingUpdate* const>(&ep, 1));
 }
 
-void OnlineLearner::apply_column(
+Time OnlineLearner::apply_column(
     std::size_t j, std::span<const PendingUpdate* const> events) {
-  if (events.empty()) return;
+  if (events.empty()) return Time{};
   const arch::TileConfig& cfg = tile_->config();
   if (j >= cfg.outputs) {
     throw std::out_of_range("OnlineLearner: post-neuron index out of range");
@@ -84,6 +84,7 @@ void OnlineLearner::apply_column(
   stats_.time += worst_time;
   stats_.column_updates += events.size();
   ++stats_.column_rmws;
+  return worst_time;
 }
 
 }  // namespace esam::learning

@@ -44,30 +44,6 @@ OnlineTrainer::OnlineTrainer(std::vector<arch::Tile>& tiles, TrainerConfig cfg)
                         .update_on_correct = cfg.update_on_correct}));
 }
 
-std::size_t OnlineTrainer::train_sample(const util::BitVec& input,
-                                        std::size_t label) {
-  const std::size_t winner = stage_sample(input, label);
-  commit_pending();
-  return winner;
-}
-
-std::size_t OnlineTrainer::stage_sample(const util::BitVec& input,
-                                        std::size_t label) {
-  std::vector<arch::Tile>& tiles = *tiles_;
-  if (label >= tiles.back().config().outputs) {
-    throw std::out_of_range("OnlineTrainer::stage_sample: label out of range");
-  }
-  const std::size_t winner = arch::walk_cascade(
-      tiles, input, handoff_, {}, {},
-      [this](std::size_t t, const arch::Tile& tile) {
-        if (t + 1 < rules_.size() && rules_[t] != nullptr) {
-          rules_[t]->on_forward(tile.last_input(), tile.last_output());
-        }
-      });
-  rules_.back()->on_label(tiles.back().last_input(), winner, label);
-  return winner;
-}
-
 void OnlineTrainer::stage_hidden(std::size_t t, const util::BitVec& pre_spikes,
                                  std::span<const std::size_t> winners) {
   auto& r = rules_.at(t);
@@ -80,11 +56,11 @@ void OnlineTrainer::stage_label(const util::BitVec& pre_spikes,
 }
 
 void OnlineTrainer::commit_pending(
-    std::vector<std::vector<std::size_t>>* updated) {
-  if (updated != nullptr) updated->resize(rules_.size());
+    std::vector<std::vector<ColumnRmw>>* written) {
+  if (written != nullptr) written->resize(rules_.size());
   for (std::size_t t = 0; t < rules_.size(); ++t) {
-    std::vector<std::size_t>* cols =
-        updated != nullptr ? &(*updated)[t] : nullptr;
+    std::vector<ColumnRmw>* cols =
+        written != nullptr ? &(*written)[t] : nullptr;
     if (cols != nullptr) cols->clear();
     if (rules_[t] != nullptr) rules_[t]->commit(cols);
   }

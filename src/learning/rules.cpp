@@ -4,45 +4,6 @@
 #include <stdexcept>
 
 namespace esam::learning {
-namespace {
-
-/// Shared WTA winner selection: the k fired columns with the largest
-/// fire-time Vmem margin over threshold, ties broken by column index,
-/// returned in ascending column order. `vmem_source` provides fire_vmem and
-/// thresholds -- the rule's own tile on the serial path, a per-worker clone
-/// on the batched path.
-void select_wta_winners(const arch::Tile& vmem_source,
-                        const util::BitVec& post_spikes, std::size_t k,
-                        std::vector<std::size_t>& out) {
-  out.clear();
-  if (post_spikes.none()) return;  // no post-synaptic learning event
-
-  post_spikes.for_each_set([&out](std::size_t j) { out.push_back(j); });
-
-  if (out.size() > k) {
-    // Winner ranking: fire-time membrane margin over the column's threshold
-    // (how decisively the neuron fired), ties broken by column index so the
-    // selection is fully deterministic.
-    const std::vector<std::int32_t>& vmem = vmem_source.fire_vmem();
-    auto margin = [&](std::size_t j) {
-      return vmem[j] - vmem_source.neuron(j).vth();
-    };
-    std::partial_sort(out.begin(),
-                      out.begin() + static_cast<std::ptrdiff_t>(k), out.end(),
-                      [&](std::size_t a, std::size_t b) {
-                        const auto ma = margin(a);
-                        const auto mb = margin(b);
-                        return ma != mb ? ma > mb : a < b;
-                      });
-    out.resize(k);
-    // Keep the update order independent of the ranking permutation: the
-    // per-column Bernoulli draws come from one sequential stream, so a
-    // stable column order makes trajectories comparable across k.
-    std::sort(out.begin(), out.end());
-  }
-}
-
-}  // namespace
 
 std::string_view to_string(HiddenRule rule) {
   switch (rule) {
@@ -62,9 +23,6 @@ std::optional<HiddenRule> parse_hidden_rule(std::string_view name) {
 
 LearningRule::LearningRule(arch::Tile& tile, StdpConfig stdp)
     : tile_(&tile), learner_(tile, stdp) {}
-
-void LearningRule::on_forward(const util::BitVec& /*pre_spikes*/,
-                              const util::BitVec& /*post_spikes*/) {}
 
 void LearningRule::on_label(const util::BitVec& /*pre_spikes*/,
                             std::size_t /*winner*/, std::size_t /*label*/) {}
@@ -94,8 +52,8 @@ void LearningRule::stage(std::size_t column, const util::BitVec& pre_spikes,
   e.causal = causal;
 }
 
-void LearningRule::commit(std::vector<std::size_t>* updated_columns) {
-  if (updated_columns != nullptr) updated_columns->clear();
+void LearningRule::commit(std::vector<ColumnRmw>* written) {
+  if (written != nullptr) written->clear();
   if (pending_count_ == 0) return;
   // Distinct columns in first-staged order, each column's events gathered in
   // staged order. Pending windows are small (a few events per sample), so
@@ -114,8 +72,8 @@ void LearningRule::commit(std::vector<std::size_t>* updated_columns) {
     for (std::size_t p = i; p < pending_count_; ++p) {
       if (pending_[p].column == col) batch_scratch_.push_back(&pending_[p]);
     }
-    learner_.apply_column(col, batch_scratch_);
-    if (updated_columns != nullptr) updated_columns->push_back(col);
+    const Time time = learner_.apply_column(col, batch_scratch_);
+    if (written != nullptr) written->push_back({col, time});
   }
   pending_count_ = 0;
 }
@@ -150,18 +108,39 @@ WtaStdpRule::WtaStdpRule(arch::Tile& tile, StdpConfig stdp, std::size_t k)
     throw std::invalid_argument(
         "WtaStdpRule: output-layer tiles run the supervised teacher");
   }
-  fired_scratch_.reserve(tile.config().outputs);
-}
-
-void WtaStdpRule::on_forward(const util::BitVec& pre_spikes,
-                             const util::BitVec& post_spikes) {
-  select_wta_winners(*tile_, post_spikes, k_, fired_scratch_);
-  stage_rewards(pre_spikes, fired_scratch_);
 }
 
 void WtaStdpRule::resolve_forward(const arch::Tile& observed,
                                   std::vector<std::size_t>& out) const {
-  select_wta_winners(observed, observed.last_output(), k_, out);
+  // The k fired columns with the largest fire-time Vmem margin over
+  // threshold, returned in ascending column order.
+  out.clear();
+  const util::BitVec& post_spikes = observed.last_output();
+  if (post_spikes.none()) return;  // no post-synaptic learning event
+
+  post_spikes.for_each_set([&out](std::size_t j) { out.push_back(j); });
+
+  if (out.size() > k_) {
+    // Winner ranking: fire-time membrane margin over the column's threshold
+    // (how decisively the neuron fired), ties broken by column index so the
+    // selection is fully deterministic.
+    const std::vector<std::int32_t>& vmem = observed.fire_vmem();
+    auto margin = [&](std::size_t j) {
+      return vmem[j] - observed.neuron(j).vth();
+    };
+    std::partial_sort(out.begin(),
+                      out.begin() + static_cast<std::ptrdiff_t>(k_), out.end(),
+                      [&](std::size_t a, std::size_t b) {
+                        const auto ma = margin(a);
+                        const auto mb = margin(b);
+                        return ma != mb ? ma > mb : a < b;
+                      });
+    out.resize(k_);
+    // Keep the update order independent of the ranking permutation: the
+    // per-column Bernoulli draws come from one sequential stream, so a
+    // stable column order makes trajectories comparable across k.
+    std::sort(out.begin(), out.end());
+  }
 }
 
 }  // namespace esam::learning

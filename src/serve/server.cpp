@@ -350,7 +350,8 @@ void InferenceServer::adapt_loop() {
   io::CheckpointMeta meta = model->ckpt.meta;
   model.reset();
   learning::OnlineTrainer trainer(learn_sim.tiles(), cfg_.trainer);
-  std::size_t staged = 0;  // samples staged since the last commit
+  std::vector<util::BitVec> round_inputs;
+  std::vector<std::uint8_t> round_labels;
 
   util::UniqueLock lk(adapt_mutex_);
   for (;;) {
@@ -361,27 +362,29 @@ void InferenceServer::adapt_loop() {
       if (adapt_stop_) return;
       continue;
     }
-    // On shutdown the remaining partial buffer is flushed as a final round,
-    // so every labeled request contributes to the last published weights.
-    std::vector<std::pair<util::BitVec, std::uint8_t>> samples;
-    samples.swap(adapt_buffer_);
+    // A round is the oldest adapt_batch samples; the rest stay buffered.
+    // On shutdown the remainder is flushed in rounds of at most
+    // adapt_batch, so every labeled request contributes to the last
+    // published weights.
+    const std::size_t take = std::min(cfg_.adapt_batch, adapt_buffer_.size());
+    round_inputs.clear();
+    round_labels.clear();
+    for (std::size_t i = 0; i < take; ++i) {
+      round_inputs.push_back(std::move(adapt_buffer_[i].first));
+      round_labels.push_back(adapt_buffer_[i].second);
+    }
+    adapt_buffer_.erase(
+        adapt_buffer_.begin(),
+        adapt_buffer_.begin() + static_cast<std::ptrdiff_t>(take));
     lk.unlock();
 
-    // k-step delayed updates: stage every sample and commit each time the
-    // window fills; the tail commit below flushes any partial window, so a
-    // commit window never spans a publish and the published weights always
-    // reflect every sample of the round.
-    for (const auto& [input, label] : samples) {
-      trainer.stage_sample(input, label);
-      if (++staged >= cfg_.update_interval) {
-        trainer.commit_pending();
-        staged = 0;
-      }
-    }
-    if (staged != 0) {
-      trainer.commit_pending();
-      staged = 0;
-    }
+    // One training pass per round: it commits every update_interval samples
+    // and flushes the partial tail window, so a commit window never spans a
+    // publish and the published weights reflect every sample of the round.
+    // The round's forward-pass energy is not reported anywhere.
+    util::EnergyLedger scratch_ledger;
+    learn_sim.train_pass(trainer, round_inputs, round_labels,
+                         cfg_.update_interval, 1, scratch_ledger);
     // Lineage: the adapted weights descend from whatever checkpoint serving
     // traffic sees right now, so the published chain stays auditable with
     // `esam checkpoint diff`.
@@ -391,7 +394,7 @@ void InferenceServer::adapt_loop() {
     publish(std::move(ck));
     {
       util::MutexLock slk(stats_mutex_);
-      stats_.adapt_samples += samples.size();
+      stats_.adapt_samples += take;
     }
 
     lk.lock();

@@ -120,8 +120,7 @@ const OptionDef kOptionTable[] = {
      "in [0, 1) (default 0 = eval on the training stream)"},
     {OptId::kUpdateInterval, "--update-interval", "K",
      "k-step delayed updates: commit staged column updates every K "
-     "training samples (default 1 = the serial immediate-update "
-     "reference)"},
+     "training samples (default 1 = immediate updates)"},
     {OptId::kNote, "--note", "TEXT",
      "free-form note stored in the checkpoint metadata"},
     {OptId::kCheckpoint, "--checkpoint", "FILE",

@@ -39,6 +39,13 @@
 //                                module (src/serve/, include/esam/serve/),
 //                                whose long-lived worker and adaptation
 //                                threads are not a parallel loop.
+//   one-train-loop     library   calls to commit_pending are allowed only
+//                                in src/arch/system.cpp and the learning
+//                                module (src/learning/,
+//                                include/esam/learning/): online training
+//                                runs through the one windowed loop,
+//                                SystemSimulator::train_pass, so no second
+//                                stage/commit loop can grow elsewhere.
 //
 // "library" means src/ (minus src/tools/) and include/; "all" adds
 // src/tools/, bench/ and examples/ (both scanned at tool scope -- they may
@@ -321,6 +328,18 @@ void rule_no_raw_thread(const SourceFile& f, std::vector<Finding>& out) {
       "raw thread in library code; shard work through util::parallel_for");
 }
 
+void rule_one_train_loop(const SourceFile& f, std::vector<Finding>& out) {
+  for (const char* exempt :
+       {"src/arch/system.cpp", "src/learning/", "include/esam/learning/"}) {
+    if (f.display_path.find(exempt) != std::string::npos) return;
+  }
+  check_line_rule(
+      f, out, "one-train-loop", /*library_only=*/true,
+      [](const std::string& s) { return has_call(s, "commit_pending"); },
+      "learning commit outside the training loop; train through "
+      "SystemSimulator::train_pass");
+}
+
 constexpr RuleFn kRules[] = {
     rule_no_rand,
     rule_no_wall_clock,
@@ -330,6 +349,7 @@ constexpr RuleFn kRules[] = {
     rule_no_naked_new,
     rule_mutex_needs_guard,
     rule_no_raw_thread,
+    rule_one_train_loop,
 };
 
 SourceFile load_file(const fs::path& path, Scope scope,

@@ -1,10 +1,11 @@
-// Tests for k-step delayed updates: the batched online-training engine at
-// update_interval 1 must be bit-identical to the immediate-update serial
-// reference (weights, accuracy, learning stats), any k must be
-// deterministic across worker counts (also on fault-injected arrays), the
-// modelled train_time must follow the documented commit-drain model, and
-// the serve adaptation path's commit windows must match an offline
-// stage/commit replay while stamping checkpoint lineage.
+// Tests for k-step delayed updates: the online-training loop
+// (SystemSimulator::train_pass) at update_interval 1 must be bit-identical
+// to the serial immediate-update oracle (weights, accuracy, learning
+// stats), any k must be deterministic across worker counts (also on
+// fault-injected arrays), the modelled train_time must follow the
+// documented commit-drain model, train_pass must reject bad arguments
+// before touching a tile, and the serve adaptation path's commit windows
+// must match the serial oracle while stamping checkpoint lineage.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -15,6 +16,7 @@
 #include "esam/serve/server.hpp"
 #include "esam/tech/technology.hpp"
 #include "esam/util/rng.hpp"
+#include "train_oracle.hpp"
 
 namespace esam::arch {
 namespace {
@@ -106,9 +108,9 @@ void expect_stats_equal(const learning::LearningStats& a,
 }
 
 TEST(DelayedUpdates, K1MatchesImmediateUpdateReference) {
-  // update_interval 1 through the windowed engine vs the established
-  // train_sample (stage + immediate commit) serial loop: same winners, same
-  // weights bit for bit, same update/RMW/time/energy accounting.
+  // update_interval 1 through the windowed engine vs the serial
+  // immediate-update oracle: same winners, same weights bit for bit, same
+  // update/RMW/time/energy accounting.
   std::vector<BitVec> inputs;
   std::vector<std::uint8_t> labels;
   make_samples(48, 21, inputs, labels);
@@ -119,10 +121,8 @@ TEST(DelayedUpdates, K1MatchesImmediateUpdateReference) {
 
   SystemSimulator serial(tech::imec3nm(), deploy_network(3), {});
   learning::OnlineTrainer trainer(serial.tiles(), cfg.trainer);
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (trainer.train_sample(inputs[i], labels[i]) == labels[i]) ++hits;
-  }
+  const std::size_t hits =
+      oracle::serial_train(serial, trainer, inputs, labels, 1);
 
   EXPECT_EQ(weight_bytes(batched), weight_bytes(serial));
   ASSERT_EQ(r.epochs.size(), 1u);
@@ -251,12 +251,50 @@ TEST(DelayedUpdates, FaultedArraysStayDeterministic) {
   EXPECT_GT(one.learning.column_updates, 0u);
 }
 
+TEST(DelayedUpdates, TrainPassRejectsBadArgumentsBeforeTouchingTiles) {
+  // Each rejected call must throw before any forward pass or commit: the
+  // out-of-range label is the last sample, so a lazy check would already
+  // have trained on the others.
+  std::vector<BitVec> inputs;
+  std::vector<std::uint8_t> labels;
+  make_samples(8, 26, inputs, labels);
+  const learning::TrainerConfig tcfg = train_config(1, 1).trainer;
+
+  SystemSimulator sim(tech::imec3nm(), deploy_network(3), {});
+  SystemSimulator other(tech::imec3nm(), deploy_network(3), {});
+  learning::OnlineTrainer trainer(sim.tiles(), tcfg);
+  learning::OnlineTrainer foreign(other.tiles(), tcfg);
+  const std::vector<std::uint8_t> before = weight_bytes(sim);
+  std::vector<std::uint8_t> bad_labels = labels;
+  bad_labels.back() = kClasses;
+
+  EnergyLedger ledger;
+  EXPECT_THROW(sim.train_pass(foreign, inputs, labels, 1, 1, ledger),
+               std::invalid_argument);
+  EXPECT_THROW(sim.train_pass(trainer, inputs, labels, 0, 1, ledger),
+               std::invalid_argument);
+  EXPECT_THROW(sim.train_pass(trainer, inputs, bad_labels, 1, 1, ledger),
+               std::invalid_argument);
+  labels.pop_back();
+  EXPECT_THROW(sim.train_pass(trainer, inputs, labels, 1, 1, ledger),
+               std::invalid_argument);
+
+  EXPECT_EQ(weight_bytes(sim), before);
+  EXPECT_EQ(weight_bytes(other), before);
+  EXPECT_EQ(trainer.pending_count(), 0u);
+  EXPECT_EQ(foreign.pending_count(), 0u);
+  EXPECT_EQ(trainer.stats().column_updates, 0u);
+  EXPECT_EQ(foreign.stats().column_updates, 0u);
+  EXPECT_EQ(ledger.total_energy().base(), 0.0);
+}
+
 TEST(DelayedUpdates, ServeAdaptWindowMatchesOfflineReplay) {
   // The serve adaptation thread commits every update_interval samples and
   // flushes the partial window before each publish. With one worker,
   // single-request batches and sequential waited submits, the adapt buffer
-  // order equals the submit order, so an offline stage/commit replay of the
-  // same stream must land on the published weights exactly -- and the
+  // order equals the submit order, so the serial oracle over the same
+  // stream must land on the published weights exactly -- hidden WTA-STDP
+  // tile and partial tail window included (8 samples, k = 3) -- and the
   // publish must be lineage-stamped with the deployment checkpoint's
   // content CRC.
   const nn::SnnNetwork snn = deploy_network(5);
@@ -270,10 +308,10 @@ TEST(DelayedUpdates, ServeAdaptWindowMatchesOfflineReplay) {
   cfg.max_delay_us = 50.0;
   cfg.adapt = true;
   cfg.adapt_batch = inputs.size();  // exactly one adaptation round
-  cfg.update_interval = 4;
-  cfg.trainer.stdp = {.p_potentiation = 0.35, .p_depression = 0.12,
-                      .seed = 99};
-  cfg.trainer.update_on_correct = true;
+  cfg.update_interval = 3;
+  cfg.trainer = train_config(cfg.update_interval, 1).trainer;
+  ASSERT_EQ(cfg.trainer.hidden_rule, learning::HiddenRule::kWtaStdp);
+  ASSERT_EQ(cfg.trainer.wta_k, 2u);
 
   const io::Checkpoint deployed = io::Checkpoint::from_network(snn);
   serve::InferenceServer server(tech::imec3nm(), {}, deployed, cfg);
@@ -287,18 +325,17 @@ TEST(DelayedUpdates, ServeAdaptWindowMatchesOfflineReplay) {
   const io::Checkpoint published = server.current_checkpoint();
   EXPECT_EQ(published.meta.parent_crc, deployed.content_crc());
 
-  // Offline replay: same trainer config, same sample order, commit every
-  // update_interval-th sample (8 samples, k=4: no partial tail window).
+  // Offline oracle: same trainer config, same sample order, commits after
+  // samples 3 and 6 and the tail flush after sample 8.
   SystemSimulator replay(tech::imec3nm(), snn, {});
   learning::OnlineTrainer trainer(replay.tiles(), cfg.trainer);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    (void)trainer.stage_sample(inputs[i], labels[i]);
-    if ((i + 1) % cfg.update_interval == 0) trainer.commit_pending();
-  }
+  oracle::serial_train(replay, trainer, inputs, labels, cfg.update_interval);
   EXPECT_EQ(trainer.pending_count(), 0u);
   EXPECT_EQ(io::Checkpoint::from_network(published.network).encode(),
             weight_bytes(replay));
-  EXPECT_GT(trainer.stats().column_updates, 0u);
+  EXPECT_GT(trainer.tile_stats(0).column_updates, 0u)
+      << "the hidden rule never fired; the hidden path is not covered";
+  EXPECT_GT(trainer.tile_stats(1).column_updates, 0u);
 }
 
 }  // namespace

@@ -148,8 +148,10 @@ TEST(WtaStdpRule, RewardsTheLargestMarginColumn) {
 
   run_inference(tile, all_ones(8));
   (void)tile.take_output();
-  rule.on_forward(tile.last_input(), tile.last_output());
-  // on_forward only stages; the SRAM is untouched until commit().
+  std::vector<std::size_t> winners;
+  rule.resolve_forward(tile, winners);
+  rule.stage_rewards(tile.last_input(), winners);
+  // Staging leaves the SRAM untouched until commit().
   EXPECT_EQ(rule.pending_count(), 1u);
   EXPECT_EQ(rule.stats().column_updates, 0u);
   EXPECT_FALSE(tile.macro(0, 0).peek(7, 0));
@@ -170,16 +172,19 @@ TEST(WtaStdpRule, KWinnersAndNoEventWithoutSpikes) {
   WtaStdpRule rule(tile, {.p_potentiation = 1.0, .p_depression = 0.0}, 2);
 
   // No fired spikes -> no learning event.
+  std::vector<std::size_t> winners;
   run_inference(tile, BitVec(8));
   (void)tile.take_output();
-  rule.on_forward(tile.last_input(), tile.last_output());
+  rule.resolve_forward(tile, winners);
+  rule.stage_rewards(tile.last_input(), winners);
   rule.commit();
   EXPECT_EQ(rule.stats().column_updates, 0u);
 
   // Both fired columns win when k covers them.
   run_inference(tile, all_ones(8));
   (void)tile.take_output();
-  rule.on_forward(tile.last_input(), tile.last_output());
+  rule.resolve_forward(tile, winners);
+  rule.stage_rewards(tile.last_input(), winners);
   rule.commit();
   EXPECT_EQ(rule.stats().column_updates, 2u);
   EXPECT_EQ(rule.stats().column_rmws, 2u);  // two distinct columns

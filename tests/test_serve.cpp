@@ -14,6 +14,7 @@
 #include "esam/serve/server.hpp"
 #include "esam/tech/technology.hpp"
 #include "esam/util/rng.hpp"
+#include "train_oracle.hpp"
 
 namespace esam::serve {
 namespace {
@@ -251,23 +252,27 @@ TEST(Serve, AdaptTrainsAndPublishesNewCheckpoints) {
   cfg.max_delay_us = 50.0;
   cfg.adapt = true;
   cfg.adapt_batch = 8;
+  cfg.update_interval = 3;
   cfg.trainer.stdp = {.p_potentiation = 0.4, .p_depression = 0.2, .seed = 5};
   cfg.trainer.update_on_correct = true;
   InferenceServer server(tech::imec3nm(), {},
                          io::Checkpoint::from_network(snn), cfg);
   server.start();
 
+  std::vector<std::uint8_t> labels;
   std::vector<std::future<InferenceResult>> futs;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    futs.push_back(server.submit(inputs[i], 0,
-                                 static_cast<std::uint8_t>(i % 8)));
+    labels.push_back(static_cast<std::uint8_t>(i % 8));
+    futs.push_back(server.submit(inputs[i], 0, labels.back()));
   }
   for (auto& fut : futs) (void)fut.get();
-  server.stop();  // flushes any buffered samples as a final round
+  server.stop();  // flushes any buffered samples
 
+  // Every round takes exactly adapt_batch samples, however the adaptation
+  // thread's wake-ups interleave with serving: 24 / 8 = 3 publishes.
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.adapt_samples, inputs.size());
-  EXPECT_GE(stats.checkpoints_published, 1u);
+  EXPECT_EQ(stats.checkpoints_published, 3u);
   EXPECT_EQ(server.model_version(), 1u + stats.checkpoints_published);
 
   // The published weights actually adapted (update_on_correct guarantees
@@ -279,6 +284,22 @@ TEST(Serve, AdaptTrainsAndPublishesNewCheckpoints) {
     diff += nn::weight_diff_count(snn.layers()[l], latest.network.layers()[l]);
   }
   EXPECT_GT(diff, 0u);
+
+  // One worker serves the batches in submit order, so the adaptation
+  // stream is the submit stream: the serial oracle, run in rounds of
+  // adapt_batch (each committing every update_interval samples and
+  // flushing its tail), lands on the published weights bit for bit.
+  arch::SystemSimulator replay(tech::imec3nm(), snn, {});
+  learning::OnlineTrainer trainer(replay.tiles(), cfg.trainer);
+  for (std::size_t r0 = 0; r0 < inputs.size(); r0 += cfg.adapt_batch) {
+    const auto first = static_cast<std::ptrdiff_t>(r0);
+    const auto end = static_cast<std::ptrdiff_t>(r0 + cfg.adapt_batch);
+    oracle::serial_train(
+        replay, trainer, {inputs.begin() + first, inputs.begin() + end},
+        {labels.begin() + first, labels.begin() + end}, cfg.update_interval);
+  }
+  EXPECT_EQ(io::Checkpoint::from_network(latest.network).encode(),
+            io::Checkpoint::from_network(replay.export_network()).encode());
 }
 
 TEST(Serve, RejectsOutOfRangeLabelBeforeQueueing) {
