@@ -1,5 +1,6 @@
 // K1: microbenchmarks of the simulator kernels -- SIMD bit-kernels, arbiter
-// grant loops, SRAM row reads and the fast engine vs its lockstep oracle. These
+// grant loops, SRAM row reads, the fast engine vs its lockstep oracle and
+// the packed BNN forward vs the SNN software reference. These
 // measure the *reproduction's* software performance (how fast the simulator
 // itself runs), not the modelled hardware.
 //
@@ -7,8 +8,8 @@
 // the binary always builds and can feed the benchmark-regression gate.
 // Absolute ns/op numbers are host-dependent and reported as information
 // only; the within-run speedup *ratios* (SIMD backend vs scalar, pipelined
-// engine vs lockstep) are what scripts/check_bench.py gates, since they
-// are comparable across hosts.
+// engine vs lockstep, SNN vs BNN scoring) are what scripts/check_bench.py
+// gates, since they are comparable across hosts.
 //
 // Usage: bench_kernel_microbench [--smoke] [--json PATH]
 #include <chrono>
@@ -18,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "esam/arch/system.hpp"
+#include "esam/nn/convert.hpp"
 #include "esam/tech/technology.hpp"
 #include "esam/util/rng.hpp"
 #include "esam/util/simd.hpp"
@@ -210,6 +212,38 @@ int main(int argc, char** argv) {
     host_ns.push_back({"engine_sequential_ns_per_inf", seq_ns});
     host_ns.push_back({"engine_pipelined_ns_per_inf", pipe_ns});
     ratios.push_back({"pipelined_over_sequential", speedup});
+  }
+
+  // --- scoring: packed BNN forward vs the SNN software reference ----------
+  {
+    // Same random paper-shape network and inputs for both; the ratio
+    // snn/bnn stays >= 0.5 while the BNN scores within 2x of the SNN.
+    util::Rng rng(4);
+    const nn::BnnNetwork bnn({768, 256, 256, 256, 10}, rng);
+    const nn::SnnNetwork snn = nn::SnnNetwork::from_bnn(bnn);
+    const std::size_t n = smoke ? 128 : 1024;
+    std::vector<std::vector<float>> bipolar;
+    std::vector<util::BitVec> spikes;
+    std::vector<std::uint8_t> labels;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<float> x(768);
+      for (float& v : x) v = rng.bernoulli(0.19) ? 1.0f : -1.0f;
+      spikes.push_back(nn::to_spikes(x));
+      bipolar.push_back(std::move(x));
+      labels.push_back(static_cast<std::uint8_t>(rng.uniform_index(10)));
+    }
+    volatile double acc_sink = 0.0;
+    const double score_window = smoke ? 0.02 : 0.2;
+    const double bnn_ns = ns_per_op(
+        [&] { acc_sink = bnn.accuracy(bipolar, labels); }, score_window, n);
+    const double snn_ns = ns_per_op(
+        [&] { acc_sink = snn.accuracy(spikes, labels); }, score_window, n);
+    std::printf("\n%-28s %12.0f ns/sample\n", "bnn_score", bnn_ns);
+    std::printf("%-28s %12.0f ns/sample\n", "snn_score", snn_ns);
+    std::printf("%-28s %11.2fx\n", "snn_over_bnn_score", snn_ns / bnn_ns);
+    host_ns.push_back({"bnn_score_ns_per_sample", bnn_ns});
+    host_ns.push_back({"snn_score_ns_per_sample", snn_ns});
+    ratios.push_back({"snn_over_bnn_score", snn_ns / bnn_ns});
   }
 
   if (!json_path.empty()) {

@@ -4,12 +4,29 @@
 // a sign activation function and per-neuron biases", then converts it to a
 // Binary-SNN with per-neuron thresholds following Kim et al. (ICCAD'20).
 // This module implements that trainer from scratch:
-//  * fully-connected layers with latent float weights, binarized to {-1,+1}
-//    on the forward pass, and float per-neuron biases;
+//  * fully-connected layers with latent float weights, binarized on the
+//    forward pass to {-1,+1} (latent >= 0.0f -> +1, so -0.0f -> +1 and
+//    NaN -> -1), and float per-neuron biases;
 //  * sign activations with straight-through-estimator (STE) gradients
-//    (gradient passed where |preact| <= 1, else clipped);
+//    (gradient passed where |preact| <= sqrt(fan_in), else clipped);
 //  * softmax cross-entropy on the last layer's (binary-weight) scores;
 //  * Adam updates on the latent weights with [-1, 1] clipping.
+//
+// The forward never multiplies floats. Inputs, weights and hidden
+// activations are all +-1, so a pre-activation is the packed identity
+//     z_j = float(n - 2 * popcount(x ^ w_j)) + bias_j
+// evaluated by PackedBnn (esam/nn/packed.hpp) on sign bits packed with the
+// same >= 0.0f rule. It is bit-identical to the serial float dot product:
+// a float sum of +-1 terms is an exact integer below 2^24 in magnitude
+// (load() caps fan-in at 2^20) and the bias is added last. So scores,
+// argmax, STE masks, gradients and saved caches match the float forward,
+// the oracle in tests/bnn_oracle.hpp. The backward, the STE and Adam are
+// float.
+//
+// Inputs must be exactly +-1.0f and as wide as the first layer: predict(),
+// accuracy(), fit() and train_epoch() throw std::invalid_argument naming
+// the offending sample otherwise, and the trainer checks the whole dataset
+// before its first update.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +55,6 @@ struct BnnLayer {
 
   /// Deployed binary weight: sign(latent) in {-1,+1} (sign(0) := +1).
   [[nodiscard]] float binary_weight(std::size_t out, std::size_t in) const;
-
-  /// Pre-activation with binarized weights: a = Wb x + b.
-  [[nodiscard]] std::vector<float> preactivate(
-      const std::vector<float>& x) const;
 };
 
 /// Sign activation in {-1,+1} with sign(0) := +1 (matches the SNN mapping
@@ -60,18 +73,10 @@ class BnnNetwork {
   [[nodiscard]] std::vector<BnnLayer>& layers() { return layers_; }
   [[nodiscard]] std::vector<std::size_t> shape() const;
 
-  /// Class scores for a {-1,+1} input vector.
-  [[nodiscard]] std::vector<float> scores(const std::vector<float>& x) const;
-
-  /// argmax of scores.
+  /// argmax of the class scores for a {-1,+1} input vector.
   [[nodiscard]] std::size_t predict(const std::vector<float>& x) const;
 
-  /// All layer activations (x, h1, ..., scores), for the SNN equivalence
-  /// tests.
-  [[nodiscard]] std::vector<std::vector<float>> forward_trace(
-      const std::vector<float>& x) const;
-
-  /// Fraction of correct predictions.
+  /// Fraction of correct predictions; packs the weights once per call.
   [[nodiscard]] double accuracy(const std::vector<std::vector<float>>& xs,
                                 const std::vector<std::uint8_t>& ys) const;
 
@@ -111,18 +116,28 @@ struct TrainConfig {
 
 class BnnTrainer {
  public:
+  /// Throws std::invalid_argument when cfg.batch_size is 0.
   BnnTrainer(BnnNetwork& net, TrainConfig cfg);
 
   /// One full epoch over (xs, ys); returns mean cross-entropy loss.
   double train_epoch(const std::vector<std::vector<float>>& xs,
                      const std::vector<std::uint8_t>& ys);
 
-  /// Full training run; returns final training loss.
+  /// Full training run; returns final training loss. Packs the inputs once.
   double fit(const std::vector<std::vector<float>>& xs,
              const std::vector<std::uint8_t>& ys);
 
  private:
+  /// Validates (xs, ys) and packs every input's sign bits, one row of
+  /// packed words per sample.
+  [[nodiscard]] std::vector<std::uint64_t> pack_dataset(
+      const std::vector<std::vector<float>>& xs,
+      const std::vector<std::uint8_t>& ys) const;
+  double run_epoch(const std::vector<std::vector<float>>& xs,
+                   const std::vector<std::uint64_t>& packed_xs,
+                   const std::vector<std::uint8_t>& ys);
   void train_batch(const std::vector<std::vector<float>>& xs,
+                   const std::vector<std::uint64_t>& packed_xs,
                    const std::vector<std::uint8_t>& ys,
                    const std::vector<std::size_t>& idx, std::size_t begin,
                    std::size_t end, double& loss_sum);

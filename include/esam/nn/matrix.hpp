@@ -1,12 +1,12 @@
 // Minimal dense matrix for BNN training (no external BLAS in this repo).
 //
-// Row-major float storage with just the operations the trainer needs:
-// GEMM-ish products, transposed products, and elementwise maps. Sizes in
-// this project are small (<= 768x256), so clarity beats blocking tricks.
+// Row-major float storage with just the operations the trainer's float
+// backward needs: transposed products and outer-product accumulation (the
+// forward runs on packed sign bits, esam/nn/packed.hpp). Sizes in this
+// project are small (<= 768x256), so clarity beats blocking tricks.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -37,9 +37,6 @@ class Matrix {
   [[nodiscard]] std::vector<float>& flat() { return data_; }
   [[nodiscard]] const std::vector<float>& flat() const { return data_; }
 
-  /// y = this * x  (rows x cols) * (cols) -> (rows)
-  [[nodiscard]] std::vector<float> multiply(const std::vector<float>& x) const;
-
   /// y = this^T * x  (cols) <- (rows)
   [[nodiscard]] std::vector<float> multiply_transposed(
       const std::vector<float>& x) const;
@@ -47,9 +44,6 @@ class Matrix {
   /// this += scale * a b^T (outer product accumulate)
   void add_outer(float scale, const std::vector<float>& a,
                  const std::vector<float>& b);
-
-  /// Elementwise in-place map.
-  void apply(const std::function<float(float)>& f);
 
  private:
   std::size_t rows_ = 0;

@@ -40,6 +40,10 @@ struct Kernels {
   /// popcount(a & b) without materializing the intermediate.
   std::size_t (*and_count)(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t n);
+  /// popcount(a ^ b): the disagreements between two sign-bit vectors (the
+  /// packed +-1 dot product of src/nn/packed.cpp).
+  std::size_t (*xor_count)(const std::uint64_t* a, const std::uint64_t* b,
+                           std::size_t n);
   /// a &= b, a |= b, a ^= b, a &= ~b.
   void (*and_assign)(std::uint64_t* a, const std::uint64_t* b, std::size_t n);
   void (*or_assign)(std::uint64_t* a, const std::uint64_t* b, std::size_t n);

@@ -1,5 +1,6 @@
 #include "esam/nn/bnn.hpp"
 
+#include "esam/nn/packed.hpp"
 #include "esam/util/crc32.hpp"
 
 #include <unistd.h>
@@ -15,8 +16,9 @@
 namespace esam::nn {
 namespace {
 
-/// Materializes the binarized weights of a layer (hot loops want a flat
-/// array, not a per-element branch).
+/// Materializes the binarized weights of a layer for the backward's
+/// transposed products (hot loops want a flat array, not a per-element
+/// branch).
 Matrix binarize(const Matrix& latent) {
   Matrix wb(latent.rows(), latent.cols());
   const auto& src = latent.flat();
@@ -51,6 +53,38 @@ std::string format_line(const char* fmt, ...) {
   return s;
 }
 
+/// Width of `net`'s input layer; an empty network has none.
+std::size_t input_width(const BnnNetwork& net, const char* who) {
+  if (net.layers().empty()) {
+    throw std::invalid_argument(std::string(who) + ": empty network");
+  }
+  return net.layers().front().in_features();
+}
+
+/// Throws std::invalid_argument naming `sample` unless `x` has `width`
+/// entries, each exactly -1.0f or +1.0f (anything else would give scores
+/// the converted SNN cannot reproduce).
+void require_bipolar(const std::vector<float>& x, std::size_t width,
+                     const char* who, std::size_t sample) {
+  if (x.size() != width) {
+    throw std::invalid_argument(format_line(
+        "%s: sample %zu has %zu inputs, expected %zu", who, sample, x.size(),
+        width));
+  }
+  // Branch-free scan first (it vectorizes); locate the culprit only on
+  // failure.
+  bool ok = true;
+  for (float v : x) ok &= (v == 1.0f) | (v == -1.0f);
+  if (ok) return;
+  for (std::size_t i = 0; i < width; ++i) {
+    if (x[i] != 1.0f && x[i] != -1.0f) {
+      throw std::invalid_argument(
+          format_line("%s: sample %zu input %zu is %g, not +-1", who, sample,
+                      i, static_cast<double>(x[i])));
+    }
+  }
+}
+
 }  // namespace
 
 float sign_activation(float x) { return x >= 0.0f ? 1.0f : -1.0f; }
@@ -67,13 +101,6 @@ BnnLayer::BnnLayer(std::size_t out, std::size_t in, util::Rng& rng) {
 
 float BnnLayer::binary_weight(std::size_t out, std::size_t in) const {
   return latent.at(out, in) >= 0.0f ? 1.0f : -1.0f;
-}
-
-std::vector<float> BnnLayer::preactivate(const std::vector<float>& x) const {
-  const Matrix wb = binarize(latent);
-  std::vector<float> z = wb.multiply(x);
-  for (std::size_t j = 0; j < z.size(); ++j) z[j] += bias[j];
-  return z;
 }
 
 BnnNetwork::BnnNetwork(const std::vector<std::size_t>& shape, util::Rng& rng) {
@@ -94,47 +121,29 @@ std::vector<std::size_t> BnnNetwork::shape() const {
   return s;
 }
 
-std::vector<float> BnnNetwork::scores(const std::vector<float>& x) const {
-  std::vector<float> a = x;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<float> z = layers_[l].preactivate(a);
-    if (l + 1 == layers_.size()) return z;
-    for (auto& v : z) v = sign_activation(v);
-    a = std::move(z);
-  }
-  return a;
-}
-
 std::size_t BnnNetwork::predict(const std::vector<float>& x) const {
-  const std::vector<float> s = scores(x);
-  return static_cast<std::size_t>(
-      std::max_element(s.begin(), s.end()) - s.begin());
-}
-
-std::vector<std::vector<float>> BnnNetwork::forward_trace(
-    const std::vector<float>& x) const {
-  std::vector<std::vector<float>> trace;
-  trace.push_back(x);
-  std::vector<float> a = x;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<float> z = layers_[l].preactivate(a);
-    if (l + 1 < layers_.size()) {
-      for (auto& v : z) v = sign_activation(v);
-    }
-    trace.push_back(z);
-    a = trace.back();
-  }
-  return trace;
+  const char* who = "BnnNetwork::predict";
+  const std::size_t width = input_width(*this, who);
+  require_bipolar(x, width, who, 0);
+  std::vector<std::uint64_t> bits(packed_words(width));
+  pack_signs(x.data(), width, bits.data());
+  return PackedBnn(*this).predict(bits.data());
 }
 
 double BnnNetwork::accuracy(const std::vector<std::vector<float>>& xs,
                             const std::vector<std::uint8_t>& ys) const {
+  const char* who = "BnnNetwork::accuracy";
   if (xs.size() != ys.size() || xs.empty()) {
-    throw std::invalid_argument("BnnNetwork::accuracy: bad dataset");
+    throw std::invalid_argument(std::string(who) + ": bad dataset");
   }
+  const std::size_t width = input_width(*this, who);
+  const PackedBnn packed(*this);
+  std::vector<std::uint64_t> bits(packed_words(width));
   std::size_t correct = 0;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (predict(xs[i]) == ys[i]) ++correct;
+    require_bipolar(xs[i], width, who, i);
+    pack_signs(xs[i].data(), width, bits.data());
+    if (packed.predict(bits.data()) == ys[i]) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(xs.size());
 }
@@ -252,6 +261,9 @@ bool BnnNetwork::load(const std::string& path, BnnNetwork& out) {
 
 BnnTrainer::BnnTrainer(BnnNetwork& net, TrainConfig cfg)
     : net_(&net), cfg_(cfg), rng_(cfg.seed) {
+  if (cfg.batch_size == 0) {
+    throw std::invalid_argument("BnnTrainer: batch_size must be > 0");
+  }
   for (const auto& l : net.layers()) {
     m_w_.emplace_back(l.out_features(), l.in_features());
     v_w_.emplace_back(l.out_features(), l.in_features());
@@ -260,7 +272,31 @@ BnnTrainer::BnnTrainer(BnnNetwork& net, TrainConfig cfg)
   }
 }
 
+std::vector<std::uint64_t> BnnTrainer::pack_dataset(
+    const std::vector<std::vector<float>>& xs,
+    const std::vector<std::uint8_t>& ys) const {
+  const char* who = "BnnTrainer";
+  if (xs.size() != ys.size() || xs.empty()) {
+    throw std::invalid_argument(std::string(who) + ": bad dataset");
+  }
+  const std::size_t width = input_width(*net_, who);
+  const std::size_t classes = net_->layers().back().out_features();
+  const std::size_t words = packed_words(width);
+  std::vector<std::uint64_t> packed(xs.size() * words);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    require_bipolar(xs[i], width, who, i);
+    if (ys[i] >= classes) {
+      throw std::invalid_argument(format_line(
+          "%s: sample %zu label %u is not below %zu classes", who, i,
+          static_cast<unsigned>(ys[i]), classes));
+    }
+    pack_signs(xs[i].data(), width, packed.data() + i * words);
+  }
+  return packed;
+}
+
 void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
+                             const std::vector<std::uint64_t>& packed_xs,
                              const std::vector<std::uint8_t>& ys,
                              const std::vector<std::size_t>& idx,
                              std::size_t begin, std::size_t end,
@@ -268,10 +304,15 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
   auto& layers = net_->layers();
   const std::size_t n_layers = layers.size();
 
-  // Binarized weights reused across the batch.
-  std::vector<Matrix> wb;
-  wb.reserve(n_layers);
-  for (const auto& l : layers) wb.push_back(binarize(l.latent));
+  // Weights reused across the batch: packed signs for the forward, float
+  // +-1 matrices for the backward's transposed products (layer 0's are
+  // never needed: the backward stops at its weight gradient).
+  const PackedBnn packed_net(*net_);
+  const std::vector<PackedLayer>& packed = packed_net.layers();
+  std::vector<Matrix> wb(n_layers);
+  for (std::size_t l = 1; l < n_layers; ++l) {
+    wb[l] = binarize(layers[l].latent);
+  }
 
   std::vector<Matrix> grad_w;
   std::vector<std::vector<float>> grad_b;
@@ -280,23 +321,32 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
     grad_b.emplace_back(l.out_features(), 0.0f);
   }
 
+  // Forward buffers: pre-activations z[l] of layer l, and the hidden
+  // activations a[l] / their packed signs bits[l] that feed layer l >= 1
+  // (layer 0 reads the sample itself).
+  std::vector<std::vector<float>> z(n_layers), a(n_layers);
+  std::vector<std::vector<std::uint64_t>> bits(n_layers);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    z[l].resize(packed[l].out);
+    if (l > 0) {
+      a[l].resize(packed[l].in);
+      bits[l].resize(packed[l].words);
+    }
+  }
+
   for (std::size_t s = begin; s < end; ++s) {
-    const auto& x = xs[idx[s]];
+    const std::vector<float>& x = xs[idx[s]];
     const std::uint8_t label = ys[idx[s]];
 
-    // Forward, keeping pre-activations z and activations a.
-    std::vector<std::vector<float>> a(n_layers + 1);
-    std::vector<std::vector<float>> z(n_layers);
-    a[0] = x;
+    const std::uint64_t* in = packed_xs.data() + idx[s] * packed[0].words;
     for (std::size_t l = 0; l < n_layers; ++l) {
-      z[l] = wb[l].multiply(a[l]);
+      packed[l].forward(in, z[l].data());
+      if (l + 1 == n_layers) break;
       for (std::size_t j = 0; j < z[l].size(); ++j) {
-        z[l][j] += layers[l].bias[j];
+        a[l + 1][j] = sign_activation(z[l][j]);
       }
-      a[l + 1] = z[l];
-      if (l + 1 < n_layers) {
-        for (auto& v : a[l + 1]) v = sign_activation(v);
-      }
+      pack_signs(a[l + 1].data(), a[l + 1].size(), bits[l + 1].data());
+      in = bits[l + 1].data();
     }
 
     // Softmax cross-entropy on the last pre-activations. Binary-weight
@@ -326,7 +376,7 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
     // with sqrt(fan_in), the natural magnitude of the +-1-weighted sums
     // (a +-1 window would zero nearly all hidden gradients).
     for (std::size_t l = n_layers; l-- > 0;) {
-      grad_w[l].add_outer(1.0f, dz, a[l]);
+      grad_w[l].add_outer(1.0f, dz, l == 0 ? x : a[l]);
       for (std::size_t j = 0; j < dz.size(); ++j) grad_b[l][j] += dz[j];
       if (l == 0) break;
       std::vector<float> da = wb[l].multiply_transposed(dz);
@@ -374,9 +424,12 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
 
 double BnnTrainer::train_epoch(const std::vector<std::vector<float>>& xs,
                                const std::vector<std::uint8_t>& ys) {
-  if (xs.size() != ys.size() || xs.empty()) {
-    throw std::invalid_argument("BnnTrainer: bad dataset");
-  }
+  return run_epoch(xs, pack_dataset(xs, ys), ys);
+}
+
+double BnnTrainer::run_epoch(const std::vector<std::vector<float>>& xs,
+                             const std::vector<std::uint64_t>& packed_xs,
+                             const std::vector<std::uint8_t>& ys) {
   std::vector<std::size_t> idx(xs.size());
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   rng_.shuffle(idx);
@@ -385,7 +438,7 @@ double BnnTrainer::train_epoch(const std::vector<std::vector<float>>& xs,
   std::size_t batches = 0;
   for (std::size_t begin = 0; begin < idx.size(); begin += cfg_.batch_size) {
     const std::size_t end = std::min(begin + cfg_.batch_size, idx.size());
-    train_batch(xs, ys, idx, begin, end, loss_sum);
+    train_batch(xs, packed_xs, ys, idx, begin, end, loss_sum);
     ++batches;
     if (cfg_.log_every != 0 && batches % cfg_.log_every == 0) {
       emit_progress(cfg_,
@@ -400,9 +453,10 @@ double BnnTrainer::train_epoch(const std::vector<std::vector<float>>& xs,
 
 double BnnTrainer::fit(const std::vector<std::vector<float>>& xs,
                        const std::vector<std::uint8_t>& ys) {
+  const std::vector<std::uint64_t> packed_xs = pack_dataset(xs, ys);
   double loss = 0.0;
   for (std::size_t e = 0; e < cfg_.epochs; ++e) {
-    loss = train_epoch(xs, ys);
+    loss = run_epoch(xs, packed_xs, ys);
     if (cfg_.log_every != 0) {
       emit_progress(cfg_, format_line("epoch %zu/%zu  loss %.4f", e + 1,
                                       cfg_.epochs, loss));

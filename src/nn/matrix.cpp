@@ -2,20 +2,6 @@
 
 namespace esam::nn {
 
-std::vector<float> Matrix::multiply(const std::vector<float>& x) const {
-  if (x.size() != cols_) {
-    throw std::invalid_argument("Matrix::multiply: dimension mismatch");
-  }
-  std::vector<float> y(rows_, 0.0f);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const float* row = row_data(r);
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
 std::vector<float> Matrix::multiply_transposed(
     const std::vector<float>& x) const {
   if (x.size() != rows_) {
@@ -43,10 +29,6 @@ void Matrix::add_outer(float scale, const std::vector<float>& a,
     float* row = row_data(r);
     for (std::size_t c = 0; c < cols_; ++c) row[c] += s * b[c];
   }
-}
-
-void Matrix::apply(const std::function<float(float)>& f) {
-  for (auto& v : data_) v = f(v);
 }
 
 }  // namespace esam::nn

@@ -33,6 +33,15 @@ std::size_t avx2_and_count(const std::uint64_t* a, const std::uint64_t* b,
   return c;
 }
 
+std::size_t avx2_xor_count(const std::uint64_t* a, const std::uint64_t* b,
+                           std::size_t n) {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    c += static_cast<std::size_t>(std::popcount(a[i] ^ b[i]));
+  }
+  return c;
+}
+
 template <typename Op256, typename Op64>
 void bulk_op(std::uint64_t* a, const std::uint64_t* b, std::size_t n,
              Op256 op256, Op64 op64) {
@@ -138,11 +147,11 @@ void avx2_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
 }
 
 constexpr Kernels kAvx2Table{
-    "avx2",           avx2_count,
-    avx2_and_count,   avx2_and_assign,
-    avx2_or_assign,   avx2_xor_assign,
-    avx2_andnot_assign, avx2_accumulate_ones,
-    avx2_integrate_saturating,
+    "avx2",              avx2_count,
+    avx2_and_count,      avx2_xor_count,
+    avx2_and_assign,     avx2_or_assign,
+    avx2_xor_assign,     avx2_andnot_assign,
+    avx2_accumulate_ones, avx2_integrate_saturating,
 };
 
 }  // namespace

@@ -37,6 +37,20 @@ std::size_t neon_and_count(const std::uint64_t* a, const std::uint64_t* b,
   return total;
 }
 
+std::size_t neon_xor_count(const std::uint64_t* a, const std::uint64_t* b,
+                           std::size_t n) {
+  std::size_t total = 0;
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const uint64x2_t v = veorq_u64(vld1q_u64(a + i), vld1q_u64(b + i));
+    total += vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(v)));
+  }
+  for (; i < n; ++i) {
+    total += static_cast<std::size_t>(std::popcount(a[i] ^ b[i]));
+  }
+  return total;
+}
+
 template <typename Op128, typename Op64>
 void bulk_op(std::uint64_t* a, const std::uint64_t* b, std::size_t n,
              Op128 op128, Op64 op64) {
@@ -122,11 +136,11 @@ void neon_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
 }
 
 constexpr Kernels kNeonTable{
-    "neon",           neon_count,
-    neon_and_count,   neon_and_assign,
-    neon_or_assign,   neon_xor_assign,
-    neon_andnot_assign, neon_accumulate_ones,
-    neon_integrate_saturating,
+    "neon",              neon_count,
+    neon_and_count,      neon_xor_count,
+    neon_and_assign,     neon_or_assign,
+    neon_xor_assign,     neon_andnot_assign,
+    neon_accumulate_ones, neon_integrate_saturating,
 };
 
 }  // namespace

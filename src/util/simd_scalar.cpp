@@ -24,6 +24,15 @@ std::size_t scalar_and_count(const std::uint64_t* a, const std::uint64_t* b,
   return c;
 }
 
+std::size_t scalar_xor_count(const std::uint64_t* a, const std::uint64_t* b,
+                             std::size_t n) {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    c += static_cast<std::size_t>(std::popcount(a[i] ^ b[i]));
+  }
+  return c;
+}
+
 void scalar_and_assign(std::uint64_t* a, const std::uint64_t* b,
                        std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) a[i] &= b[i];
@@ -71,11 +80,11 @@ void scalar_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
 
 const Kernels& scalar_kernels() {
   static constexpr Kernels kTable{
-      "scalar",          scalar_count,
-      scalar_and_count,  scalar_and_assign,
-      scalar_or_assign,  scalar_xor_assign,
-      scalar_andnot_assign, scalar_accumulate_ones,
-      scalar_integrate_saturating,
+      "scalar",              scalar_count,
+      scalar_and_count,      scalar_xor_count,
+      scalar_and_assign,     scalar_or_assign,
+      scalar_xor_assign,     scalar_andnot_assign,
+      scalar_accumulate_ones, scalar_integrate_saturating,
   };
   return kTable;
 }

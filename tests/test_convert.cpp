@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "bnn_oracle.hpp"
 #include "esam/nn/convert.hpp"
 #include "esam/util/rng.hpp"
 
@@ -80,7 +81,7 @@ TEST(ConvertExactness, HiddenSpikesEqualBnnSignsLayerByLayer) {
     const BnnNetwork bnn = random_bnn({40, 24, 16, 6}, 100 + trial);
     const SnnNetwork snn = SnnNetwork::from_bnn(bnn);
     const std::vector<float> x = random_bipolar(40, rng, 0.3);
-    const auto bnn_trace = bnn.forward_trace(x);
+    const auto bnn_trace = oracle::forward_trace(bnn, x);
     const auto snn_trace = snn.trace(to_spikes(x));
     // Hidden layers: spike <=> BNN activation +1.
     for (std::size_t l = 1; l + 1 < bnn_trace.size(); ++l) {
@@ -101,7 +102,7 @@ TEST(ConvertExactness, OutputScoresAreAffineOfBnnScores) {
   const SnnNetwork snn = SnnNetwork::from_bnn(bnn);
   for (int trial = 0; trial < 30; ++trial) {
     const std::vector<float> x = random_bipolar(30, rng);
-    const std::vector<float> bnn_scores = bnn.scores(x);
+    const std::vector<float> bnn_scores = oracle::scores(bnn, x);
     const auto snn_trace = snn.trace(to_spikes(x));
     for (std::size_t j = 0; j < bnn_scores.size(); ++j) {
       ASSERT_NEAR(snn_trace.output_scores[j], bnn_scores[j] / 2.0f, 1e-3f);
@@ -131,7 +132,7 @@ TEST(ConvertExactness, BiasTieBreaking) {
   const SnnNetwork snn = SnnNetwork::from_bnn(bnn);
   // Two spikes, two silent: layer-1 preact = 0 for every neuron -> fires.
   const std::vector<float> x{1.0f, 1.0f, -1.0f, -1.0f};
-  const auto bnn_trace = bnn.forward_trace(x);
+  const auto bnn_trace = oracle::forward_trace(bnn, x);
   const auto snn_trace = snn.trace(to_spikes(x));
   EXPECT_FLOAT_EQ(bnn_trace[1][0], 1.0f);
   EXPECT_TRUE(snn_trace.spikes[1].test(0));

@@ -1,10 +1,17 @@
-// Tests for the matrix library and BNN training substrate.
+// Tests for the matrix library and BNN training substrate, with the packed
+// forward pinned bit for bit against the float oracle (bnn_oracle.hpp).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <fstream>
+#include <iterator>
+#include <limits>
 
+#include "bnn_oracle.hpp"
 #include "esam/nn/bnn.hpp"
 #include "esam/nn/matrix.hpp"
+#include "esam/nn/packed.hpp"
 
 namespace esam::nn {
 namespace {
@@ -14,7 +21,7 @@ TEST(Matrix, MultiplyVector) {
   // [1 2 3; 4 5 6] * [1 0 -1]^T = [-2, -2]
   float vals[] = {1, 2, 3, 4, 5, 6};
   std::copy(std::begin(vals), std::end(vals), m.flat().begin());
-  const std::vector<float> y = m.multiply({1.0f, 0.0f, -1.0f});
+  const std::vector<float> y = oracle::matvec(m, {1.0f, 0.0f, -1.0f});
   ASSERT_EQ(y.size(), 2u);
   EXPECT_FLOAT_EQ(y[0], -2.0f);
   EXPECT_FLOAT_EQ(y[1], -2.0f);
@@ -33,7 +40,6 @@ TEST(Matrix, MultiplyTransposed) {
 
 TEST(Matrix, DimensionMismatchThrows) {
   Matrix m(2, 3);
-  EXPECT_THROW((void)m.multiply({1.0f, 2.0f}), std::invalid_argument);
   EXPECT_THROW((void)m.multiply_transposed({1.0f, 2.0f, 3.0f}),
                std::invalid_argument);
   EXPECT_THROW(m.add_outer(1.0f, {1.0f}, {1.0f, 2.0f, 3.0f}),
@@ -46,12 +52,6 @@ TEST(Matrix, AddOuter) {
   EXPECT_FLOAT_EQ(m.at(0, 0), 2.0f);   // 1 + 0.5*2*1
   EXPECT_FLOAT_EQ(m.at(0, 1), 4.0f);   // 1 + 0.5*2*3
   EXPECT_FLOAT_EQ(m.at(1, 0), 1.0f);   // untouched (a[1] == 0)
-}
-
-TEST(Matrix, Apply) {
-  Matrix m(1, 3, -2.0f);
-  m.apply([](float v) { return v * v; });
-  EXPECT_FLOAT_EQ(m.at(0, 2), 4.0f);
 }
 
 TEST(Bnn, SignActivationConvention) {
@@ -87,15 +87,19 @@ TEST(Bnn, ScoresUseBinarizedWeightsAndBias) {
   l.latent.at(0, 0) = 0.9f;   // -> +1
   l.latent.at(0, 1) = -0.2f;  // -> -1
   l.bias[0] = 0.25f;
-  const std::vector<float> s = net.scores({1.0f, 1.0f});
+  const std::vector<float> s = oracle::scores(net, {1.0f, 1.0f});
   ASSERT_EQ(s.size(), 1u);
   EXPECT_FLOAT_EQ(s[0], 1.0f - 1.0f + 0.25f);
+  const std::uint64_t x = 0b11;  // both inputs +1
+  std::vector<float> packed;
+  PackedBnn(net).class_scores(&x, packed);
+  EXPECT_EQ(packed, s);
 }
 
 TEST(Bnn, ForwardTraceShapes) {
   util::Rng rng(4);
   const BnnNetwork net({6, 5, 3}, rng);
-  const auto trace = net.forward_trace(std::vector<float>(6, 1.0f));
+  const auto trace = oracle::forward_trace(net, std::vector<float>(6, 1.0f));
   ASSERT_EQ(trace.size(), 3u);
   EXPECT_EQ(trace[0].size(), 6u);
   EXPECT_EQ(trace[1].size(), 5u);
@@ -207,6 +211,185 @@ TEST(Bnn, AccuracyValidatesInput) {
   EXPECT_THROW((void)net.accuracy({}, {}), std::invalid_argument);
   EXPECT_THROW((void)net.accuracy({{1, 1, 1, 1}}, {0, 1}),
                std::invalid_argument);
+}
+
+// --- packed forward vs the float oracle --------------------------------------
+
+std::vector<float> random_bipolar(std::size_t n, util::Rng& rng) {
+  std::vector<float> x(n);
+  for (auto& v : x) v = rng.bernoulli(0.5) ? 1.0f : -1.0f;
+  return x;
+}
+
+/// Float bit patterns, so -0.0f != +0.0f and a NaN equals itself.
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out;
+  for (float f : v) out.push_back(std::bit_cast<std::uint32_t>(f));
+  return out;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+TEST(Bnn, PackedForwardMatchesFloatOracleBitForBit) {
+  // Widths that are not multiples of 64 exercise the packed tail words;
+  // latents of exactly +0.0f, -0.0f and +-NaN pin the >= 0.0f packing rule
+  // (a sign-bit extraction gets -0.0f and +NaN wrong).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f, -0.0f, nan, -nan};
+  util::Rng rng(21);
+  for (int trial = 0; trial < 8; ++trial) {
+    BnnNetwork net({70, 65, 129, 3}, rng);
+    for (auto& l : net.layers()) {
+      for (auto& w : l.latent.flat()) {
+        if (rng.bernoulli(0.2)) w = specials[rng.uniform_index(4)];
+      }
+      for (auto& b : l.bias) b = static_cast<float>(rng.uniform(-4.0, 4.0));
+    }
+    const PackedBnn packed(net);
+    for (int s = 0; s < 16; ++s) {
+      const std::vector<float> x = random_bipolar(70, rng);
+      const auto trace = oracle::forward_trace(net, x);
+      // Layer by layer, from the oracle's own activations.
+      for (std::size_t l = 0; l < packed.layers().size(); ++l) {
+        const PackedLayer& layer = packed.layers()[l];
+        std::vector<std::uint64_t> bits(layer.words);
+        pack_signs(trace[l].data(), layer.in, bits.data());
+        std::vector<float> z(layer.out);
+        layer.forward(bits.data(), z.data());
+        ASSERT_EQ(float_bits(z),
+                  float_bits(oracle::preactivate(net.layers()[l], trace[l])))
+            << "trial " << trial << " sample " << s << " layer " << l;
+      }
+      // End to end through the packed sign activations.
+      std::vector<std::uint64_t> xb(packed_words(x.size()));
+      pack_signs(x.data(), x.size(), xb.data());
+      std::vector<float> got;
+      packed.class_scores(xb.data(), got);
+      ASSERT_EQ(float_bits(got), float_bits(trace.back()));
+      const auto& s_ref = trace.back();
+      EXPECT_EQ(net.predict(x),
+                static_cast<std::size_t>(
+                    std::max_element(s_ref.begin(), s_ref.end()) -
+                    s_ref.begin()));
+    }
+  }
+}
+
+TEST(Bnn, PackedTrainingMatchesFloatOracleBytes) {
+  // 50 samples in batches of 16 leave a partial tail batch of 2.
+  const std::vector<std::size_t> shape{70, 65, 129, 3};
+  util::Rng data_rng(31);
+  std::vector<std::vector<float>> xs;
+  std::vector<std::uint8_t> ys;
+  for (int i = 0; i < 50; ++i) {
+    xs.push_back(random_bipolar(70, data_rng));
+    ys.push_back(static_cast<std::uint8_t>((xs.back()[0] > 0.0f) +
+                                           (xs.back()[69] > 0.0f)));
+  }
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.batch_size = 16;
+  cfg.seed = 32;
+  util::Rng init_a(33), init_b(33);
+  BnnNetwork packed_net(shape, init_a);
+  BnnNetwork float_net(shape, init_b);
+  const std::string dir = ::testing::TempDir();
+  ASSERT_TRUE(packed_net.save(dir + "/bnn_train_init.bin"));
+
+  BnnTrainer trainer(packed_net, cfg);
+  const double packed_loss = trainer.fit(xs, ys);
+  oracle::FloatTrainer reference(float_net, cfg);
+  const double float_loss = reference.fit(xs, ys);
+  EXPECT_EQ(packed_loss, float_loss);
+
+  ASSERT_TRUE(packed_net.save(dir + "/bnn_train_packed.bin"));
+  ASSERT_TRUE(float_net.save(dir + "/bnn_train_float.bin"));
+  const std::string packed_bytes = file_bytes(dir + "/bnn_train_packed.bin");
+  ASSERT_FALSE(packed_bytes.empty());
+  EXPECT_NE(packed_bytes, file_bytes(dir + "/bnn_train_init.bin"));
+  EXPECT_EQ(packed_bytes, file_bytes(dir + "/bnn_train_float.bin"));
+}
+
+TEST(Bnn, TrainerRejectsZeroBatchSize) {
+  util::Rng rng(41);
+  BnnNetwork net({4, 2}, rng);
+  TrainConfig cfg;
+  cfg.batch_size = 0;  // would never advance through the epoch
+  EXPECT_THROW((void)BnnTrainer(net, cfg), std::invalid_argument);
+}
+
+TEST(Bnn, TrainerValidatesWholeDatasetBeforeAnyUpdate) {
+  util::Rng rng(42);
+  BnnNetwork net({8, 6, 2}, rng);
+  const BnnNetwork before = net;
+  util::Rng data_rng(43);
+  std::vector<std::vector<float>> xs;
+  std::vector<std::uint8_t> ys;
+  for (int i = 0; i < 48; ++i) {
+    xs.push_back(random_bipolar(8, data_rng));
+    ys.push_back(static_cast<std::uint8_t>(i % 2));
+  }
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.batch_size = 8;
+  BnnTrainer trainer(net, cfg);
+
+  // Each defect sits in the last batch, after five clean ones.
+  auto non_bipolar = xs;
+  non_bipolar[40][3] = 0.5f;
+  try {
+    trainer.fit(non_bipolar, ys);
+    FAIL() << "non-+-1 input accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sample 40"), std::string::npos)
+        << e.what();
+  }
+  auto zero = xs;
+  zero[41][0] = 0.0f;
+  EXPECT_THROW(trainer.train_epoch(zero, ys), std::invalid_argument);
+  auto nan = xs;
+  nan[42][7] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(trainer.fit(nan, ys), std::invalid_argument);
+  auto narrow = xs;
+  narrow[47].pop_back();
+  EXPECT_THROW(trainer.train_epoch(narrow, ys), std::invalid_argument);
+  auto bad_label = ys;
+  bad_label[46] = 2;
+  EXPECT_THROW(trainer.fit(xs, bad_label), std::invalid_argument);
+
+  for (std::size_t l = 0; l < net.layers().size(); ++l) {
+    EXPECT_EQ(net.layers()[l].latent.flat(), before.layers()[l].latent.flat());
+    EXPECT_EQ(net.layers()[l].bias, before.layers()[l].bias);
+  }
+  // Nothing moved, not even the shuffle stream: the trainer now behaves
+  // exactly like a fresh one.
+  BnnNetwork fresh = before;
+  BnnTrainer fresh_trainer(fresh, cfg);
+  EXPECT_EQ(trainer.fit(xs, ys), fresh_trainer.fit(xs, ys));
+  for (std::size_t l = 0; l < net.layers().size(); ++l) {
+    EXPECT_EQ(net.layers()[l].latent.flat(), fresh.layers()[l].latent.flat());
+  }
+}
+
+TEST(Bnn, PredictAndAccuracyRejectNonBipolarInputs) {
+  util::Rng rng(44);
+  const BnnNetwork net({4, 2}, rng);
+  EXPECT_NO_THROW((void)net.predict({1.0f, -1.0f, 1.0f, -1.0f}));
+  EXPECT_THROW((void)net.predict({1.0f, 1.0f, 1.0f}), std::invalid_argument);
+  EXPECT_THROW((void)net.predict({1.0f, 1.0f, 0.0f, 1.0f}),
+               std::invalid_argument);
+  EXPECT_THROW((void)net.predict({1.0f, -0.0f, 1.0f, 1.0f}),
+               std::invalid_argument);
+  try {
+    (void)net.accuracy({{1, 1, 1, 1}, {1, -1, 2, 1}}, {0, 1});
+    FAIL() << "non-+-1 input accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sample 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

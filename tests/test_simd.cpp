@@ -65,6 +65,15 @@ TEST(Simd, ScalarTableAlwaysAvailable) {
 TEST(Simd, CountAndAndCountMatchScalar) {
   const Kernels& ref = scalar_kernels();
   Rng rng(401);
+  // The fused xor_count equals count() of the materialized a ^ b.
+  for (std::size_t n : kWordCounts) {
+    const auto a = make_words(n, rng, 0);
+    const auto c = make_words(n, rng, 3);
+    auto x = c;
+    ref.xor_assign(x.data(), a.data(), n);
+    EXPECT_EQ(ref.xor_count(a.data(), c.data(), n), ref.count(x.data(), n))
+        << "n=" << n;
+  }
   for (Backend b : nonscalar_backends()) {
     const Kernels& k = *kernels_for(b);
     for (std::size_t n : kWordCounts) {
@@ -77,6 +86,9 @@ TEST(Simd, CountAndAndCountMatchScalar) {
           EXPECT_EQ(k.and_count(a.data(), c.data(), n),
                     ref.and_count(a.data(), c.data(), n))
               << backend_name(b) << " and_count, n=" << n;
+          EXPECT_EQ(k.xor_count(a.data(), c.data(), n),
+                    ref.xor_count(a.data(), c.data(), n))
+              << backend_name(b) << " xor_count, n=" << n;
         }
       }
     }
