@@ -105,8 +105,8 @@ int main(int argc, char** argv) {
                util::fmt("%.0f",
                          util::in_picojoules(r.energy_per_inference))});
   }
-  table.note("modelled cycles and energy are identical on every row: the "
-             "merge is deterministic in batch order");
+  table.note("modelled cycles and energy are identical on every row: "
+             "integer event counts, summed and priced once");
   table.print();
   return 0;
 }

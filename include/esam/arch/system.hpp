@@ -3,10 +3,11 @@
 // Plays the role of the authors' spike-by-spike Python simulation (sec. 4.1):
 // it streams inferences through the cascaded tiles -- each tile working on a
 // different inference concurrently, spikes handed between tiles as parallel
-// binary pulses -- and integrates the per-operation energies of the SRAM /
-// arbiter / neuron models plus clock-tree and leakage power into the
-// system-level numbers of Fig. 8 and Table 3 (throughput, energy/inference,
-// average power, area).
+// binary pulses -- and prices the tiles' integer event counts with the
+// per-operation energies of the SRAM / arbiter / neuron models, plus
+// clock-tree and leakage power over the cycles, into the system-level
+// numbers of Fig. 8 and Table 3 (throughput, energy/inference, average
+// power, area).
 #pragma once
 
 #include <cstdint>
@@ -73,6 +74,9 @@ struct RunResult {
   double accuracy = 0.0;  ///< only when labels were provided
   std::uint64_t cycles = 0;
   Time elapsed{};
+  /// Each tile's event counts over the run, summed over every worker
+  /// pipeline: the record `ledger` prices (see SystemSimulator::price).
+  std::vector<TileStats> tile_counts;
   EnergyLedger ledger;
   double throughput_inf_per_s = 0.0;
   Energy energy_per_inference{};
@@ -148,6 +152,9 @@ struct TrainPassResult {
   std::size_t online_hits = 0;  ///< samples whose pre-update winner = label
   std::uint64_t cycles = 0;     ///< windowed forward pipeline cycles
   Time train_time{};            ///< forward cycles + commit drains
+  /// The forward passes priced, plus clock and leakage over `cycles`; the
+  /// commit cost stays in the trainer's LearningStats.
+  EnergyLedger energy;
 };
 
 /// Outcome of run_online: the accuracy-over-time curve plus the final eval
@@ -161,8 +168,8 @@ struct OnlineRunResult {
   /// Per-tile cumulative column-update stats: hidden rules make hidden
   /// tiles show up as nonzero rows here, not just the output tile.
   std::vector<learning::LearningStats> tile_learning;
-  /// Metered training-phase forward-pass ledger (windowed passes merged in
-  /// sample order; already folded into final_eval.ledger).
+  /// Metered training-phase forward-pass ledger (the sum of every pass's
+  /// TrainPassResult::energy; already folded into final_eval.ledger).
   EnergyLedger train_ledger;
   /// Total modelled training wall time over all epochs (see
   /// OnlineEpochStats::train_time for the per-window forward + commit
@@ -216,9 +223,10 @@ class SystemSimulator {
   /// Batched engine: shards `inputs` into RunConfig::batch_size chunks and
   /// streams each chunk through a pipeline, fanned out over
   /// RunConfig::num_threads workers that each own a deep-cloned tile
-  /// pipeline and a thread-local EnergyLedger. Per-batch results are merged
-  /// in batch order, so predictions, cycle counts and ledger energies are
-  /// bit-for-bit identical for every thread count (tested in
+  /// pipeline. Each batch writes its own slice of the predictions; the
+  /// batch cycles and every pipeline's event counts are integers, summed
+  /// and priced once (see price), so predictions, cycle counts and ledger
+  /// energies are bit-for-bit identical for every thread count (tested in
   /// tests/test_parallel.cpp). No observer support: per-cycle tracing of a
   /// sharded run has no single well-defined cycle order.
   RunResult run_batched(const std::vector<BitVec>& inputs,
@@ -231,17 +239,15 @@ class SystemSimulator {
   /// workers (0 = hardware concurrency; worker 0 on the canonical tiles,
   /// the others on clones built per pass); the rules stage in sample order
   /// (hidden tiles ascending, then the label) and commit once per window,
-  /// the partial tail included. Adds the stage energies to `ledger` in
-  /// (sample, tile) order, then clock and leakage over the windowed cycles;
-  /// the commit cost stays in the trainer's LearningStats. Bit-identical
+  /// the partial tail included. The result's energy prices the forwards'
+  /// event counts, summed over the tiles and clones, once. Bit-identical
   /// for every `threads`. Throws std::invalid_argument, before touching a
   /// tile, on a trainer bound elsewhere, a count mismatch, a label that is
   /// not an output class, or update_interval 0.
   TrainPassResult train_pass(learning::OnlineTrainer& trainer,
                              const std::vector<BitVec>& inputs,
                              const std::vector<std::uint8_t>& labels,
-                             std::size_t update_interval, std::size_t threads,
-                             EnergyLedger& ledger);
+                             std::size_t update_interval, std::size_t threads);
 
   /// Online-training run: an eval, then per epoch one train_pass and an
   /// eval of the adapted weights (batched engine); the commit cost lands
@@ -275,40 +281,18 @@ class SystemSimulator {
   /// the currently deployed weights intact.
   void import_network(const nn::SnnNetwork& snn);
 
- private:
-  /// One per-batch pipeline stream over `tiles`, executed cycle-by-cycle in
-  /// lockstep: the observer path of run() and the differential oracle of
-  /// the fast engine. Appends predictions and adds cycles/energy into the
-  /// out-parameters. Energy accounting: each tile posts into its own stage
-  /// ledger, merged in tile order, with the clock tree and leakage
-  /// integrated in closed form over the batch -- the exact scheme of
-  /// stream_batch_pipelined, so the two are bit-identical.
-  void stream_batch(std::vector<Tile>& tiles, std::span<const BitVec> inputs,
-                    PipelineObserver& observer,
-                    std::vector<std::size_t>& predictions,
-                    std::uint64_t& cycles, EnergyLedger& ledger) const;
+  /// Energy of `cycles` pipeline cycles in which tile t gathered the event
+  /// counts `counts[t]` (TileStats deltas, summed over any clones): each
+  /// tile's counts priced once (Tile::price), plus the clock tree and
+  /// leakage over the cycles. Every engine prices this way, so their
+  /// ledgers agree whenever their counts and cycles do.
+  [[nodiscard]] EnergyLedger price(std::span<const TileStats> counts,
+                                   std::uint64_t cycles) const;
 
-  /// The fast engine: walks each sample down the cascade (walk_cascade) and
-  /// rebuilds the lockstep cycle schedule from the per-(tile, sample) busy
-  /// cycles. A tile posts energy only while busy and processes samples in
-  /// order with the same per-sample dynamics as under lockstep, so the
-  /// per-stage ledger streams -- and the merged ledger -- match exactly.
-  void stream_batch_pipelined(std::vector<Tile>& tiles,
-                              std::span<const BitVec> inputs,
-                              std::vector<std::size_t>& predictions,
-                              std::uint64_t& cycles,
-                              EnergyLedger& ledger) const;
-  /// Merges the per-stage ledgers and the closed-form clock/leakage of one
-  /// batch into `ledger` (shared tail of the fast and lockstep streams).
-  void merge_batch_energy(std::vector<EnergyLedger>& stage_ledgers,
-                          std::uint64_t batch_cycles,
-                          EnergyLedger& ledger) const;
+ private:
   /// Fills the derived metrics (throughput, energy/inf, power) of `result`.
   void finalize_metrics(RunResult& result, std::size_t n,
                         const std::vector<std::uint8_t>* labels) const;
-  /// Clock-tree energy of one pipeline cycle (shared by the batched eval
-  /// engine and the training-phase metering of train_pass).
-  [[nodiscard]] Energy clock_energy_per_cycle() const;
 
   const TechnologyParams* tech_;
   SystemConfig cfg_;

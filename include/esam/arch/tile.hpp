@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "esam/neuron/neuron.hpp"
 #include "esam/nn/convert.hpp"
 #include "esam/sram/macro.hpp"
+#include "esam/util/ledger.hpp"
 
 namespace esam::arch {
 
@@ -63,26 +63,38 @@ struct TileConfig {
 /// many cycles on one input (a healthy tile needs about fan-in / ports).
 inline constexpr std::uint64_t kMaxBurstCycles = std::uint64_t{1} << 20;
 
-/// Per-tile activity counters.
+/// Per-tile event counts, all integers: the tile's activity record and,
+/// through Tile::price, its energy record. Integer sums commute, so counts
+/// gathered on any pipeline clone, in any order, add up to the same totals.
 struct TileStats {
   std::uint64_t busy_cycles = 0;
   std::uint64_t spikes_served = 0;
   std::uint64_t inferences = 0;
   std::uint64_t row_reads = 0;
+  /// Spikes latched by start_inference (inter-tile fabric).
+  std::uint64_t input_spikes = 0;
+  /// Row-group cycles with >= 1 grant (macro control).
+  std::uint64_t active_row_group_cycles = 0;
+  /// Row-group arbitration cycles by pending * (ports + 1) + grants.
+  std::vector<std::uint64_t> arbiter_cycles;
+  /// Cycles with >= 1 grant, by the total grants over all row groups.
+  std::vector<std::uint64_t> grant_cycles;
+  /// Grants per row group; each grant reads one row of every column group.
+  std::vector<std::uint64_t> row_group_grants;
+
+  /// Element-wise sum; an empty histogram grows to the other's size.
+  TileStats& operator+=(const TileStats& o);
+  /// Element-wise difference, e.g. `after - before` of one tile.
+  friend TileStats operator-(TileStats a, const TileStats& b);
+  bool operator==(const TileStats&) const = default;
 };
 
 class Tile {
  public:
+  /// Copies are deep (the SRAM macros with their weights and faults) and
+  /// start with no ledger attached; the engines copy the pipeline to give
+  /// each worker thread its own.
   Tile(const TechnologyParams& tech, TileConfig cfg);
-
-  /// Deep copy: clones the SRAM macros (current weights and faults included)
-  /// and detaches any energy ledger. The batched engine uses this to hand
-  /// each worker thread its own pipeline.
-  Tile(const Tile& other);
-  Tile& operator=(const Tile& other);
-  Tile(Tile&&) noexcept = default;
-  Tile& operator=(Tile&&) noexcept = default;
-  ~Tile() = default;
 
   [[nodiscard]] const TileConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t row_groups() const { return row_groups_; }
@@ -92,6 +104,13 @@ class Tile {
   /// Loads converted weights + thresholds; layer shape must match.
   void load_layer(const nn::SnnLayer& layer);
 
+  /// Dynamic energy of `counts` (a stats delta of this tile): every event
+  /// count times its unit energy, fixed at construction. Clock tree and
+  /// leakage are the system's, over its cycles.
+  [[nodiscard]] EnergyLedger price(const TileStats& counts) const;
+
+  /// Each fire phase then adds price(stats since the latch) to `ledger`;
+  /// nullptr detaches.
   void attach_ledger(EnergyLedger* ledger);
 
   // --- pipelined execution ----------------------------------------------
@@ -198,15 +217,28 @@ class Tile {
   std::size_t row_groups_;
   std::size_t col_groups_;
   /// macros_[rg * col_groups_ + cg]
-  std::vector<std::unique_ptr<sram::SramMacro>> macros_;
+  std::vector<sram::SramMacro> macros_;
   std::vector<arbiter::MultiPortArbiter> arbiters_;
   arbiter::ArbiterTimingModel arbiter_model_;
   std::vector<neuron::IfNeuron> neurons_;
   neuron::NeuronArrayModel neuron_model_;
   std::vector<float> readout_offsets_;
 
-  EnergyLedger* ledger_ = nullptr;
+  /// The attached ledger; a copy starts detached, a move keeps it.
+  struct LedgerSlot {
+    EnergyLedger* ledger = nullptr;
+    LedgerSlot() = default;
+    LedgerSlot(const LedgerSlot& /*other*/) noexcept {}
+    LedgerSlot& operator=(const LedgerSlot& other) noexcept {
+      if (this != &other) ledger = nullptr;
+      return *this;
+    }
+    LedgerSlot(LedgerSlot&&) noexcept = default;
+    LedgerSlot& operator=(LedgerSlot&&) noexcept = default;
+  } ledger_;
   TileStats stats_;
+  /// stats_ at the latch (or attach), while a ledger is attached.
+  TileStats latched_;
   bool busy_ = false;
   bool output_ready_ = false;
   BitVec output_spikes_;
@@ -228,10 +260,8 @@ class Tile {
   arbiter::GrantSet grant_scratch_;
   std::vector<BitVec> input_slice_scratch_;
 
-  // Energy values that are pure functions of the static configuration,
-  // precomputed at construction so the per-cycle loop posts cached values
-  // instead of re-running the analytic models (bit-identical: the same
-  // expressions evaluated once).
+  // Unit energies of the counted events, pure functions of the static
+  // configuration, computed once at construction (see price).
   /// Decoder/driver + port-latch energy of one granted read, per col group.
   std::vector<Energy> row_read_extra_;
   /// Macro control energy of one cycle with >= 1 grant (all col groups).
@@ -248,10 +278,9 @@ class Tile {
 /// The fast engine's per-sample cascade walk: `input` runs down `tiles` one
 /// tile at a time, each tile bursting to completion (run_inference) before
 /// its fired spikes latch into the next. Weights are read, never written, so
-/// the walk is independent per sample and per pipeline clone.
+/// the walk is independent per sample and per pipeline clone; each tile
+/// counts its events in its own TileStats.
 ///  - busy: when non-empty, busy[t] receives tile t's burst cycles.
-///  - ledgers: when non-empty, tile t posts into ledgers[t] for its burst
-///    (detached afterwards, on error too).
 ///  - before_handoff(t, tile): runs after tile t fires and before its output
 ///    is taken -- where learning rules observe the pass.
 ///  - handoff: caller-owned inter-tile spike buffer, reused across samples.
@@ -260,24 +289,11 @@ class Tile {
 template <typename Hook>
 std::size_t walk_cascade(std::span<Tile> tiles, const BitVec& input,
                          BitVec& handoff, std::span<std::uint64_t> busy,
-                         std::span<EnergyLedger> ledgers,
                          Hook&& before_handoff) {
   const BitVec* spikes = &input;
   for (std::size_t t = 0; t < tiles.size(); ++t) {
     Tile& tile = tiles[t];
-    std::uint64_t cycles = 0;
-    if (ledgers.empty()) {
-      cycles = tile.run_inference(*spikes);
-    } else {
-      tile.attach_ledger(&ledgers[t]);
-      try {
-        cycles = tile.run_inference(*spikes);
-      } catch (...) {
-        tile.attach_ledger(nullptr);
-        throw;
-      }
-      tile.attach_ledger(nullptr);
-    }
+    const std::uint64_t cycles = tile.run_inference(*spikes);
     if (!busy.empty()) busy[t] = cycles;
     before_handoff(t, std::as_const(tile));
     if (t + 1 == tiles.size()) break;

@@ -7,9 +7,11 @@
 //  * learning: column-wise read / write through the transposed RW port
 //    (4:1 muxed), or -- for the 6T baseline -- row-wise read/write.
 //
-// Every operation returns its (time, energy) cost from the timing model and
-// posts the energy to an optionally attached EnergyLedger. Simulated time is
-// advanced by the caller (the system simulator owns the clock).
+// Every access is counted in MacroStats and costed by the timing model; the
+// macro posts no energy. The tile prices its inference reads with
+// inference_read_energy(), the learner charges column_update_cost() per
+// column update. Simulated time is advanced by the caller (the system
+// simulator owns the clock).
 #pragma once
 
 #include <cstdint>
@@ -20,12 +22,10 @@
 #include "esam/sram/faults.hpp"
 #include "esam/sram/timing.hpp"
 #include "esam/util/bitvec.hpp"
-#include "esam/util/ledger.hpp"
 
 namespace esam::sram {
 
 using util::BitVec;
-using util::EnergyLedger;
 
 /// Operation counters for utilization reporting.
 struct MacroStats {
@@ -49,9 +49,6 @@ class SramMacro {
   }
   [[nodiscard]] const BitcellSpec& spec() const { return timing_.spec(); }
   [[nodiscard]] const MacroStats& stats() const { return stats_; }
-
-  /// Attaches a ledger that receives the energy of every subsequent op.
-  void attach_ledger(EnergyLedger* ledger) { ledger_ = ledger; }
 
   /// Injects permanent bitcell faults (yield study): stuck cells read their
   /// stuck value through every port and silently ignore writes. Passing a
@@ -91,8 +88,10 @@ class SramMacro {
   /// row read this way.
   void read_row_into(std::size_t port, std::size_t row, BitVec& out);
 
-  /// Cost of one inference row read (energy posted by read_row).
-  [[nodiscard]] OpProfile inference_read_profile() const;
+  /// Energy of one inference row read (the tile prices its reads with it).
+  [[nodiscard]] util::Energy inference_read_energy() const {
+    return inference_read_energy_;
+  }
 
   // --- RW port (learning path) -----------------------------------------------
 
@@ -114,10 +113,9 @@ class SramMacro {
   [[nodiscard]] OpProfile column_update_cost() const;
 
  private:
-  void post(util::EnergyCategory cat, util::Energy e);
   void check_row(std::size_t row) const;
   void check_col(std::size_t col) const;
-  /// Shared port validation + stats/energy accounting of one inference row
+  /// Shared port validation + stats accounting of one inference row
   /// read (used by both read_row flavours).
   void account_inference_read(std::size_t port);
   /// Row content with stuck-at masking applied.
@@ -137,7 +135,6 @@ class SramMacro {
   std::vector<BitVec> stuck0_;
   std::vector<BitVec> stuck1_;
   MacroStats stats_;
-  EnergyLedger* ledger_ = nullptr;
 };
 
 }  // namespace esam::sram

@@ -1,9 +1,9 @@
 // Energy/time accounting shared by every hardware model in ESAM.
 //
-// Circuit models (SRAM macro, arbiter, neuron, fabric) post dynamic-energy
-// records tagged with an operation category; the system simulator advances
-// wall-clock time and integrates leakage. Reports then aggregate per category
-// exactly the way the paper's Python flow combined Spectre/Genus numbers.
+// Tiles price their integer event counts into per-category energies; the
+// system simulator adds the clock tree, advances wall-clock time and
+// integrates leakage. Reports then aggregate per category exactly the way
+// the paper's Python flow combined Spectre/Genus numbers.
 #pragma once
 
 #include <array>

@@ -50,7 +50,7 @@ void RateCodedRunner::reset_membranes() {
 std::uint64_t RateCodedRunner::run_timestep(const BitVec& spikes) {
   std::vector<std::uint64_t> busy(tiles_.size());
   BitVec handoff;
-  (void)walk_cascade(tiles_, spikes, handoff, busy, {},
+  (void)walk_cascade(tiles_, spikes, handoff, busy,
                      [](std::size_t, const Tile&) {});
   return std::accumulate(busy.begin(), busy.end(), std::uint64_t{0});
 }

@@ -69,6 +69,116 @@ void check_labels(const std::vector<std::uint8_t>& labels, std::size_t classes,
   }
 }
 
+std::vector<TileStats> stats_of(const std::vector<Tile>& tiles) {
+  std::vector<TileStats> stats;
+  stats.reserve(tiles.size());
+  for (const Tile& t : tiles) stats.push_back(t.stats());
+  return stats;
+}
+
+/// The event counts `tiles` and every clone in `clones` gathered since
+/// `start` -- the stats they all had when the clones were made -- summed per
+/// tile position.
+std::vector<TileStats> counts_since(
+    const std::vector<TileStats>& start, const std::vector<Tile>& tiles,
+    const std::vector<std::vector<Tile>>& clones) {
+  std::vector<TileStats> counts(start.size());
+  for (std::size_t t = 0; t < start.size(); ++t) {
+    counts[t] += tiles[t].stats() - start[t];
+    for (const std::vector<Tile>& clone : clones) {
+      counts[t] += clone[t].stats() - start[t];
+    }
+  }
+  return counts;
+}
+
+/// One batch streamed through `tiles` cycle by cycle in lockstep: the
+/// observer path of run() and the differential oracle of the fast engine.
+/// Writes predictions[i] for inputs[i]; returns the batch cycles.
+std::uint64_t stream_lockstep(std::vector<Tile>& tiles,
+                              std::span<const BitVec> inputs,
+                              PipelineObserver& observer,
+                              std::span<std::size_t> predictions) {
+  const std::size_t n = inputs.size();
+  const std::size_t last = tiles.size() - 1;
+  std::size_t next_input = 0;
+  std::size_t completed = 0;
+  std::uint64_t batch_cycles = 0;
+
+  std::vector<TileActivity> activity(tiles.size());
+  std::vector<std::uint64_t> served_before(tiles.size(), 0);
+  std::vector<bool> busy_before(tiles.size(), false);
+  std::vector<bool> ready_before(tiles.size(), false);
+  // Hang detector: a pipeline whose every burst stays under the per-tile
+  // limit retires n samples within (n + tiles) bursts.
+  const std::uint64_t cycle_limit =
+      (static_cast<std::uint64_t>(n) + tiles.size()) * kMaxBurstCycles;
+
+  while (completed < n) {
+    if (++batch_cycles > cycle_limit) {
+      throw std::logic_error("SystemSimulator: pipeline deadlock");
+    }
+
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      served_before[i] = tiles[i].stats().spikes_served;
+      busy_before[i] = tiles[i].busy();
+      ready_before[i] = tiles[i].output_ready();
+    }
+
+    for (auto& t : tiles) t.step();
+
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      activity[i].busy = busy_before[i];
+      activity[i].grants = static_cast<std::uint32_t>(
+          tiles[i].stats().spikes_served - served_before[i]);
+      activity[i].pending =
+          static_cast<std::uint32_t>(tiles[i].pending_requests());
+      activity[i].fired = !ready_before[i] && tiles[i].output_ready();
+    }
+    observer.cycle(batch_cycles - 1, activity);
+
+    // Handoffs, downstream first so a freed tile can accept in the same
+    // cycle it drained.
+    for (std::size_t l = tiles.size(); l-- > 0;) {
+      if (!tiles[l].output_ready()) continue;
+      if (l == last) {
+        const std::vector<float> scores = tiles[l].output_scores();
+        predictions[completed++] = static_cast<std::size_t>(
+            std::max_element(scores.begin(), scores.end()) - scores.begin());
+        tiles[l].consume_output();
+      } else if (!tiles[l + 1].busy() && !tiles[l + 1].output_ready()) {
+        tiles[l + 1].start_inference(tiles[l].take_output());
+      }
+    }
+
+    if (next_input < n && !tiles[0].busy() && !tiles[0].output_ready()) {
+      tiles[0].start_inference(inputs[next_input++]);
+    }
+  }
+  return batch_cycles;
+}
+
+/// The fast engine: walks each sample down the cascade (walk_cascade) and
+/// rebuilds the lockstep cycle schedule from the per-(tile, sample) busy
+/// cycles. A tile's events per sample do not depend on the schedule, so its
+/// counts match lockstep's exactly. Same contract as stream_lockstep.
+std::uint64_t stream_pipelined(std::vector<Tile>& tiles,
+                               std::span<const BitVec> inputs,
+                               std::span<std::size_t> predictions) {
+  std::vector<std::uint64_t> busy(tiles.size());
+  CascadeSchedule schedule(tiles.size());
+  BitVec handoff;
+  std::uint64_t retired = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    predictions[i] = walk_cascade(tiles, inputs[i], handoff, busy,
+                                  [](std::size_t, const Tile&) {});
+    retired = schedule.retire(busy);
+  }
+  // Lockstep latches the first sample at the end of its first cycle, one
+  // cycle after the schedule's origin.
+  return retired + 1;
+}
+
 }  // namespace
 
 SystemSimulator::SystemSimulator(const TechnologyParams& tech,
@@ -141,119 +251,23 @@ std::size_t SystemSimulator::synapse_count() const {
   return n;
 }
 
-void SystemSimulator::merge_batch_energy(
-    std::vector<EnergyLedger>& stage_ledgers, std::uint64_t batch_cycles,
-    EnergyLedger& ledger) const {
-  // Tile-order merge, then closed-form clock tree + leakage over the batch.
-  // Both engines produce identical per-stage ledger streams and the same
-  // batch cycle count, and this tail is shared, so the merged result is
-  // bit-for-bit engine-independent.
-  for (const EnergyLedger& stage : stage_ledgers) ledger += stage;
-  const auto cycles_d = static_cast<double>(batch_cycles);
-  ledger.add(util::EnergyCategory::kClock, clock_energy_per_cycle() * cycles_d);
-  ledger.advance_time_with_leakage(clock_period() * cycles_d, total_leakage());
-}
-
-void SystemSimulator::stream_batch(std::vector<Tile>& tiles,
-                                   std::span<const BitVec> inputs,
-                                   PipelineObserver& observer,
-                                   std::vector<std::size_t>& predictions,
-                                   std::uint64_t& cycles,
-                                   EnergyLedger& ledger) const {
-  std::vector<EnergyLedger> stage_ledgers(tiles.size());
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    tiles[i].attach_ledger(&stage_ledgers[i]);
+EnergyLedger SystemSimulator::price(std::span<const TileStats> counts,
+                                    std::uint64_t cycles) const {
+  if (counts.size() != tiles_.size()) {
+    throw std::invalid_argument("SystemSimulator::price: one count per tile");
   }
-
-  const std::size_t n = inputs.size();
-  const std::size_t last = tiles.size() - 1;
-  std::size_t next_input = 0;
-  std::size_t completed = 0;
-  std::uint64_t batch_cycles = 0;
-
-  std::vector<TileActivity> activity(tiles.size());
-  std::vector<std::uint64_t> served_before(tiles.size(), 0);
-  std::vector<bool> busy_before(tiles.size(), false);
-  std::vector<bool> ready_before(tiles.size(), false);
-  // Hang detector: a pipeline whose every burst stays under the per-tile
-  // limit retires n samples within (n + tiles) bursts.
-  const std::uint64_t cycle_limit =
-      (static_cast<std::uint64_t>(n) + tiles.size()) * kMaxBurstCycles;
-
-  while (completed < n) {
-    if (++batch_cycles > cycle_limit) {
-      throw std::logic_error("SystemSimulator: pipeline deadlock");
-    }
-
-    for (std::size_t i = 0; i < tiles.size(); ++i) {
-      served_before[i] = tiles[i].stats().spikes_served;
-      busy_before[i] = tiles[i].busy();
-      ready_before[i] = tiles[i].output_ready();
-    }
-
-    for (auto& t : tiles) t.step();
-
-    for (std::size_t i = 0; i < tiles.size(); ++i) {
-      activity[i].busy = busy_before[i];
-      activity[i].grants = static_cast<std::uint32_t>(
-          tiles[i].stats().spikes_served - served_before[i]);
-      activity[i].pending =
-          static_cast<std::uint32_t>(tiles[i].pending_requests());
-      activity[i].fired = !ready_before[i] && tiles[i].output_ready();
-    }
-    observer.cycle(batch_cycles - 1, activity);
-
-    // Handoffs, downstream first so a freed tile can accept in the same
-    // cycle it drained.
-    for (std::size_t l = tiles.size(); l-- > 0;) {
-      if (!tiles[l].output_ready()) continue;
-      if (l == last) {
-        const std::vector<float> scores = tiles[l].output_scores();
-        predictions.push_back(static_cast<std::size_t>(
-            std::max_element(scores.begin(), scores.end()) - scores.begin()));
-        tiles[l].consume_output();
-        ++completed;
-      } else if (!tiles[l + 1].busy() && !tiles[l + 1].output_ready()) {
-        tiles[l + 1].start_inference(tiles[l].take_output());
-      }
-    }
-
-    if (next_input < n && !tiles[0].busy() && !tiles[0].output_ready()) {
-      tiles[0].start_inference(inputs[next_input++]);
-    }
+  EnergyLedger ledger;
+  for (std::size_t t = 0; t < tiles_.size(); ++t) {
+    ledger += tiles_[t].price(counts[t]);
   }
-
-  for (auto& t : tiles) t.attach_ledger(nullptr);
-  merge_batch_energy(stage_ledgers, batch_cycles, ledger);
-  cycles += batch_cycles;
-}
-
-void SystemSimulator::stream_batch_pipelined(
-    std::vector<Tile>& tiles, std::span<const BitVec> inputs,
-    std::vector<std::size_t>& predictions, std::uint64_t& cycles,
-    EnergyLedger& ledger) const {
-  std::vector<EnergyLedger> stage_ledgers(tiles.size());
-  std::vector<std::uint64_t> busy(tiles.size());
-  CascadeSchedule schedule(tiles.size());
-  BitVec handoff;
-  std::uint64_t retired = 0;
-  for (const BitVec& input : inputs) {
-    predictions.push_back(walk_cascade(tiles, input, handoff, busy,
-                                       stage_ledgers,
-                                       [](std::size_t, const Tile&) {}));
-    retired = schedule.retire(busy);
-  }
-  // Lockstep latches the first sample at the end of its first cycle, one
-  // cycle after the schedule's origin.
-  const std::uint64_t batch_cycles = retired + 1;
-  merge_batch_energy(stage_ledgers, batch_cycles, ledger);
-  cycles += batch_cycles;
-}
-
-Energy SystemSimulator::clock_energy_per_cycle() const {
   const double vdd = util::in_volts(tech_->vdd);
-  return util::joules(static_cast<double>(flop_count()) * kClockCapPerFlopFf *
-                      1e-15 * vdd * vdd);
+  const Energy clock_per_cycle =
+      util::joules(static_cast<double>(flop_count()) * kClockCapPerFlopFf *
+                   1e-15 * vdd * vdd);
+  const auto cycles_d = static_cast<double>(cycles);
+  ledger.add(util::EnergyCategory::kClock, clock_per_cycle * cycles_d);
+  ledger.advance_time_with_leakage(clock_period() * cycles_d, total_leakage());
+  return ledger;
 }
 
 void SystemSimulator::finalize_metrics(
@@ -284,11 +298,14 @@ RunResult SystemSimulator::run(const std::vector<BitVec>& inputs,
   check_inputs(inputs, labels);
 
   RunResult result;
-  result.predictions.reserve(inputs.size());
+  result.predictions.resize(inputs.size());
+  const std::vector<TileStats> start = stats_of(tiles_);
   observer->begin(tiles_.size(), clock_period());
-  stream_batch(tiles_, std::span<const BitVec>(inputs), *observer,
-               result.predictions, result.cycles, result.ledger);
+  result.cycles =
+      stream_lockstep(tiles_, inputs, *observer, result.predictions);
   observer->end(result.cycles);
+  result.tile_counts = counts_since(start, tiles_, {});
+  result.ledger = price(result.tile_counts, result.cycles);
 
   finalize_metrics(result, inputs.size(), labels);
   return result;
@@ -309,37 +326,28 @@ RunResult SystemSimulator::run_batched(const std::vector<BitVec>& inputs,
       util::resolve_workers(run_cfg.num_threads, num_batches);
 
   // Every batch is an independent, deterministic unit of work: stream its
-  // slice through a pipeline, record predictions / cycles / a private
-  // ledger. The merge below happens in batch order regardless of which
-  // worker ran which batch, so the result is invariant to `workers`.
-  struct BatchOutcome {
-    std::vector<std::size_t> predictions;
-    std::uint64_t cycles = 0;
-    EnergyLedger ledger;
-  };
-  std::vector<BatchOutcome> outcomes(num_batches);
-  // Worker 0 streams through the canonical tiles; every other worker gets
-  // one deep-cloned pipeline, reused across its batches.
+  // slice through a pipeline into its slice of the predictions. Worker 0
+  // streams through the canonical tiles; every other worker gets one
+  // deep-cloned pipeline, reused across its batches. Cycles and event
+  // counts are integers, summed the same whichever worker ran which batch.
+  RunResult result;
+  result.predictions.resize(n);
+  std::vector<std::uint64_t> batch_cycles(num_batches);
+  const std::vector<TileStats> start = stats_of(tiles_);
   std::vector<std::vector<Tile>> clones(workers - 1, tiles_);
-
   const std::span<const BitVec> all(inputs);
+  const std::span<std::size_t> predictions(result.predictions);
   util::parallel_for(num_batches, workers, [&](std::size_t w, std::size_t b) {
     const std::size_t first = b * batch_size;
     const std::size_t count = std::min(batch_size, n - first);
-    outcomes[b].predictions.reserve(count);
-    stream_batch_pipelined(w == 0 ? tiles_ : clones[w - 1],
-                           all.subspan(first, count), outcomes[b].predictions,
-                           outcomes[b].cycles, outcomes[b].ledger);
+    batch_cycles[b] =
+        stream_pipelined(w == 0 ? tiles_ : clones[w - 1],
+                         all.subspan(first, count),
+                         predictions.subspan(first, count));
   });
-
-  RunResult result;
-  result.predictions.reserve(n);
-  for (const BatchOutcome& out : outcomes) {
-    result.predictions.insert(result.predictions.end(),
-                              out.predictions.begin(), out.predictions.end());
-    result.cycles += out.cycles;
-    result.ledger += out.ledger;
-  }
+  for (const std::uint64_t c : batch_cycles) result.cycles += c;
+  result.tile_counts = counts_since(start, tiles_, clones);
+  result.ledger = price(result.tile_counts, result.cycles);
   result.batches = num_batches;
   result.threads = workers;
 
@@ -358,7 +366,7 @@ OnlineRunResult SystemSimulator::run_online(
 TrainPassResult SystemSimulator::train_pass(
     learning::OnlineTrainer& trainer, const std::vector<BitVec>& inputs,
     const std::vector<std::uint8_t>& labels, std::size_t update_interval,
-    std::size_t threads, EnergyLedger& ledger) {
+    std::size_t threads) {
   if (!trainer.bound_to(tiles_)) {
     throw std::invalid_argument(
         "SystemSimulator::train_pass: trainer is bound to other tiles");
@@ -379,12 +387,11 @@ TrainPassResult SystemSimulator::train_pass(
   const std::size_t window = std::min(k, n);
   const std::size_t last = tiles_.size() - 1;
 
-  // One record per window slot, reused across windows (ledgers reset, the
-  // BitVec / vector slots keep their capacity).
+  // One record per window slot, reused across windows (the BitVec /
+  // vector slots keep their capacity).
   struct SampleRecord {
     std::size_t winner = 0;
     std::vector<std::uint64_t> busy;          // per tile: burst cycles
-    std::vector<EnergyLedger> ledgers;        // per tile: stage ledger
     std::vector<BitVec> pre;                  // per plastic tile: its input
     std::vector<std::vector<std::size_t>> hidden_cols;  // resolved winners
     BitVec handoff;                           // inter-tile spike chain
@@ -392,20 +399,18 @@ TrainPassResult SystemSimulator::train_pass(
   std::vector<SampleRecord> recs(window);
   for (SampleRecord& r : recs) {
     r.busy.resize(tiles_.size());
-    r.ledgers.resize(tiles_.size());
     r.pre.resize(tiles_.size());
     r.hidden_cols.resize(tiles_.size());
   }
 
   // Forward `input` through `tiles` with the per-sample cascade walk,
-  // recording busy cycles, stage ledgers and the rule observations. Weights
-  // are frozen within a window, so this is independent per sample --
-  // workers run it concurrently on their clones.
+  // recording busy cycles and the rule observations. Weights are frozen
+  // within a window, so this is independent per sample -- workers run it
+  // concurrently on their clones.
   auto forward_one = [&](std::vector<Tile>& tiles, const BitVec& input,
                          SampleRecord& rec) {
-    for (EnergyLedger& l : rec.ledgers) l.reset();
     rec.winner = walk_cascade(
-        tiles, input, rec.handoff, rec.busy, rec.ledgers,
+        tiles, input, rec.handoff, rec.busy,
         [&](std::size_t t, const Tile& tile) {
           if (!trainer.tile_plastic(t)) return;
           rec.pre[t] = tile.last_input();
@@ -419,6 +424,7 @@ TrainPassResult SystemSimulator::train_pass(
   // clone built for this pass and kept in sync column-wise after every
   // commit.
   const std::size_t workers = util::resolve_workers(threads, window);
+  const std::vector<TileStats> start = stats_of(tiles_);
   std::vector<std::vector<Tile>> clones(workers - 1, tiles_);
   std::vector<std::vector<learning::ColumnRmw>> written;
   std::vector<Time> cg_drains;  // per-column-group commit-queue scratch
@@ -433,17 +439,15 @@ TrainPassResult SystemSimulator::train_pass(
       forward_one(w == 0 ? tiles_ : clones[w - 1], inputs[w0 + s], recs[s]);
     });
 
-    // Phase 2: retire in sample order -- accuracy, (sample, tile)-ordered
-    // ledger merge, the window's cycle schedule (first latch at 0, so a
-    // one-sample window costs exactly its serial burst sum), and the rule
-    // observations staged in sample order.
+    // Phase 2: retire in sample order -- accuracy, the window's cycle
+    // schedule (first latch at 0, so a one-sample window costs exactly its
+    // serial burst sum), and the rule observations staged in sample order.
     CascadeSchedule schedule(tiles_.size());
     std::uint64_t window_cycles = 0;
     for (std::size_t s = 0; s < wn; ++s) {
       SampleRecord& rec = recs[s];
       const std::size_t i = w0 + s;
       if (rec.winner == labels[i]) ++out.online_hits;
-      for (const EnergyLedger& stage : rec.ledgers) ledger += stage;
       window_cycles = schedule.retire(rec.busy);
       for (std::size_t t = 0; t < last; ++t) {
         trainer.stage_hidden(t, rec.pre[t], rec.hidden_cols[t]);
@@ -486,10 +490,8 @@ TrainPassResult SystemSimulator::train_pass(
     out.train_time += period * static_cast<double>(window_cycles) + drain;
   }
 
-  // Clock tree and leakage over the windowed pipeline cycles.
-  const auto cycles_d = static_cast<double>(out.cycles);
-  ledger.add(util::EnergyCategory::kClock, clock_energy_per_cycle() * cycles_d);
-  ledger.advance_time_with_leakage(period * cycles_d, total_leakage());
+  // The commits touch no tile counter, so the counts are the forwards'.
+  out.energy = price(counts_since(start, tiles_, clones), out.cycles);
   return out;
 }
 
@@ -521,15 +523,14 @@ OnlineRunResult SystemSimulator::run_online(
   learning::OnlineTrainer trainer(tiles_, cfg.trainer);
   // Meters the training-phase forward passes of every epoch (see
   // train_pass), so the adapt-phase energy story covers inference +
-  // updates. The rules' column updates run with every ledger detached;
-  // their cost is accounted once, via LearningStats.
+  // updates. The rules' column updates are accounted once, via
+  // LearningStats.
   EnergyLedger train_ledger;
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     const learning::LearningStats before = trainer.stats();
-    const EnergyLedger ledger_before = train_ledger;
-    const TrainPassResult pass =
-        train_pass(trainer, inputs, labels, cfg.update_interval,
-                   cfg.train_threads, train_ledger);
+    const TrainPassResult pass = train_pass(
+        trainer, inputs, labels, cfg.update_interval, cfg.train_threads);
+    train_ledger += pass.energy;
     eval = run_batched(eval_inputs, &eval_labels, cfg.eval);
 
     OnlineEpochStats ep;
@@ -538,7 +539,7 @@ OnlineRunResult SystemSimulator::run_online(
     ep.eval_accuracy = eval.accuracy;
     ep.learning = trainer.stats().since(before);
     ep.train_cycles = pass.cycles;
-    ep.train_energy = train_ledger.since(ledger_before).total_energy();
+    ep.train_energy = pass.energy.total_energy();
     ep.train_time = pass.train_time;
     out.train_time += pass.train_time;
     out.epochs.push_back(ep);

@@ -1,6 +1,7 @@
 #include "esam/arch/tile.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "esam/tech/calibration.hpp"
@@ -21,7 +22,36 @@ constexpr double kMacroControlEnergyFj = 150.0;
 /// Inter-tile binary-pulse fabric: energy per transmitted spike.
 constexpr double kFabricEnergyPerSpikeFj = 6.0;
 
+/// a = op(a, b) over every count; a's histograms grow to fit b's.
+template <typename Op>
+void fold_counts(TileStats& a, const TileStats& b, Op op) {
+  for (std::uint64_t TileStats::*m :
+       {&TileStats::busy_cycles, &TileStats::spikes_served,
+        &TileStats::inferences, &TileStats::row_reads,
+        &TileStats::input_spikes, &TileStats::active_row_group_cycles}) {
+    a.*m = op(a.*m, b.*m);
+  }
+  for (std::vector<std::uint64_t> TileStats::*h :
+       {&TileStats::arbiter_cycles, &TileStats::grant_cycles,
+        &TileStats::row_group_grants}) {
+    std::vector<std::uint64_t>& x = a.*h;
+    const std::vector<std::uint64_t>& y = b.*h;
+    if (x.size() < y.size()) x.resize(y.size(), 0);
+    for (std::size_t i = 0; i < y.size(); ++i) x[i] = op(x[i], y[i]);
+  }
+}
+
 }  // namespace
+
+TileStats& TileStats::operator+=(const TileStats& o) {
+  fold_counts(*this, o, std::plus<>{});
+  return *this;
+}
+
+TileStats operator-(TileStats a, const TileStats& b) {
+  fold_counts(a, b, std::minus<>{});
+  return a;
+}
 
 Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
     : tech_(&tech),
@@ -45,10 +75,10 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
   macros_.reserve(row_groups_ * col_groups_);
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
     for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-      macros_.push_back(std::make_unique<sram::SramMacro>(
+      macros_.emplace_back(
           tech, spec,
           sram::ArrayGeometry{array_rows(rg), array_cols(cg), cfg_.col_mux},
-          cfg_.vprech));
+          cfg_.vprech);
     }
     arbiters_.emplace_back(array_rows(rg), ports, cfg_.topology);
   }
@@ -67,8 +97,7 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
     input_slice_scratch_.emplace_back(array_rows(rg));
   }
 
-  // Precompute the per-cycle energy postings (static-configuration values;
-  // identical expressions to the previous per-cycle evaluation).
+  // Unit energies of the counted events (see price).
   row_read_extra_.reserve(col_groups_);
   for (std::size_t cg = 0; cg < col_groups_; ++cg) {
     const double bits = static_cast<double>(array_cols(cg));
@@ -91,49 +120,9 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
   }
   compare_energy_total_ =
       neuron_model_.compare_energy() * static_cast<double>(cfg_.outputs);
-}
-
-Tile::Tile(const Tile& other)
-    : tech_(other.tech_),
-      cfg_(other.cfg_),
-      row_groups_(other.row_groups_),
-      col_groups_(other.col_groups_),
-      arbiters_(other.arbiters_),
-      arbiter_model_(other.arbiter_model_),
-      neurons_(other.neurons_),
-      neuron_model_(other.neuron_model_),
-      readout_offsets_(other.readout_offsets_),
-      ledger_(nullptr),
-      stats_(other.stats_),
-      busy_(other.busy_),
-      output_ready_(other.output_ready_),
-      output_spikes_(other.output_spikes_),
-      last_input_(other.last_input_),
-      fire_vmem_(other.fire_vmem_),
-      row_scratch_(other.row_scratch_),
-      ones_scratch_(other.ones_scratch_),
-      ones_stride_(other.ones_stride_),
-      grant_scratch_(other.grant_scratch_),
-      input_slice_scratch_(other.input_slice_scratch_),
-      row_read_extra_(other.row_read_extra_),
-      macro_control_energy_(other.macro_control_energy_),
-      arb_cycle_energy_(other.arb_cycle_energy_),
-      arb_ports_(other.arb_ports_),
-      accumulate_energy_(other.accumulate_energy_),
-      compare_energy_total_(other.compare_energy_total_) {
-  macros_.reserve(other.macros_.size());
-  for (const auto& m : other.macros_) {
-    macros_.push_back(std::make_unique<sram::SramMacro>(*m));
-    macros_.back()->attach_ledger(nullptr);
-  }
-}
-
-Tile& Tile::operator=(const Tile& other) {
-  if (this != &other) {
-    Tile tmp(other);
-    *this = std::move(tmp);
-  }
-  return *this;
+  stats_.arbiter_cycles.assign(arb_cycle_energy_.size(), 0);
+  stats_.grant_cycles.assign(accumulate_energy_.size(), 0);
+  stats_.row_group_grants.assign(row_groups_, 0);
 }
 
 std::size_t Tile::array_rows(std::size_t row_group) const {
@@ -153,7 +142,7 @@ void Tile::load_layer(const nn::SnnLayer& layer) {
   }
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
     for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-      sram::SramMacro& m = *macros_[rg * col_groups_ + cg];
+      sram::SramMacro& m = macros_[rg * col_groups_ + cg];
       const std::size_t row0 = rg * cfg_.max_array_dim;
       const std::size_t col0 = cg * cfg_.max_array_dim;
       std::vector<BitVec> rows(m.geometry().rows, BitVec(m.geometry().cols));
@@ -172,9 +161,43 @@ void Tile::load_layer(const nn::SnnLayer& layer) {
   }
 }
 
+EnergyLedger Tile::price(const TileStats& counts) const {
+  using util::EnergyCategory;
+  const auto times = [](Energy unit, std::uint64_t n) {
+    return unit * static_cast<double>(n);
+  };
+  EnergyLedger ledger;
+  // Each grant reads one row of every column group: the array access plus
+  // the decoder/driver and port latch. at() rejects another tile's counts.
+  for (std::size_t rg = 0; rg < counts.row_group_grants.size(); ++rg) {
+    for (std::size_t cg = 0; cg < col_groups_; ++cg) {
+      ledger.add(EnergyCategory::kSramRead,
+                 times(macro(rg, cg).inference_read_energy() +
+                           row_read_extra_[cg],
+                       counts.row_group_grants[rg]));
+    }
+  }
+  for (std::size_t i = 0; i < counts.arbiter_cycles.size(); ++i) {
+    ledger.add(EnergyCategory::kArbiter,
+               times(arb_cycle_energy_.at(i), counts.arbiter_cycles[i]));
+  }
+  for (std::size_t g = 0; g < counts.grant_cycles.size(); ++g) {
+    ledger.add(EnergyCategory::kNeuron,
+               times(accumulate_energy_.at(g), counts.grant_cycles[g]));
+  }
+  ledger.add(EnergyCategory::kNeuron,
+             times(compare_energy_total_, counts.inferences));
+  ledger.add(EnergyCategory::kClock,
+             times(macro_control_energy_, counts.active_row_group_cycles));
+  ledger.add(EnergyCategory::kFabric,
+             util::femtojoules(kFabricEnergyPerSpikeFj *
+                               static_cast<double>(counts.input_spikes)));
+  return ledger;
+}
+
 void Tile::attach_ledger(EnergyLedger* ledger) {
-  ledger_ = ledger;
-  for (auto& m : macros_) m->attach_ledger(ledger);
+  ledger_.ledger = ledger;
+  if (ledger != nullptr) latched_ = stats_;
 }
 
 void Tile::start_inference(const BitVec& input_spikes) {
@@ -199,12 +222,9 @@ void Tile::start_inference(const BitVec& input_spikes) {
   }
   busy_ = true;
   output_ready_ = false;
-  // Fabric cost of receiving the spikes as parallel binary pulses.
-  if (ledger_ != nullptr) {
-    ledger_->add(util::EnergyCategory::kFabric,
-                 util::femtojoules(kFabricEnergyPerSpikeFj *
-                                   static_cast<double>(input_spikes.count())));
-  }
+  if (ledger_.ledger != nullptr) latched_ = stats_;
+  // Received as parallel binary pulses over the fabric.
+  stats_.input_spikes += input_spikes.count();
 }
 
 void Tile::step() {
@@ -227,34 +247,26 @@ void Tile::step() {
     if (pending_before == 0) continue;
     arb.arbitrate_into(grant_scratch_);
     const arbiter::GrantSet& grants = grant_scratch_;
-    if (ledger_ != nullptr) {
-      ledger_->add(util::EnergyCategory::kArbiter,
-                   arb_cycle_energy_[pending_before * (arb_ports_ + 1) +
-                                     grants.valid_ports]);
-    }
+    ++stats_.arbiter_cycles[pending_before * (arb_ports_ + 1) +
+                            grants.valid_ports];
     total_grants += grants.valid_ports;
     stats_.spikes_served += grants.valid_ports;
+    stats_.row_group_grants[rg] += grants.valid_ports;
+    if (grants.valid_ports > 0) ++stats_.active_row_group_cycles;
     if (!grants.r_empty_after) all_empty = false;
 
     for (std::size_t port = 0; port < grants.valid_ports; ++port) {
       const std::size_t local_row = grants.rows[port];
       for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-        sram::SramMacro& m = *macros_[rg * col_groups_ + cg];
         BitVec& row_bits = row_scratch_[cg];
-        m.read_row_into(port, local_row, row_bits);
+        macros_[rg * col_groups_ + cg].read_row_into(port, local_row,
+                                                     row_bits);
         ++stats_.row_reads;
-        if (ledger_ != nullptr) {
-          // Decoder/driver + port output register, beyond the array access.
-          ledger_->add(util::EnergyCategory::kSramRead, row_read_extra_[cg]);
-        }
         // Word-parallel counter update: ones[c] += bit c of the row. The
         // stride-padded scratch absorbs the full 64-counter blocks.
         kern.accumulate_ones(row_bits.words().data(), row_bits.word_count(),
                              ones_scratch_.data() + cg * ones_stride_);
       }
-    }
-    if (ledger_ != nullptr && grants.valid_ports > 0) {
-      ledger_->add(util::EnergyCategory::kClock, macro_control_energy_);
     }
   }
 
@@ -268,10 +280,7 @@ void Tile::step() {
         col[c].integrate_sum(2 * ones[c] - grants32);
       }
     }
-    if (ledger_ != nullptr) {
-      ledger_->add(util::EnergyCategory::kNeuron,
-                   accumulate_energy_[total_grants]);
-    }
+    ++stats_.grant_cycles[total_grants];
   }
 
   if (all_empty) fire_phase();
@@ -300,12 +309,10 @@ void Tile::fire_phase() {
     if (cfg_.is_output_layer) continue;  // readout tiles expose Vmem instead
     if (neurons_[j].on_r_empty()) output_spikes_.set(j);
   }
-  if (ledger_ != nullptr) {
-    ledger_->add(util::EnergyCategory::kNeuron, compare_energy_total_);
-  }
   busy_ = false;
   output_ready_ = true;
   ++stats_.inferences;
+  if (ledger_.ledger != nullptr) *ledger_.ledger += price(stats_ - latched_);
 }
 
 BitVec Tile::take_output() {
@@ -382,7 +389,7 @@ Time Tile::clock_period() const {
 
 Area Tile::array_area() const {
   Area total{};
-  for (const auto& m : macros_) total += m->timing().array_area();
+  for (const auto& m : macros_) total += m.timing().array_area();
   return total;
 }
 
@@ -400,7 +407,7 @@ Area Tile::area() const {
 
 Power Tile::leakage() const {
   Power total{};
-  for (const auto& m : macros_) total += m->timing().leakage();
+  for (const auto& m : macros_) total += m.timing().leakage();
   total += arbiter_model_.leakage() * static_cast<double>(row_groups_);
   total +=
       neuron_model_.leakage_per_neuron() * static_cast<double>(cfg_.outputs);
@@ -423,7 +430,7 @@ nn::SnnLayer Tile::export_layer() const {
   layer.weight_rows.assign(cfg_.inputs, BitVec(cfg_.outputs));
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
     for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-      const sram::SramMacro& m = *macros_[rg * col_groups_ + cg];
+      const sram::SramMacro& m = macros_[rg * col_groups_ + cg];
       const std::size_t row0 = rg * cfg_.max_array_dim;
       const std::size_t col0 = cg * cfg_.max_array_dim;
       for (std::size_t c = 0; c < m.geometry().cols; ++c) {
@@ -444,12 +451,12 @@ nn::SnnLayer Tile::export_layer() const {
 }
 
 sram::SramMacro& Tile::macro(std::size_t row_group, std::size_t col_group) {
-  return *macros_.at(row_group * col_groups_ + col_group);
+  return macros_.at(row_group * col_groups_ + col_group);
 }
 
 const sram::SramMacro& Tile::macro(std::size_t row_group,
                                    std::size_t col_group) const {
-  return *macros_.at(row_group * col_groups_ + col_group);
+  return macros_.at(row_group * col_groups_ + col_group);
 }
 
 }  // namespace esam::arch

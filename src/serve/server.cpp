@@ -381,10 +381,8 @@ void InferenceServer::adapt_loop() {
     // One training pass per round: it commits every update_interval samples
     // and flushes the partial tail window, so a commit window never spans a
     // publish and the published weights reflect every sample of the round.
-    // The round's forward-pass energy is not reported anywhere.
-    util::EnergyLedger scratch_ledger;
     learn_sim.train_pass(trainer, round_inputs, round_labels,
-                         cfg_.update_interval, 1, scratch_ledger);
+                         cfg_.update_interval, 1);
     // Lineage: the adapted weights descend from whatever checkpoint serving
     // traffic sees right now, so the published chain stays auditable with
     // `esam checkpoint diff`.

@@ -115,7 +115,6 @@ void SramMacro::account_inference_read(std::size_t port) {
                             " out of range");
   }
   ++stats_.inference_row_reads;
-  post(util::EnergyCategory::kSramRead, inference_read_energy_);
 }
 
 BitVec SramMacro::read_row(std::size_t port, std::size_t row) {
@@ -130,28 +129,16 @@ void SramMacro::read_row_into(std::size_t port, std::size_t row, BitVec& out) {
   observed_row_into(row, out);
 }
 
-OpProfile SramMacro::inference_read_profile() const {
-  return {timing_.inference_read_time(), timing_.inference_row_read_energy()};
-}
-
 BitVec SramMacro::read_column(std::size_t col) {
   check_col(col);
   BitVec out(geometry().rows);
   for (std::size_t r = 0; r < geometry().rows; ++r) {
     out.set(r, observed_row(r).test(col));
   }
-  if (timing_.rw_port_is_columnwise()) {
-    const std::size_t accesses = geometry().col_mux;
-    stats_.rw_read_accesses += accesses;
-    post(util::EnergyCategory::kSramTransRead,
-         timing_.rw_read_access().energy * static_cast<double>(accesses));
-  } else {
-    // 6T baseline: one full-row read per row just to fish out one bit each.
-    stats_.rw_read_accesses += geometry().rows;
-    post(util::EnergyCategory::kSramTransRead,
-         timing_.rw_read_access().energy *
-             static_cast<double>(geometry().rows));
-  }
+  // Transposed cells: col_mux accesses; the 6T baseline reads every row
+  // just to fish out one bit each.
+  stats_.rw_read_accesses +=
+      timing_.rw_port_is_columnwise() ? geometry().col_mux : geometry().rows;
   return out;
 }
 
@@ -163,17 +150,8 @@ void SramMacro::write_column(std::size_t col, const BitVec& value) {
   for (std::size_t r = 0; r < geometry().rows; ++r) {
     bits_[r].set(col, value.test(r));
   }
-  if (timing_.rw_port_is_columnwise()) {
-    const std::size_t accesses = geometry().col_mux;
-    stats_.rw_write_accesses += accesses;
-    post(util::EnergyCategory::kSramWrite,
-         timing_.rw_write_access().energy * static_cast<double>(accesses));
-  } else {
-    stats_.rw_write_accesses += geometry().rows;
-    post(util::EnergyCategory::kSramWrite,
-         timing_.rw_write_access().energy *
-             static_cast<double>(geometry().rows));
-  }
+  stats_.rw_write_accesses +=
+      timing_.rw_port_is_columnwise() ? geometry().col_mux : geometry().rows;
 }
 
 BitVec SramMacro::read_row_rw(std::size_t row) {
@@ -184,7 +162,6 @@ BitVec SramMacro::read_row_rw(std::size_t row) {
   }
   check_row(row);
   ++stats_.rw_read_accesses;
-  post(util::EnergyCategory::kSramTransRead, timing_.rw_read_access().energy);
   return observed_row(row);
 }
 
@@ -200,7 +177,6 @@ void SramMacro::write_row_rw(std::size_t row, const BitVec& value) {
   }
   bits_[row] = value;
   ++stats_.rw_write_accesses;
-  post(util::EnergyCategory::kSramWrite, timing_.rw_write_access().energy);
 }
 
 OpProfile SramMacro::column_update_cost() const {
@@ -217,10 +193,6 @@ OpProfile SramMacro::column_update_cost() const {
   const OpProfile wr = timing_.rw_write_access();
   return {util::nanoseconds(2.0 * rows * clock_ns),
           (rd.energy + wr.energy) * rows};
-}
-
-void SramMacro::post(util::EnergyCategory cat, util::Energy e) {
-  if (ledger_ != nullptr) ledger_->add(cat, e);
 }
 
 void SramMacro::check_row(std::size_t row) const {

@@ -46,6 +46,12 @@
 //                                runs through the one windowed loop,
 //                                SystemSimulator::train_pass, so no second
 //                                stage/commit loop can grow elsewhere.
+//   priced-energy      library   an add( call naming EnergyCategory::
+//                                kSramRead / kArbiter / kNeuron / kFabric
+//                                is allowed only in src/arch/tile.cpp:
+//                                tile energy is Tile::price over integer
+//                                event counts, so no float posting stream
+//                                (and no ordered merge) can grow back.
 //
 // "library" means src/ (minus src/tools/) and include/; "all" adds
 // src/tools/, bench/ and examples/ (both scanned at tool scope -- they may
@@ -340,6 +346,19 @@ void rule_one_train_loop(const SourceFile& f, std::vector<Finding>& out) {
       "SystemSimulator::train_pass");
 }
 
+void rule_priced_energy(const SourceFile& f, std::vector<Finding>& out) {
+  if (f.display_path.find("src/arch/tile.cpp") != std::string::npos) return;
+  check_line_rule(
+      f, out, "priced-energy", /*library_only=*/true,
+      [](const std::string& s) {
+        static const std::regex category(
+            "EnergyCategory::k(?:SramRead|Arbiter|Neuron|Fabric)\\b");
+        return has_call(s, "add") && std::regex_search(s, category);
+      },
+      "tile energy posted outside Tile::price; count the event in "
+      "TileStats and price it in src/arch/tile.cpp");
+}
+
 constexpr RuleFn kRules[] = {
     rule_no_rand,
     rule_no_wall_clock,
@@ -350,6 +369,7 @@ constexpr RuleFn kRules[] = {
     rule_mutex_needs_guard,
     rule_no_raw_thread,
     rule_one_train_loop,
+    rule_priced_energy,
 };
 
 SourceFile load_file(const fs::path& path, Scope scope,

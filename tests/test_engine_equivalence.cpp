@@ -2,9 +2,9 @@
 // differential oracle, the cycle-by-cycle lockstep sweep -- which run()
 // selects whenever an observer is attached. Both model the same hardware
 // schedule; these tests pin their results as bit-for-bit identical:
-// predictions, cycle counts and per-category ledger energies, across
-// network shapes (multi-array tiles included), batch shapes and SIMD
-// backends.
+// predictions, cycle counts, event counts and per-category ledger energies
+// (the counts priced once), across network shapes (multi-array tiles
+// included), batch shapes and SIMD backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,6 +45,7 @@ std::vector<util::BitVec> random_inputs(std::size_t n, std::size_t width,
 
 void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.predictions, b.predictions);
+  EXPECT_EQ(a.tile_counts, b.tile_counts);
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(util::in_seconds(a.elapsed), util::in_seconds(b.elapsed));
   for (int c = 0; c < static_cast<int>(util::EnergyCategory::kCount); ++c) {
@@ -57,9 +58,9 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 }
 
 /// The lockstep oracle of run_batched(inputs, labels, {.batch_size =
-/// batch}): one observed run() per batch-sized chunk, results concatenated
-/// and ledgers summed in batch order -- exactly how the batched engine
-/// merges its batches.
+/// batch}): one observed run() per batch-sized chunk, predictions
+/// concatenated, cycles and the tiles' event counts summed, and the sums
+/// priced once -- exactly how the batched engine prices its batches.
 RunResult lockstep_oracle(SystemSimulator& sim,
                           const std::vector<util::BitVec>& inputs,
                           const std::vector<std::uint8_t>& labels,
@@ -68,6 +69,7 @@ RunResult lockstep_oracle(SystemSimulator& sim,
   const std::size_t chunk = batch == 0 ? n : std::min(batch, n);
   NoopObserver observer;
   RunResult total;
+  total.tile_counts.resize(sim.tile_count());
   std::size_t correct = 0;
   for (std::size_t first = 0; first < n; first += chunk) {
     const auto end = static_cast<std::ptrdiff_t>(std::min(n, first + chunk));
@@ -80,11 +82,14 @@ RunResult lockstep_oracle(SystemSimulator& sim,
     total.predictions.insert(total.predictions.end(),
                              part.predictions.begin(), part.predictions.end());
     total.cycles += part.cycles;
-    total.ledger += part.ledger;
+    for (std::size_t t = 0; t < sim.tile_count(); ++t) {
+      total.tile_counts[t] += part.tile_counts[t];
+    }
     for (std::size_t i = 0; i < xs.size(); ++i) {
       if (part.predictions[i] == ys[i]) ++correct;
     }
   }
+  total.ledger = sim.price(total.tile_counts, total.cycles);
   total.elapsed = total.ledger.elapsed();
   total.accuracy = static_cast<double>(correct) / static_cast<double>(n);
   return total;
@@ -151,6 +156,23 @@ TEST(EngineEquivalence, EnginesAgreePerBatchShape) {
     expect_identical(lockstep_oracle(sim, inputs, labels, batch),
                      fast_run(sim, inputs, labels, batch));
   }
+}
+
+TEST(EngineEquivalence, EventCountsMatchLockstep) {
+  // The integer record both engines are priced from, multi-array tiles
+  // included, and the canonical tiles' stats it is the delta of.
+  const nn::SnnNetwork snn = random_snn({150, 150, 12}, 325);
+  SystemSimulator sim(tech::imec3nm(), snn, {});
+  const auto inputs = random_inputs(30, 150, 326);
+  NoopObserver observer;
+  const TileStats before = sim.tile(1).stats();
+  const RunResult lockstep = sim.run(inputs, nullptr, &observer);
+  EXPECT_EQ(lockstep.tile_counts[1], sim.tile(1).stats() - before);
+  const RunResult fast =
+      sim.run_batched(inputs, nullptr, {.num_threads = 3, .batch_size = 7});
+  EXPECT_EQ(lockstep.tile_counts, fast.tile_counts);
+  EXPECT_EQ(lockstep.tile_counts[0].inferences, inputs.size());
+  EXPECT_GT(lockstep.tile_counts[0].row_group_grants[1], 0u);
 }
 
 TEST(EngineEquivalence, ResultsIdenticalAcrossSimdBackends) {

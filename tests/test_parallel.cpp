@@ -1,13 +1,14 @@
 // Tests for the batched multi-threaded simulation engine: sharded runs must
 // be bit-for-bit identical to single-threaded runs (predictions, cycle
-// counts, merged ledger energies), tiles must deep-clone, and the engine
-// must reject malformed input like run() does. Also covers the worker pool
-// every sharded loop shares, util::parallel_for.
+// counts, event counts, priced ledger energies), tiles must deep-clone, and
+// the engine must reject malformed input like run() does. Also covers the
+// worker pool every sharded loop shares, util::parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -49,10 +50,22 @@ std::vector<util::BitVec> random_inputs(std::size_t n, std::size_t width,
 }
 
 /// Exact (bit-level) equality of two run results, including the per-category
-/// ledger energies. Doubles are compared with == on purpose: the merge order
-/// is fixed, so even floating-point sums must agree exactly.
+/// ledger energies. Doubles are compared with == on purpose: the energies
+/// price integer counts and cycles once, so they must agree exactly.
+void expect_same_ledger(const util::EnergyLedger& a,
+                        const util::EnergyLedger& b) {
+  for (int c = 0; c < static_cast<int>(util::EnergyCategory::kCount); ++c) {
+    const auto cat = static_cast<util::EnergyCategory>(c);
+    EXPECT_EQ(a.energy(cat).base(), b.energy(cat).base())
+        << "category " << util::to_string(cat);
+  }
+  EXPECT_EQ(a.total_energy().base(), b.total_energy().base());
+  EXPECT_EQ(util::in_seconds(a.elapsed()), util::in_seconds(b.elapsed()));
+}
+
 void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.predictions, b.predictions);
+  EXPECT_EQ(a.tile_counts, b.tile_counts);
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(util::in_seconds(a.elapsed), util::in_seconds(b.elapsed));
   for (int c = 0; c < static_cast<int>(util::EnergyCategory::kCount); ++c) {
@@ -225,7 +238,7 @@ TEST(Parallel, TileDeepCopyIsIndependent) {
   EXPECT_EQ(copy.macro(0, 0).peek(3, 5), before);
   EXPECT_EQ(sim.tile(0).macro(0, 0).peek(3, 5), !before);
 
-  // And the copy's macros must not post into any ledger of the original.
+  // And the copy must not post into the original's ledger.
   util::EnergyLedger ledger;
   sim.tile(0).attach_ledger(&ledger);
   Tile detached = sim.tile(0);
@@ -233,6 +246,57 @@ TEST(Parallel, TileDeepCopyIsIndependent) {
   detached.start_inference(spikes);
   while (detached.busy()) detached.step();
   EXPECT_EQ(ledger.total_energy().base(), 0.0);
+}
+
+TEST(Parallel, CountsAndPricedEnergyIndependentOfWorkersAndBatches) {
+  // 23 samples: not a multiple of 5, and 8 workers outnumber every batch
+  // count. Event counts do not depend on the batch split at all; the ledger
+  // is those counts priced once plus clock and leakage over the cycles, so
+  // it depends on the batch split only through the cycles.
+  const nn::SnnNetwork snn = random_snn({150, 40, 7}, 295);
+  SystemSimulator sim(tech::imec3nm(), snn, {});
+  const auto inputs = random_inputs(23, 150, 296);
+
+  const TileStats tile0_before = sim.tile(0).stats();
+  const RunResult reference = sim.run_batched(inputs);
+  // One worker runs everything on the canonical tiles.
+  EXPECT_EQ(reference.tile_counts[0], sim.tile(0).stats() - tile0_before);
+  EXPECT_EQ(reference.tile_counts[0].inferences, inputs.size());
+  for (const std::size_t batch : {1u, 5u, 0u}) {
+    std::optional<RunResult> first;
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "batch=" << batch << " threads=" << threads);
+      const RunResult r = sim.run_batched(
+          inputs, nullptr, {.num_threads = threads, .batch_size = batch});
+      EXPECT_EQ(r.tile_counts, reference.tile_counts);
+      expect_same_ledger(r.ledger, sim.price(r.tile_counts, r.cycles));
+      if (!first) first = r;
+      expect_identical(*first, r);
+    }
+  }
+}
+
+TEST(Parallel, HalvesSumToTheWholeStream) {
+  // Two runs over the halves gather exactly the counts of one run over the
+  // whole stream, and those summed counts price to the whole run's ledger.
+  const nn::SnnNetwork snn = random_snn({96, 64, 32, 7}, 297);
+  SystemSimulator sim(tech::imec3nm(), snn, {});
+  const auto inputs = random_inputs(31, 96, 298);
+  const std::vector<util::BitVec> head(inputs.begin(), inputs.begin() + 15);
+  const std::vector<util::BitVec> tail(inputs.begin() + 15, inputs.end());
+
+  const RunResult whole = sim.run_batched(inputs);
+  std::vector<TileStats> halves(sim.tile_count());
+  for (const auto* part : {&head, &tail}) {
+    const RunResult r =
+        sim.run_batched(*part, nullptr, {.num_threads = 2, .batch_size = 4});
+    for (std::size_t t = 0; t < halves.size(); ++t) {
+      halves[t] += r.tile_counts[t];
+    }
+  }
+  EXPECT_EQ(halves, whole.tile_counts);
+  expect_same_ledger(sim.price(halves, whole.cycles), whole.ledger);
 }
 
 TEST(ParallelFor, RunsEveryIndexExactlyOnce) {

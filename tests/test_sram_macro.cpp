@@ -143,16 +143,22 @@ TEST(SramMacro, StatsCountAccesses) {
   EXPECT_EQ(m0.stats().rw_read_accesses, 128u);
 }
 
-TEST(SramMacro, EnergyPostedToLedger) {
+TEST(SramMacro, AccessesCountedForPricing) {
+  // The macro posts no energy: it counts its accesses, and the callers price
+  // them (the tile its inference reads, at inference_read_energy() each).
   SramMacro m = make_macro(CellKind::k1RW4R);
-  util::EnergyLedger ledger;
-  m.attach_ledger(&ledger);
   (void)m.read_row(0, 0);
-  EXPECT_GT(ledger.energy(util::EnergyCategory::kSramRead).base(), 0.0);
+  util::BitVec row(128);
+  m.read_row_into(3, 1, row);
+  EXPECT_EQ(m.stats().inference_row_reads, 2u);
+  EXPECT_GT(m.inference_read_energy().base(), 0.0);
+  EXPECT_EQ(m.inference_read_energy().base(),
+            m.timing().inference_row_read_energy().base());
   (void)m.read_column(0);
-  EXPECT_GT(ledger.energy(util::EnergyCategory::kSramTransRead).base(), 0.0);
+  EXPECT_EQ(m.stats().rw_read_accesses, 4u);  // col_mux accesses
   m.write_column(0, util::BitVec(128));
-  EXPECT_GT(ledger.energy(util::EnergyCategory::kSramWrite).base(), 0.0);
+  EXPECT_EQ(m.stats().rw_write_accesses, 4u);
+  EXPECT_EQ(m.stats().inference_row_reads, 2u);
 }
 
 TEST(SramMacro, ColumnUpdateCostMatchesPaperStructure) {

@@ -206,6 +206,112 @@ TEST(Tile, EnergyPostedDuringExecution) {
   EXPECT_GT(ledger.energy(util::EnergyCategory::kFabric).base(), 0.0);
 }
 
+TEST(Tile, AttachedLedgerPostsPricedStatsDelta) {
+  // One inference on a 2x2-array tile: the attached ledger receives exactly
+  // price() of the stats the inference added, in every category.
+  Tile t(tech::imec3nm(), config_for(150, 150));
+  t.load_layer(random_layer(150, 150, 8, 1001));
+  util::BitVec warm(150);
+  warm.set(7);
+  (void)t.run_inference(warm);  // stats before the attach must not count
+  (void)t.take_output();
+  util::EnergyLedger ledger;
+  t.attach_ledger(&ledger);
+  const TileStats before = t.stats();
+  util::BitVec in(150);
+  for (std::size_t i = 0; i < 150; i += 4) in.set(i);
+  (void)t.run_inference(in);
+  const TileStats delta = t.stats() - before;
+  const util::EnergyLedger priced = t.price(delta);
+  for (int c = 0; c < static_cast<int>(util::EnergyCategory::kCount); ++c) {
+    const auto cat = static_cast<util::EnergyCategory>(c);
+    EXPECT_EQ(ledger.energy(cat).base(), priced.energy(cat).base())
+        << util::to_string(cat);
+  }
+  EXPECT_GT(priced.energy(util::EnergyCategory::kClock).base(), 0.0);
+
+  // The counts behind the price agree with each other.
+  EXPECT_EQ(delta.inferences, 1u);
+  EXPECT_EQ(delta.input_spikes, in.count());
+  EXPECT_EQ(delta.spikes_served, in.count());
+  EXPECT_EQ(delta.row_reads, delta.spikes_served * t.col_groups());
+  std::uint64_t grants = 0, weighted = 0, cycles = 0, arb_grants = 0,
+                arb_active = 0;
+  for (const std::uint64_t g : delta.row_group_grants) grants += g;
+  for (std::size_t g = 0; g < delta.grant_cycles.size(); ++g) {
+    weighted += g * delta.grant_cycles[g];
+    cycles += delta.grant_cycles[g];
+  }
+  const std::size_t stride = 5;  // 1RW+4R: grants 0..4 per row group
+  for (std::size_t i = 0; i < delta.arbiter_cycles.size(); ++i) {
+    arb_grants += (i % stride) * delta.arbiter_cycles[i];
+    if (i % stride != 0) arb_active += delta.arbiter_cycles[i];
+  }
+  EXPECT_EQ(grants, delta.spikes_served);
+  EXPECT_EQ(weighted, delta.spikes_served);
+  EXPECT_EQ(arb_grants, delta.spikes_served);
+  EXPECT_EQ(arb_active, delta.active_row_group_cycles);
+  EXPECT_LE(cycles, delta.busy_cycles);
+
+  // Detached, the next inference posts nothing.
+  (void)t.take_output();
+  t.attach_ledger(nullptr);
+  const util::EnergyLedger after = ledger;
+  (void)t.run_inference(in);
+  EXPECT_EQ(ledger.total_energy().base(), after.total_energy().base());
+}
+
+TEST(Tile, PriceChargesEachEventItsUnitEnergy) {
+  // One event at a time on a 2x2-array 1RW+4R tile (column groups of 128
+  // and 22), each priced against the circuit model it stands for.
+  const TileConfig cfg = config_for(150, 150);
+  const Tile t(tech::imec3nm(), cfg);
+  const TileStats zero = t.stats();  // zero counts, histograms sized
+  using util::EnergyCategory;
+  auto only = [&](auto&& set, EnergyCategory cat) {
+    TileStats s = zero;
+    set(s);
+    const util::EnergyLedger l = t.price(s);
+    for (int c = 0; c < static_cast<int>(EnergyCategory::kCount); ++c) {
+      const auto other = static_cast<EnergyCategory>(c);
+      if (other == cat) continue;
+      EXPECT_EQ(l.energy(other).base(), 0.0) << util::to_string(other);
+    }
+    return l.energy(cat).base();
+  };
+  const neuron::NeuronArrayModel neurons(tech::imec3nm(), cfg.neuron, 4);
+  const arbiter::ArbiterTimingModel arb(tech::imec3nm(), 128, 4);
+
+  EXPECT_EQ(only([](TileStats& s) { s.inferences = 1; },
+                 EnergyCategory::kNeuron),
+            (neurons.compare_energy() * 150.0).base());
+  EXPECT_EQ(only([](TileStats& s) { s.grant_cycles[6] = 1; },
+                 EnergyCategory::kNeuron),
+            (neurons.accumulate_energy(6) * 150.0).base());
+  EXPECT_EQ(only([](TileStats& s) { s.arbiter_cycles[9 * 5 + 4] = 1; },
+                 EnergyCategory::kArbiter),
+            arb.cycle_energy(9, 4).base());
+  // A grant reads one row of both column-group arrays, each with its
+  // row decoder/driver (35 fJ) and port latch (0.75 fJ per bit).
+  util::Energy read{};
+  for (std::size_t cg = 0; cg < 2; ++cg) {
+    const double bits = cg == 0 ? 128.0 : 22.0;
+    read += t.macro(1, cg).inference_read_energy() +
+            util::femtojoules(35.0 + 0.75 * bits);
+  }
+  EXPECT_EQ(only([](TileStats& s) { s.row_group_grants[1] = 1; },
+                 EnergyCategory::kSramRead),
+            read.base());
+  // Macro control: 150 fJ per array with a grant in the cycle.
+  EXPECT_EQ(only([](TileStats& s) { s.active_row_group_cycles = 1; },
+                 EnergyCategory::kClock),
+            util::femtojoules(300.0).base());
+  // Fabric: 6 fJ per received spike.
+  EXPECT_EQ(only([](TileStats& s) { s.input_spikes = 10; },
+                 EnergyCategory::kFabric),
+            util::femtojoules(60.0).base());
+}
+
 TEST(Tile, AreaAndLeakageScaleWithCell) {
   const Tile base(tech::imec3nm(), config_for(128, 128, sram::CellKind::k1RW));
   const Tile four(tech::imec3nm(),

@@ -27,7 +27,7 @@ inline std::size_t serial_train(arch::SystemSimulator& sim,
   std::size_t hits = 0;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const std::size_t winner = arch::walk_cascade(
-        tiles, inputs[i], handoff, {}, {},
+        tiles, inputs[i], handoff, {},
         [&](std::size_t t, const arch::Tile& tile) {
           if (t == last || !trainer.tile_plastic(t)) return;
           trainer.rule(t)->resolve_forward(tile, winners);
