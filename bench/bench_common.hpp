@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -19,14 +18,6 @@
 #include "esam/util/table.hpp"
 
 namespace esam::bench {
-
-/// True when `--smoke` appears anywhere on the command line.
-inline bool smoke_mode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return true;
-  }
-  return false;
-}
 
 /// Strictly parsed bench command line: the two flags every bench accepts
 /// (--smoke and --json PATH) plus bare positionals. Anything else -- an
@@ -48,7 +39,9 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const char* usage) {
       continue;
     }
     if (arg == "--json") {
-      if (i + 1 >= argc) {
+      // A following flag is not a path: `--json --smoke` must not write the
+      // JSON to a file named "--smoke".
+      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
         std::fprintf(stderr, "--json expects a file path\nusage: %s\n", usage);
         std::exit(2);
       }

@@ -5,8 +5,9 @@
 // The BNN is trained once (cached in ./esam_bnn_cache.bin) and shared by all
 // five hardware configurations -- exactly the paper's methodology.
 // Usage: bench_fig8_system [inferences] [threads] [--json PATH]
-//   threads > 1 (or 0 = all cores) runs the batched multi-threaded engine
-//   and appends a simulator-throughput speedup measurement vs 1 thread.
+//   threads > 1 (or 0 = all cores) shards the simulation over host threads
+//   (the modelled numbers do not change) and appends a simulator-throughput
+//   speedup measurement vs 1 thread.
 //   --json writes the modelled per-cell metrics (machine-independent) plus
 //   host-throughput info for the benchmark-regression gate
 //   (scripts/check_bench.py).
@@ -52,12 +53,7 @@ int main(int argc, char** argv) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // An explicit batch size keeps the modelled numbers identical between the
-  // 1-thread and N-thread runs compared below (batch 0 would mean "one
-  // continuous stream", a different cycle accounting).
-  const arch::RunConfig run_cfg{
-      .num_threads = threads,
-      .batch_size = threads != 1 ? arch::RunConfig::kDefaultBatchSize : 0};
+  const arch::RunConfig run_cfg{.num_threads = threads};
 
   core::ModelConfig mc = smoke ? bench::smoke_model_config()
                                : core::ModelConfig{};
@@ -115,22 +111,13 @@ int main(int argc, char** argv) {
       calib::kSystemPowerMw));
   table.note("1RW -> 1RW+1R throughput dips slightly (same parallelism, "
              "slower reads); 2+ ports overtake it");
-  if (threads != 1) {
-    table.note(util::fmt(
-        "batched engine active (%zu threads, batch %zu): each batch pays its "
-        "own pipeline fill/drain, so cycles/throughput/energy differ "
-        "slightly from the default single-stream run",
-        threads, static_cast<std::size_t>(arch::RunConfig::kDefaultBatchSize)));
-  }
   table.print();
 
   if (threads != 1) {
-    // Simulator-software speedup: same batched workload, 1 thread vs N.
+    // Simulator-software speedup: same workload, 1 thread vs N.
     arch::SystemConfig hw;
     core::EsamSystem system(model, hw);
-    const arch::RunConfig one{.num_threads = 1,
-                              .batch_size = run_cfg.batch_size};
-    const double t1 = wall_seconds_of_run(system, inferences, one);
+    const double t1 = wall_seconds_of_run(system, inferences, {});
     const double tn = wall_seconds_of_run(system, inferences, run_cfg);
     std::printf(
         "\nsimulator speedup (1RW+4R, %zu inferences): %.2fs @ 1 thread -> "

@@ -81,11 +81,10 @@ volatile std::size_t g_sink;  // defeats dead-code elimination
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::smoke_mode(argc, argv);
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
-  }
+  const bench::BenchArgs args = bench::parse_bench_args(
+      argc, argv, "bench_kernel_microbench [--smoke] [--json PATH]");
+  const bool smoke = args.smoke;
+  const std::string& json_path = args.json_path;
   const double window = smoke ? 0.002 : 0.05;
 
   namespace simd = util::simd;

@@ -24,14 +24,11 @@
 using namespace esam;
 
 int main(int argc, char** argv) {
+  const bench::BenchArgs args = bench::parse_bench_args(
+      argc, argv, "bench_online_learning [--smoke] [--json PATH]");
+  const bool smoke = args.smoke;
+  const std::string& json_path = args.json_path;
   bench::print_setup_header("Section 4.4.1: online-learning column updates");
-  const bool smoke = bench::smoke_mode(argc, argv);
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
 
   const auto& t = tech::imec3nm();
   namespace calib = tech::calib;
@@ -158,7 +155,7 @@ int main(int argc, char** argv) {
                         .seed = 42};
     cfg.trainer.hidden_rule = learning::HiddenRule::kWtaStdp;
     cfg.trainer.wta_k = 2;
-    cfg.eval = {.num_threads = 0, .batch_size = 16};
+    cfg.threads = 0;
     const arch::OnlineRunResult r = sim.run_online(inputs, labels, cfg);
 
     std::uint64_t hidden_updates = 0;
@@ -241,7 +238,7 @@ int main(int argc, char** argv) {
                           .seed = 42};
       cfg.trainer.hidden_rule = learning::HiddenRule::kWtaStdp;
       cfg.trainer.wta_k = 2;
-      cfg.eval = {.num_threads = 0, .batch_size = 16};
+      cfg.threads = 0;
       cfg.update_interval = k;
       const auto start = std::chrono::steady_clock::now();
       KPoint p;
@@ -341,7 +338,7 @@ int main(int argc, char** argv) {
     deploy_cfg.trainer.stdp = {.p_potentiation = 0.35, .p_depression = 0.12,
                                .seed = 99};
     deploy_cfg.trainer.update_on_correct = true;
-    deploy_cfg.eval = {.num_threads = 0, .batch_size = 32};
+    deploy_cfg.threads = 0;
     deploy_sim.run_online(inputs, labels, deploy_cfg);
     const nn::SnnNetwork deployed = deploy_sim.export_network();
 
@@ -385,7 +382,7 @@ int main(int argc, char** argv) {
           .p_potentiation = 0.1 * g.rate_scale,
           .p_depression = 0.025 * g.rate_scale,
           .seed = 99};
-      cfg.eval = {.num_threads = 0, .batch_size = 32};
+      cfg.threads = 0;
       const arch::OnlineRunResult r = sim.run_online(drifted, labels, cfg);
 
       std::uint64_t hidden_updates = 0;

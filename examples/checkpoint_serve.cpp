@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   train_cfg.trainer.stdp = {.p_potentiation = 0.35, .p_depression = 0.12,
                             .seed = 99};
   train_cfg.trainer.update_on_correct = true;
-  train_cfg.eval = {.num_threads = 0, .batch_size = 32};
+  train_cfg.threads = 0;
   const arch::OnlineRunResult learned = sim.run_online(inputs, labels,
                                                        train_cfg);
   std::printf("learned the task online: %.1f%% -> %.1f%%\n",

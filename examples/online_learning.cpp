@@ -122,10 +122,10 @@ int main(int argc, char** argv) {
   // From-scratch operating point: strong rates, and keep reinforcing
   // correct predictions (empty columns need the margin; a *fine-tuning*
   // scenario would use gentle error-driven updates instead, see
-  // core::OnlineOptions).
+  // learning::fine_tune_stdp).
   cfg.trainer.stdp = {.p_potentiation = 0.35, .p_depression = 0.12, .seed = 99};
   cfg.trainer.update_on_correct = true;
-  cfg.eval = {.num_threads = 0, .batch_size = 32};
+  cfg.threads = 0;
 
   std::printf("ESAM system-level online learning: %zu -> %zu -> %zu, "
               "%zu samples x %zu epochs\n\n",

@@ -44,28 +44,17 @@ struct AreaBreakdown {
 
 /// Execution configuration of the batched engine. This is a *simulation
 /// software* concern (how fast the simulator itself runs), not a hardware
-/// model parameter: the modelled cycle counts and energies depend only on
-/// `batch_size`, never on `num_threads`.
+/// model parameter: every modelled number is the same for any `num_threads`.
 ///
-/// There is one execution engine: each batch runs software-pipelined -- every
-/// tile bursts through each sample (walk_cascade) and the cascaded-tile
-/// schedule (fills, stalls, in-order retirement) is rebuilt from the burst
-/// durations. The cycle-by-cycle lockstep sweep runs only under a
+/// There is one execution engine: every sample bursts down the cascade
+/// (walk_cascade) on some worker's pipeline, then one cascaded-tile schedule
+/// (fills, stalls, in-order retirement) is rebuilt from the burst durations
+/// of the whole stream. The cycle-by-cycle lockstep sweep runs only under a
 /// PipelineObserver (run() with an observer), where it doubles as the
 /// differential test oracle (tests/test_engine_equivalence.cpp).
 struct RunConfig {
-  /// Worker threads sharding the batches; 0 = hardware concurrency.
+  /// Worker threads sharding the samples; 0 = hardware concurrency.
   std::size_t num_threads = 1;
-  /// Inferences streamed back-to-back through one pipeline before it drains.
-  /// 0 = the whole run is one batch (identical to the single-stream run()),
-  /// which leaves nothing to shard -- parallel speedups require an explicit
-  /// batch size. Each batch pays its own pipeline fill/drain, so modelled
-  /// cycles and energies depend on this value and on nothing else here.
-  std::size_t batch_size = 0;
-
-  /// Suggested batch size for frontends that want parallelism without
-  /// exposing the knob (the CLI's --threads defaults --batch to this).
-  static constexpr std::size_t kDefaultBatchSize = 32;
 };
 
 /// Outcome of one streamed run.
@@ -82,8 +71,7 @@ struct RunResult {
   Energy energy_per_inference{};
   Power average_power{};
   double avg_cycles_per_inference = 0.0;
-  /// Batched-engine execution stats (1 / 1 for the single-stream run()).
-  std::size_t batches = 1;
+  /// Workers the run used (1 for the lockstep run()).
   std::size_t threads = 1;
 };
 
@@ -104,15 +92,10 @@ struct OnlineTrainConfig {
   /// Pipeline-wide learning configuration: base STDP seed (per-tile rule
   /// seeds are derived), teacher behaviour, hidden-rule selection.
   learning::TrainerConfig trainer{};
-  /// Execution config of the interleaved eval phases. Like everywhere else,
-  /// num_threads is a simulation-software knob only: eval results are
-  /// bit-identical for every thread count.
-  RunConfig eval{};
-  /// Worker threads sharding each training window's forward passes over
-  /// per-worker tile clones (resynced column-wise after every commit);
-  /// 0 = hardware concurrency. Pure simulation-software knob -- modelled
-  /// results depend only on update_interval.
-  std::size_t train_threads = 1;
+  /// Worker threads sharding the eval phases' samples and each training
+  /// window's forward passes (0 = hardware concurrency). Pure
+  /// simulation-software knob: every result is bit-identical for any count.
+  std::size_t threads = 1;
 };
 
 /// Per-epoch outcome of an online-training run.
@@ -220,15 +203,16 @@ class SystemSimulator {
                 const std::vector<std::uint8_t>* labels = nullptr,
                 PipelineObserver* observer = nullptr);
 
-  /// Batched engine: shards `inputs` into RunConfig::batch_size chunks and
-  /// streams each chunk through a pipeline, fanned out over
-  /// RunConfig::num_threads workers that each own a deep-cloned tile
-  /// pipeline. Each batch writes its own slice of the predictions; the
-  /// batch cycles and every pipeline's event counts are integers, summed
-  /// and priced once (see price), so predictions, cycle counts and ledger
-  /// energies are bit-for-bit identical for every thread count (tested in
-  /// tests/test_parallel.cpp). No observer support: per-cycle tracing of a
-  /// sharded run has no single well-defined cycle order.
+  /// Batched engine: streams the whole of `inputs` as one pipeline run. The
+  /// samples' cascade walks are sharded over RunConfig::num_threads
+  /// workers (worker 0 on the canonical tiles, the others on deep clones),
+  /// each writing its prediction and per-tile busy cycles into its own
+  /// slot; one schedule then retires every sample in input order. Cycles
+  /// and event counts are integers, summed and priced once (see price), so
+  /// predictions, cycle counts and ledger energies equal the observed
+  /// lockstep run() bit for bit, for every thread count (tested in
+  /// tests/test_parallel.cpp). No observer support: the sharded walks have
+  /// no per-cycle order.
   RunResult run_batched(const std::vector<BitVec>& inputs,
                         const std::vector<std::uint8_t>* labels = nullptr,
                         const RunConfig& run_cfg = {});

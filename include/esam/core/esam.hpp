@@ -77,7 +77,6 @@ struct SystemReport {
   double sim_wall_s = 0.0;
   double sim_inf_per_s = 0.0;
   std::size_t sim_threads = 1;
-  std::size_t sim_batches = 1;
 
   void print() const;
 };
@@ -89,15 +88,11 @@ struct OnlineOptions {
   std::size_t epochs = 2;            ///< train/eval rounds after the drift
   double drift_fraction = 0.25;      ///< fraction of input positions permuted
   std::uint64_t drift_seed = 2026;
-  /// Teacher rates: the fine-tuning operating point. A gradient-trained
-  /// output layer is close to optimal, so each miss may only nudge its
-  /// columns -- aggressive rates (>~0.2, right for learning from scratch)
-  /// demonstrably erase the deployed structure faster than they adapt it.
+  /// Teacher rates: the fine-tuning operating point, learning::fine_tune_stdp.
   /// `trainer.hidden_rule` / `trainer.wta_k` select the hidden-tile rule
   /// (hidden plasticity is off by default; the hidden rules reuse these
   /// gentle rates unless `trainer.hidden_stdp` overrides them).
-  learning::TrainerConfig trainer{
-      .stdp = {.p_potentiation = 0.05, .p_depression = 0.015, .seed = 99}};
+  learning::TrainerConfig trainer{.stdp = learning::fine_tune_stdp(99)};
   /// Fraction of the sample window held out for evaluation (trained on the
   /// rest), so the reported curve measures generalization. 0 = train and
   /// evaluate on the same stream (the rolling field scenario).
@@ -106,8 +101,7 @@ struct OnlineOptions {
   /// samples (1 = immediate updates; see
   /// arch::OnlineTrainConfig::update_interval).
   std::size_t update_interval = 1;
-  /// Execution config of the eval phases (also reused for the training
-  /// windows' worker count).
+  /// Host worker threads of the eval phases and the training windows.
   arch::RunConfig run{};
 };
 
@@ -220,12 +214,11 @@ class EsamSystem {
   void attach_test_data(const data::PreparedDataset& test);
   [[nodiscard]] bool has_test_data() const { return test_ != nullptr; }
 
-  /// Streams up to `max_inferences` test images (0 = all) and reports the
-  /// system metrics. batch_size 0 streams everything through one pipeline
-  /// (a single stream, regardless of num_threads); a non-zero batch_size
-  /// shards the stream over num_threads workers. Modelled
-  /// metrics depend only on batch_size, never on num_threads (see
-  /// arch::SystemSimulator::run_batched).
+  /// Streams up to `max_inferences` test images (0 = all) through the
+  /// pipeline as one stream and reports the system metrics. run_cfg only
+  /// shards the simulation over host threads: every modelled field is
+  /// bit-identical for any num_threads (see
+  /// arch::SystemSimulator::run_batched); only the sim_* fields differ.
   SystemReport evaluate(std::size_t max_inferences = 0,
                         const arch::RunConfig& run_cfg = {});
 

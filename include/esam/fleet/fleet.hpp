@@ -46,8 +46,7 @@ struct FleetConfig {
   arch::SystemConfig hw{};
   /// In-field teacher. stdp.seed is overridden per device with the die's
   /// decorrelated learning stream; gentle fine-tune rates by default.
-  learning::TrainerConfig trainer{
-      .stdp = {.p_potentiation = 0.05, .p_depression = 0.015, .seed = 0}};
+  learning::TrainerConfig trainer{.stdp = learning::fine_tune_stdp(0)};
 };
 
 /// Per-die scenario outcome.

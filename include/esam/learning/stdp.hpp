@@ -31,6 +31,15 @@ struct StdpConfig {
   std::uint64_t seed = 1234;
 };
 
+/// The fine-tuning operating point: gentle rates for adapting an already
+/// gradient-trained network in the field. Such an output layer is close to
+/// optimal, so each miss may only nudge its columns -- aggressive rates
+/// (>~0.2, right for learning from scratch) demonstrably erase the deployed
+/// structure faster than they adapt it. Each caller picks its own seed.
+[[nodiscard]] constexpr StdpConfig fine_tune_stdp(std::uint64_t seed) {
+  return {.p_potentiation = 0.05, .p_depression = 0.015, .seed = seed};
+}
+
 /// Applies the stochastic rule to one weight column.
 class StochasticStdp {
  public:

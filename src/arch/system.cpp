@@ -92,9 +92,9 @@ std::vector<TileStats> counts_since(
   return counts;
 }
 
-/// One batch streamed through `tiles` cycle by cycle in lockstep: the
-/// observer path of run() and the differential oracle of the fast engine.
-/// Writes predictions[i] for inputs[i]; returns the batch cycles.
+/// The stream run through `tiles` cycle by cycle in lockstep: the observer
+/// path of run() and the differential oracle of the fast engine. Writes
+/// predictions[i] for inputs[i]; returns the stream cycles.
 std::uint64_t stream_lockstep(std::vector<Tile>& tiles,
                               std::span<const BitVec> inputs,
                               PipelineObserver& observer,
@@ -103,7 +103,7 @@ std::uint64_t stream_lockstep(std::vector<Tile>& tiles,
   const std::size_t last = tiles.size() - 1;
   std::size_t next_input = 0;
   std::size_t completed = 0;
-  std::uint64_t batch_cycles = 0;
+  std::uint64_t cycles = 0;
 
   std::vector<TileActivity> activity(tiles.size());
   std::vector<std::uint64_t> served_before(tiles.size(), 0);
@@ -115,7 +115,7 @@ std::uint64_t stream_lockstep(std::vector<Tile>& tiles,
       (static_cast<std::uint64_t>(n) + tiles.size()) * kMaxBurstCycles;
 
   while (completed < n) {
-    if (++batch_cycles > cycle_limit) {
+    if (++cycles > cycle_limit) {
       throw std::logic_error("SystemSimulator: pipeline deadlock");
     }
 
@@ -135,7 +135,7 @@ std::uint64_t stream_lockstep(std::vector<Tile>& tiles,
           static_cast<std::uint32_t>(tiles[i].pending_requests());
       activity[i].fired = !ready_before[i] && tiles[i].output_ready();
     }
-    observer.cycle(batch_cycles - 1, activity);
+    observer.cycle(cycles - 1, activity);
 
     // Handoffs, downstream first so a freed tile can accept in the same
     // cycle it drained.
@@ -155,28 +155,7 @@ std::uint64_t stream_lockstep(std::vector<Tile>& tiles,
       tiles[0].start_inference(inputs[next_input++]);
     }
   }
-  return batch_cycles;
-}
-
-/// The fast engine: walks each sample down the cascade (walk_cascade) and
-/// rebuilds the lockstep cycle schedule from the per-(tile, sample) busy
-/// cycles. A tile's events per sample do not depend on the schedule, so its
-/// counts match lockstep's exactly. Same contract as stream_lockstep.
-std::uint64_t stream_pipelined(std::vector<Tile>& tiles,
-                               std::span<const BitVec> inputs,
-                               std::span<std::size_t> predictions) {
-  std::vector<std::uint64_t> busy(tiles.size());
-  CascadeSchedule schedule(tiles.size());
-  BitVec handoff;
-  std::uint64_t retired = 0;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    predictions[i] = walk_cascade(tiles, inputs[i], handoff, busy,
-                                  [](std::size_t, const Tile&) {});
-    retired = schedule.retire(busy);
-  }
-  // Lockstep latches the first sample at the end of its first cycle, one
-  // cycle after the schedule's origin.
-  return retired + 1;
+  return cycles;
 }
 
 }  // namespace
@@ -317,38 +296,37 @@ RunResult SystemSimulator::run_batched(const std::vector<BitVec>& inputs,
   check_inputs(inputs, labels);
 
   const std::size_t n = inputs.size();
-  // batch_size 0 = the whole stream as one batch; clamping to n also keeps
-  // the ceiling division below from overflowing for huge requested sizes.
-  const std::size_t batch_size =
-      run_cfg.batch_size != 0 ? std::min(run_cfg.batch_size, n) : n;
-  const std::size_t num_batches = (n + batch_size - 1) / batch_size;
-  const std::size_t workers =
-      util::resolve_workers(run_cfg.num_threads, num_batches);
+  const std::size_t stages = tiles_.size();
+  const std::size_t workers = util::resolve_workers(run_cfg.num_threads, n);
 
-  // Every batch is an independent, deterministic unit of work: stream its
-  // slice through a pipeline into its slice of the predictions. Worker 0
-  // streams through the canonical tiles; every other worker gets one
-  // deep-cloned pipeline, reused across its batches. Cycles and event
-  // counts are integers, summed the same whichever worker ran which batch.
+  // Phase 1: each sample walks down the cascade on its own (a tile's events
+  // and busy cycles per sample do not depend on the schedule), fanned out
+  // over the workers. Worker 0 walks the canonical tiles; every other worker
+  // gets one deep-cloned pipeline. Each sample writes its own slots.
   RunResult result;
   result.predictions.resize(n);
-  std::vector<std::uint64_t> batch_cycles(num_batches);
+  std::vector<std::uint64_t> busy(n * stages);
+  const std::span<std::uint64_t> busy_of(busy);
   const std::vector<TileStats> start = stats_of(tiles_);
   std::vector<std::vector<Tile>> clones(workers - 1, tiles_);
-  const std::span<const BitVec> all(inputs);
-  const std::span<std::size_t> predictions(result.predictions);
-  util::parallel_for(num_batches, workers, [&](std::size_t w, std::size_t b) {
-    const std::size_t first = b * batch_size;
-    const std::size_t count = std::min(batch_size, n - first);
-    batch_cycles[b] =
-        stream_pipelined(w == 0 ? tiles_ : clones[w - 1],
-                         all.subspan(first, count),
-                         predictions.subspan(first, count));
+  std::vector<BitVec> handoffs(workers);
+  util::parallel_for(n, workers, [&](std::size_t w, std::size_t i) {
+    result.predictions[i] =
+        walk_cascade(w == 0 ? tiles_ : clones[w - 1], inputs[i], handoffs[w],
+                     busy_of.subspan(i * stages, stages),
+                     [](std::size_t, const Tile&) {});
   });
-  for (const std::uint64_t c : batch_cycles) result.cycles += c;
+
+  // Phase 2: one schedule retires the whole stream in input order. Lockstep
+  // latches the first sample at the end of its first cycle, one cycle after
+  // the schedule's origin.
+  CascadeSchedule schedule(stages);
+  for (std::size_t i = 0; i < n; ++i) {
+    result.cycles = schedule.retire(busy_of.subspan(i * stages, stages));
+  }
+  result.cycles += 1;
   result.tile_counts = counts_since(start, tiles_, clones);
   result.ledger = price(result.tile_counts, result.cycles);
-  result.batches = num_batches;
   result.threads = workers;
 
   finalize_metrics(result, n, labels);
@@ -517,7 +495,8 @@ OnlineRunResult SystemSimulator::run_online(
   }
 
   OnlineRunResult out;
-  RunResult eval = run_batched(eval_inputs, &eval_labels, cfg.eval);
+  const RunConfig eval_cfg{.num_threads = cfg.threads};
+  RunResult eval = run_batched(eval_inputs, &eval_labels, eval_cfg);
   out.initial_accuracy = eval.accuracy;
 
   learning::OnlineTrainer trainer(tiles_, cfg.trainer);
@@ -529,9 +508,9 @@ OnlineRunResult SystemSimulator::run_online(
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
     const learning::LearningStats before = trainer.stats();
     const TrainPassResult pass = train_pass(
-        trainer, inputs, labels, cfg.update_interval, cfg.train_threads);
+        trainer, inputs, labels, cfg.update_interval, cfg.threads);
     train_ledger += pass.energy;
-    eval = run_batched(eval_inputs, &eval_labels, cfg.eval);
+    eval = run_batched(eval_inputs, &eval_labels, eval_cfg);
 
     OnlineEpochStats ep;
     ep.online_accuracy = static_cast<double>(pass.online_hits) /

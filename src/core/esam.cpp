@@ -113,9 +113,8 @@ SystemReport EsamSystem::evaluate(std::size_t max_inferences,
                                    test.labels.begin() +
                                        static_cast<std::ptrdiff_t>(n));
 
-  // run_batched handles every shape (batch_size 0 = one batch covering the
-  // whole stream, single-threaded included) on the fast engine; lockstep
-  // runs only under an observer (run() with a trace).
+  // The fast engine, one stream for any thread count; lockstep runs only
+  // under an observer (run() with a trace).
   const auto wall_start = std::chrono::steady_clock::now();
   const arch::RunResult r = sim_.run_batched(inputs, &labels, run_cfg);
   const double wall_s =
@@ -139,7 +138,6 @@ SystemReport EsamSystem::evaluate(std::size_t max_inferences,
   rep.sim_wall_s = wall_s;
   rep.sim_inf_per_s = wall_s > 0.0 ? static_cast<double>(n) / wall_s : 0.0;
   rep.sim_threads = r.threads;
-  rep.sim_batches = r.batches;
   return rep;
 }
 
@@ -217,8 +215,7 @@ OnlineReport EsamSystem::learn_online(const OnlineOptions& opt) {
   cfg.epochs = opt.epochs;
   cfg.update_interval = opt.update_interval;
   cfg.trainer = opt.trainer;
-  cfg.eval = opt.run;
-  cfg.train_threads = opt.run.num_threads;  // reuse the eval worker count
+  cfg.threads = opt.run.num_threads;
   rep.update_interval = opt.update_interval;
   const arch::OnlineRunResult r =
       sim_.run_online(train_in, train_lab, eval_in, eval_lab, cfg);
@@ -301,7 +298,7 @@ void OnlineReport::print() const {
          util::fmt("%.0f pJ", energy_per_inf_pj)});
   t.row({"learning share of energy",
          util::fmt("%.1f %%", 100.0 * learning_energy_share)});
-  t.row({"simulator", util::fmt("%zu eval threads", sim_threads)});
+  t.row({"simulator", util::fmt("%zu threads", sim_threads)});
   t.print();
 }
 
@@ -319,8 +316,7 @@ void SystemReport::print() const {
   t.row({"synapses", util::fmt("%zu", synapses)});
   t.row({"inferences evaluated", util::fmt("%zu", inferences)});
   t.row({"simulator speed",
-         util::fmt("%.0f Inf/s (%zu threads, %zu batches)", sim_inf_per_s,
-                   sim_threads, sim_batches)});
+         util::fmt("%.0f Inf/s (%zu threads)", sim_inf_per_s, sim_threads)});
   t.print();
 }
 

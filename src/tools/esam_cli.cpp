@@ -55,7 +55,6 @@ enum class OptId {
   kTrace,
   kLowPower,
   kThreads,
-  kBatch,
   kLearn,
   kEpochs,
   kDrift,
@@ -99,10 +98,8 @@ const OptionDef kOptionTable[] = {
     {OptId::kLowPower, "--low-power", nullptr,
      "use the HVT 500 mV operating point"},
     {OptId::kThreads, "--threads", "N",
-     "simulator worker threads (0 = all cores, default 1)"},
-    {OptId::kBatch, "--batch", "N",
-     "inferences per pipeline batch (0 = whole stream as one batch; "
-     "defaults to 32 when --threads is given)"},
+     "host threads sharding the simulation (0 = all cores, default 1); "
+     "modelled output does not depend on it"},
     {OptId::kLearn, "--learn", nullptr,
      "drift the inputs and adapt the deployed weights in the field"},
     {OptId::kEpochs, "--epochs", "N",
@@ -170,7 +167,6 @@ struct CliOptions {
   std::string trace_path;
   bool low_power = false;
   std::size_t threads = 1;
-  std::size_t batch = 0;
   bool learn = false;
   std::size_t epochs = 2;
   double drift = 0.25;
@@ -191,17 +187,6 @@ struct CliOptions {
   double defect_rate = 1e-3;
   double sigma = 0.04;
   std::size_t seed = 2026;
-
-  /// True when any batched-engine option was given.
-  [[nodiscard]] bool batched() const { return threads != 1 || batch != 0; }
-  [[nodiscard]] arch::RunConfig run_config() const {
-    // --threads without --batch gets the default batch size: batch 0 means
-    // "whole stream as one batch", which would leave nothing to shard.
-    const std::size_t effective_batch =
-        (threads != 1 && batch == 0) ? arch::RunConfig::kDefaultBatchSize
-                                     : batch;
-    return {.num_threads = threads, .batch_size = effective_batch};
-  }
 };
 
 std::optional<sram::CellKind> parse_cell(const std::string& name) {
@@ -252,7 +237,7 @@ const VerbDef kVerbs[] = {
      "recovery and the update cost.",
      0, 0,
      {OptId::kCell, OptId::kVprech, OptId::kInferences, OptId::kTrace,
-      OptId::kLowPower, OptId::kThreads, OptId::kBatch, OptId::kLearn,
+      OptId::kLowPower, OptId::kThreads, OptId::kLearn,
       OptId::kEpochs, OptId::kDrift, OptId::kHiddenRule, OptId::kWtaK,
       OptId::kHoldout, OptId::kUpdateInterval, OptId::kSimd},
      cmd_report},
@@ -260,8 +245,7 @@ const VerbDef kVerbs[] = {
      "Evaluates the same trained model on every bitcell variant and prints\n"
      "the Fig. 8 comparison table.",
      0, 0,
-     {OptId::kVprech, OptId::kInferences, OptId::kThreads, OptId::kBatch,
-      OptId::kSimd},
+     {OptId::kVprech, OptId::kInferences, OptId::kThreads, OptId::kSimd},
      cmd_sweep_cells},
     {"sweep-vprech", "", "the Fig. 7 precharge-voltage study",
      "Analytic per-op access time/energy across precharge voltages and read\n"
@@ -285,7 +269,7 @@ const VerbDef kVerbs[] = {
      "           content CRC as its parent?",
      2, 3,
      {OptId::kCell, OptId::kVprech, OptId::kLowPower, OptId::kInferences,
-      OptId::kThreads, OptId::kBatch, OptId::kLearn, OptId::kEpochs,
+      OptId::kThreads, OptId::kLearn, OptId::kEpochs,
       OptId::kDrift, OptId::kHiddenRule, OptId::kWtaK, OptId::kHoldout,
       OptId::kUpdateInterval, OptId::kNote, OptId::kSimd},
      cmd_checkpoint},
@@ -484,9 +468,6 @@ std::optional<ParsedArgs> parse_args(const VerbDef& verb, int argc,
       case OptId::kThreads:
         if (!need_size(opt.threads)) return std::nullopt;
         break;
-      case OptId::kBatch:
-        if (!need_size(opt.batch)) return std::nullopt;
-        break;
       case OptId::kLearn:
         opt.learn = true;
         break;
@@ -644,7 +625,7 @@ core::OnlineOptions online_options(const CliOptions& opt) {
   oo.trainer.wta_k = opt.wta_k;
   oo.holdout_fraction = opt.holdout;
   oo.update_interval = opt.update_interval;
-  oo.run = opt.run_config();
+  oo.run = {.num_threads = opt.threads};
   return oo;
 }
 
@@ -824,18 +805,13 @@ int cmd_report(const CliOptions& opt, const std::vector<std::string>&) {
   std::unique_ptr<arch::VcdTraceWriter> tracer;
   if (!opt.trace_path.empty()) {
     tracer = std::make_unique<arch::VcdTraceWriter>(opt.trace_path);
-    if (opt.batched()) {
-      std::fprintf(stderr,
-                   "esam: --trace needs a single well-defined cycle order; "
-                   "ignoring --threads/--batch\n");
-    }
   }
   // A trace needs the lockstep engine (one well-defined cycle order), which
   // run() selects for an observer; everything else goes through the batched
-  // fast engine, which honors --threads/--batch and is bit-identical to it.
+  // fast engine, which shards over --threads and is bit-identical to it.
   const arch::RunResult r =
       tracer == nullptr
-          ? sim.run_batched(inputs, &labels, opt.run_config())
+          ? sim.run_batched(inputs, &labels, {.num_threads = opt.threads})
           : sim.run(inputs, &labels, tracer.get());
 
   util::Table table(std::string("esam report -- ") +
@@ -853,7 +829,7 @@ int cmd_report(const CliOptions& opt, const std::vector<std::string>&) {
   table.row({"cycles / inference",
              util::fmt("%.1f", r.avg_cycles_per_inference)});
   table.row({"simulator",
-             util::fmt("%zu threads, %zu batches", r.threads, r.batches)});
+             util::fmt("%zu threads", r.threads)});
   for (int c = 0; c < static_cast<int>(util::EnergyCategory::kCount); ++c) {
     const auto cat = static_cast<util::EnergyCategory>(c);
     table.row({"  energy: " + std::string(util::to_string(cat)),
@@ -881,7 +857,7 @@ int cmd_sweep_cells(const CliOptions& opt, const std::vector<std::string>&) {
     hw.vprech = util::millivolts(opt.vprech_mv);
     core::EsamSystem system(model, hw);
     const core::SystemReport r =
-        system.evaluate(opt.inferences, opt.run_config());
+        system.evaluate(opt.inferences, {.num_threads = opt.threads});
     table.row({r.cell, util::fmt("%.0f", r.clock_mhz),
                util::fmt("%.1f", r.throughput_minf_per_s),
                util::fmt("%.0f", r.energy_per_inf_pj),
@@ -976,7 +952,7 @@ int cmd_checkpoint(const CliOptions& opt,
     core::EsamSystem system(ckpt, hw_of(opt), node_of(opt));
     const data::PreparedDataset eval = load_eval_stream();
     system.attach_test_data(eval);
-    system.evaluate(opt.inferences, opt.run_config()).print();
+    system.evaluate(opt.inferences, {.num_threads = opt.threads}).print();
     return 0;
   }
   std::fprintf(stderr,
@@ -1034,10 +1010,9 @@ int cmd_serve(const CliOptions& opt, const std::vector<std::string>&) {
   scfg.adapt = opt.adapt;
   scfg.adapt_batch = opt.adapt_batch;
   scfg.update_interval = opt.update_interval;
-  // Fine-tuning operating point (see core::OnlineOptions): gentle rates so
-  // adaptation nudges the deployed structure instead of erasing it.
-  scfg.trainer.stdp = {.p_potentiation = 0.05, .p_depression = 0.015,
-                       .seed = 99};
+  // Fine-tuning operating point: gentle rates so adaptation nudges the
+  // deployed structure instead of erasing it.
+  scfg.trainer.stdp = learning::fine_tune_stdp(99);
   scfg.trainer.hidden_rule = opt.hidden_rule;
   scfg.trainer.wta_k = opt.wta_k;
 

@@ -81,6 +81,28 @@ TEST(EsamSystem, EvaluateSubsetLimit) {
   EXPECT_EQ(system.evaluate(0).inferences, 120u);  // 0 = all
 }
 
+TEST(EsamSystem, EvaluateModelledFieldsIndependentOfThreads) {
+  // Host threads only shard the simulation: every modelled field is
+  // bit-identical, only the simulator stats may differ.
+  const TrainedModel model = TrainedModel::create(small_config());
+  EsamSystem system(model, {});
+  const SystemReport one = system.evaluate(120, {.num_threads = 1});
+  const SystemReport four = system.evaluate(120, {.num_threads = 4});
+  EXPECT_EQ(four.sim_threads, 4u);
+  EXPECT_EQ(one.cell, four.cell);
+  EXPECT_EQ(one.dataset_source, four.dataset_source);
+  EXPECT_EQ(one.clock_mhz, four.clock_mhz);
+  EXPECT_EQ(one.throughput_minf_per_s, four.throughput_minf_per_s);
+  EXPECT_EQ(one.energy_per_inf_pj, four.energy_per_inf_pj);
+  EXPECT_EQ(one.power_mw, four.power_mw);
+  EXPECT_EQ(one.area_um2, four.area_um2);
+  EXPECT_EQ(one.accuracy, four.accuracy);
+  EXPECT_EQ(one.avg_cycles_per_inf, four.avg_cycles_per_inf);
+  EXPECT_EQ(one.neurons, four.neurons);
+  EXPECT_EQ(one.synapses, four.synapses);
+  EXPECT_EQ(one.inferences, four.inferences);
+}
+
 TEST(SystemReport, PrintProducesTable) {
   SystemReport rep;
   rep.cell = "1RW+4R";

@@ -73,7 +73,7 @@ void make_samples(std::size_t count, std::uint64_t seed,
   }
 }
 
-OnlineTrainConfig train_config(std::size_t k, std::size_t train_threads,
+OnlineTrainConfig train_config(std::size_t k, std::size_t threads,
                                bool hidden_plasticity = true) {
   OnlineTrainConfig cfg;
   cfg.epochs = 1;
@@ -88,8 +88,7 @@ OnlineTrainConfig train_config(std::size_t k, std::size_t train_threads,
         learning::StdpConfig{.p_potentiation = 0.1, .p_depression = 0.025,
                              .seed = 99};
   }
-  cfg.eval = {.num_threads = 1, .batch_size = 16};
-  cfg.train_threads = train_threads;
+  cfg.threads = threads;
   return cfg;
 }
 

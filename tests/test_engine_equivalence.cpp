@@ -4,10 +4,8 @@
 // schedule; these tests pin their results as bit-for-bit identical:
 // predictions, cycle counts, event counts and per-category ledger energies
 // (the counts priced once), across network shapes (multi-array tiles
-// included), batch shapes and SIMD backends.
+// included), stream lengths, thread counts and SIMD backends.
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "esam/arch/system.hpp"
 #include "esam/tech/technology.hpp"
@@ -57,49 +55,20 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.accuracy, b.accuracy);
 }
 
-/// The lockstep oracle of run_batched(inputs, labels, {.batch_size =
-/// batch}): one observed run() per batch-sized chunk, predictions
-/// concatenated, cycles and the tiles' event counts summed, and the sums
-/// priced once -- exactly how the batched engine prices its batches.
+/// The lockstep oracle: run() with an observer sweeps the whole stream
+/// cycle by cycle.
 RunResult lockstep_oracle(SystemSimulator& sim,
                           const std::vector<util::BitVec>& inputs,
-                          const std::vector<std::uint8_t>& labels,
-                          std::size_t batch = 0) {
-  const std::size_t n = inputs.size();
-  const std::size_t chunk = batch == 0 ? n : std::min(batch, n);
+                          const std::vector<std::uint8_t>& labels) {
   NoopObserver observer;
-  RunResult total;
-  total.tile_counts.resize(sim.tile_count());
-  std::size_t correct = 0;
-  for (std::size_t first = 0; first < n; first += chunk) {
-    const auto end = static_cast<std::ptrdiff_t>(std::min(n, first + chunk));
-    const auto begin = static_cast<std::ptrdiff_t>(first);
-    const std::vector<util::BitVec> xs(inputs.begin() + begin,
-                                       inputs.begin() + end);
-    const std::vector<std::uint8_t> ys(labels.begin() + begin,
-                                       labels.begin() + end);
-    const RunResult part = sim.run(xs, &ys, &observer);
-    total.predictions.insert(total.predictions.end(),
-                             part.predictions.begin(), part.predictions.end());
-    total.cycles += part.cycles;
-    for (std::size_t t = 0; t < sim.tile_count(); ++t) {
-      total.tile_counts[t] += part.tile_counts[t];
-    }
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      if (part.predictions[i] == ys[i]) ++correct;
-    }
-  }
-  total.ledger = sim.price(total.tile_counts, total.cycles);
-  total.elapsed = total.ledger.elapsed();
-  total.accuracy = static_cast<double>(correct) / static_cast<double>(n);
-  return total;
+  return sim.run(inputs, &labels, &observer);
 }
 
 RunResult fast_run(SystemSimulator& sim,
                    const std::vector<util::BitVec>& inputs,
                    const std::vector<std::uint8_t>& labels,
-                   std::size_t batch = 0) {
-  return sim.run_batched(inputs, &labels, {.batch_size = batch});
+                   std::size_t threads = 1) {
+  return sim.run_batched(inputs, &labels, {.num_threads = threads});
 }
 
 TEST(EngineEquivalence, PipelinedMatchesSequentialExactly) {
@@ -142,19 +111,22 @@ TEST(EngineEquivalence, PipelinedMatchesLockstepReferenceRun) {
   EXPECT_EQ(reference.average_power.base(), fast.average_power.base());
 }
 
-TEST(EngineEquivalence, EnginesAgreePerBatchShape) {
+TEST(EngineEquivalence, EnginesAgreeForAnyThreadCount) {
+  // The whole stream is one schedule however many workers walk its samples:
+  // a single sample, an uneven share per worker, and a longer stream.
   const nn::SnnNetwork snn = random_snn({80, 40, 8}, 320);
   SystemSimulator sim(tech::imec3nm(), snn, {});
-  const auto inputs = random_inputs(70, 80, 321);
-  std::vector<std::uint8_t> labels(inputs.size());
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    labels[i] = static_cast<std::uint8_t>(i % 8);
-  }
-  for (std::size_t batch : {std::size_t{0}, std::size_t{1}, std::size_t{16},
-                            std::size_t{70}, std::size_t{1000}}) {
-    SCOPED_TRACE(batch);
-    expect_identical(lockstep_oracle(sim, inputs, labels, batch),
-                     fast_run(sim, inputs, labels, batch));
+  for (const std::size_t n : {1u, 23u, 100u}) {
+    const auto inputs = random_inputs(n, 80, 321);
+    std::vector<std::uint8_t> labels(inputs.size());
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      labels[i] = static_cast<std::uint8_t>(i % 8);
+    }
+    const RunResult reference = lockstep_oracle(sim, inputs, labels);
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads);
+      expect_identical(reference, fast_run(sim, inputs, labels, threads));
+    }
   }
 }
 
@@ -169,7 +141,7 @@ TEST(EngineEquivalence, EventCountsMatchLockstep) {
   const RunResult lockstep = sim.run(inputs, nullptr, &observer);
   EXPECT_EQ(lockstep.tile_counts[1], sim.tile(1).stats() - before);
   const RunResult fast =
-      sim.run_batched(inputs, nullptr, {.num_threads = 3, .batch_size = 7});
+      sim.run_batched(inputs, nullptr, {.num_threads = 3});
   EXPECT_EQ(lockstep.tile_counts, fast.tile_counts);
   EXPECT_EQ(lockstep.tile_counts[0].inferences, inputs.size());
   EXPECT_GT(lockstep.tile_counts[0].row_group_grants[1], 0u);

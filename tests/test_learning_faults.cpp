@@ -87,7 +87,6 @@ OnlineTrainConfig train_config(std::size_t epochs) {
   cfg.trainer.stdp = {.p_potentiation = 0.35, .p_depression = 0.12,
                       .seed = 99};
   cfg.trainer.update_on_correct = true;
-  cfg.eval = {.num_threads = 1, .batch_size = 16};
   return cfg;
 }
 
@@ -126,7 +125,7 @@ TEST(LearningUnderFaults, FaultyRecoveryDeterministicAcrossEvalThreads) {
     SystemSimulator sim(tech::imec3nm(), deploy_network(3), {});
     inject_faults(sim, 0.01, 777);
     OnlineTrainConfig cfg = train_config(2);
-    cfg.eval.num_threads = threads;
+    cfg.threads = threads;
     return sim.run_online(inputs, labels, cfg);
   };
   const OnlineRunResult one = run(1);

@@ -65,7 +65,7 @@ void make_samples(std::size_t count, std::uint64_t seed,
   }
 }
 
-OnlineTrainConfig train_config(std::size_t epochs, std::size_t eval_threads,
+OnlineTrainConfig train_config(std::size_t epochs, std::size_t threads,
                                bool hidden_plasticity = false) {
   OnlineTrainConfig cfg;
   cfg.epochs = epochs;
@@ -82,7 +82,7 @@ OnlineTrainConfig train_config(std::size_t epochs, std::size_t eval_threads,
         learning::StdpConfig{.p_potentiation = 0.1, .p_depression = 0.025,
                              .seed = 99};
   }
-  cfg.eval = {.num_threads = eval_threads, .batch_size = 16};
+  cfg.threads = threads;
   return cfg;
 }
 
@@ -367,7 +367,7 @@ TEST(RunOnline, LearningEnergyLandsInTheLedger) {
 TEST(RunOnline, EvalPhasesBitIdenticalAcrossThreadCounts) {
   // Run the full drift-recovery scenario with hidden + output plasticity:
   // the whole curve, the per-tile update counts and every ledger category
-  // must be bit-identical for 1 / 4 / 8 eval threads.
+  // must be bit-identical for 1 / 4 / 8 threads (eval and training).
   std::vector<BitVec> inputs;
   std::vector<std::uint8_t> labels;
   make_samples(60, 13, inputs, labels);

@@ -1,14 +1,15 @@
-// Tests for the batched multi-threaded simulation engine: sharded runs must
-// be bit-for-bit identical to single-threaded runs (predictions, cycle
-// counts, event counts, priced ledger energies), tiles must deep-clone, and
-// the engine must reject malformed input like run() does. Also covers the
-// worker pool every sharded loop shares, util::parallel_for.
+// Tests for the multi-threaded simulation engine: a run sharded over any
+// number of workers must be bit-for-bit identical to the single-threaded run
+// and to the observed lockstep run() (predictions, cycle counts, event
+// counts, priced ledger energies), tiles must deep-clone, and the engine
+// must reject malformed input like run() does. Also covers the worker pool
+// every sharded loop shares, util::parallel_for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -82,18 +83,12 @@ TEST(Parallel, MultiThreadMatchesSingleThreadExactly) {
   SystemSimulator sim(tech::imec3nm(), snn, {});
   const auto inputs = random_inputs(100, 96, 202);
 
-  RunConfig base;
-  base.num_threads = 1;
-  base.batch_size = 16;
-  const RunResult single = sim.run_batched(inputs, nullptr, base);
+  const RunResult single = sim.run_batched(inputs, nullptr, {});
   EXPECT_EQ(single.threads, 1u);
-  EXPECT_EQ(single.batches, 7u);  // ceil(100 / 16)
 
   for (std::size_t threads : {2u, 4u, 8u}) {
-    RunConfig cfg;
-    cfg.num_threads = threads;
-    cfg.batch_size = 16;
-    const RunResult multi = sim.run_batched(inputs, nullptr, cfg);
+    const RunResult multi =
+        sim.run_batched(inputs, nullptr, {.num_threads = threads});
     expect_identical(single, multi);
   }
 }
@@ -106,22 +101,22 @@ TEST(Parallel, LabelsAndAccuracyIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < 60; ++i) {
     labels[i] = static_cast<std::uint8_t>(i % 4);
   }
-  RunConfig one{.num_threads = 1, .batch_size = 8};
-  RunConfig eight{.num_threads = 8, .batch_size = 8};
+  RunConfig one{.num_threads = 1};
+  RunConfig eight{.num_threads = 8};
   const RunResult a = sim.run_batched(inputs, &labels, one);
   const RunResult b = sim.run_batched(inputs, &labels, eight);
   expect_identical(a, b);
 }
 
 TEST(Parallel, PredictionsMatchLegacySingleStreamRun) {
-  // Pipelining / batching never changes what an inference computes, only
-  // how cycles are accounted -- predictions must match the continuous run.
+  // Sharding never changes what an inference computes -- predictions must
+  // match the continuous run.
   const nn::SnnNetwork snn = random_snn({96, 48, 5}, 220);
   SystemSimulator sim(tech::imec3nm(), snn, {});
   const auto inputs = random_inputs(70, 96, 221);
   const RunResult stream = sim.run(inputs);
   const RunResult batched =
-      sim.run_batched(inputs, nullptr, {.num_threads = 4, .batch_size = 0});
+      sim.run_batched(inputs, nullptr, {.num_threads = 4});
   EXPECT_EQ(stream.predictions, batched.predictions);
 }
 
@@ -130,39 +125,11 @@ TEST(Parallel, MatchesSoftwareReferenceUnderThreads) {
   SystemSimulator sim(tech::imec3nm(), snn, {});
   const auto inputs = random_inputs(48, 128, 231);
   const RunResult r =
-      sim.run_batched(inputs, nullptr, {.num_threads = 3, .batch_size = 7});
+      sim.run_batched(inputs, nullptr, {.num_threads = 3});
   ASSERT_EQ(r.predictions.size(), inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     EXPECT_EQ(r.predictions[i], snn.predict(inputs[i])) << "inference " << i;
   }
-}
-
-TEST(Parallel, WholeStreamAsOneBatchEqualsLegacyRun) {
-  const nn::SnnNetwork snn = random_snn({64, 32, 6}, 240);
-  SystemSimulator a(tech::imec3nm(), snn, {});
-  SystemSimulator b(tech::imec3nm(), snn, {});
-  const auto inputs = random_inputs(40, 64, 241);
-  const RunResult stream = a.run(inputs);
-  const RunResult one_batch =
-      b.run_batched(inputs, nullptr, {.num_threads = 1, .batch_size = 40});
-  expect_identical(stream, one_batch);
-}
-
-TEST(Parallel, BatchSizeZeroIsWholeStreamRegardlessOfThreads) {
-  // batch_size 0 = one batch covering everything: identical to run() even
-  // when many threads are requested (there is only one unit of work), and
-  // a batch size larger than the input count clamps to the same thing.
-  const nn::SnnNetwork snn = random_snn({64, 32, 6}, 245);
-  SystemSimulator sim(tech::imec3nm(), snn, {});
-  const auto inputs = random_inputs(30, 64, 246);
-  const RunResult stream = sim.run(inputs);
-  const RunResult zero =
-      sim.run_batched(inputs, nullptr, {.num_threads = 8, .batch_size = 0});
-  expect_identical(stream, zero);
-  EXPECT_EQ(zero.batches, 1u);
-  const RunResult oversized = sim.run_batched(
-      inputs, nullptr, {.num_threads = 8, .batch_size = 1000000});
-  expect_identical(stream, oversized);
 }
 
 TEST(Parallel, RepeatedRunsAreDeterministic) {
@@ -170,20 +137,10 @@ TEST(Parallel, RepeatedRunsAreDeterministic) {
   const nn::SnnNetwork snn = random_snn({96, 48, 8}, 250);
   SystemSimulator sim(tech::imec3nm(), snn, {});
   const auto inputs = random_inputs(64, 96, 251);
-  const RunConfig cfg{.num_threads = 4, .batch_size = 8};
+  const RunConfig cfg{.num_threads = 4};
   const RunResult first = sim.run_batched(inputs, nullptr, cfg);
   const RunResult second = sim.run_batched(inputs, nullptr, cfg);
   expect_identical(first, second);
-}
-
-TEST(Parallel, ThreadsCappedByBatchCount) {
-  const nn::SnnNetwork snn = random_snn({32, 8}, 260);
-  SystemSimulator sim(tech::imec3nm(), snn, {});
-  const auto inputs = random_inputs(10, 32, 261);
-  const RunResult r =
-      sim.run_batched(inputs, nullptr, {.num_threads = 16, .batch_size = 5});
-  EXPECT_EQ(r.batches, 2u);
-  EXPECT_LE(r.threads, 2u);
 }
 
 TEST(Parallel, RejectsBadInputLikeRun) {
@@ -203,7 +160,7 @@ TEST(Parallel, LearnedWeightsVisibleToClonedWorkerPipelines) {
   const nn::SnnNetwork snn = random_snn({64, 32, 6}, 290);
   SystemSimulator sim(tech::imec3nm(), snn, {});
   const auto inputs = random_inputs(48, 64, 291);
-  const RunConfig cfg{.num_threads = 4, .batch_size = 8};
+  const RunConfig cfg{.num_threads = 4};
   const RunResult before = sim.run_batched(inputs, nullptr, cfg);
 
   // Deterministically rewrite the output tile's weight columns: column j
@@ -221,8 +178,8 @@ TEST(Parallel, LearnedWeightsVisibleToClonedWorkerPipelines) {
   EXPECT_EQ(stream.predictions, batched.predictions);
   EXPECT_NE(batched.predictions, before.predictions);  // weights did change
   for (const std::size_t threads : {1u, 8u}) {
-    const RunResult again = sim.run_batched(
-        inputs, nullptr, {.num_threads = threads, .batch_size = 8});
+    const RunResult again =
+        sim.run_batched(inputs, nullptr, {.num_threads = threads});
     expect_identical(batched, again);
   }
 }
@@ -248,31 +205,35 @@ TEST(Parallel, TileDeepCopyIsIndependent) {
   EXPECT_EQ(ledger.total_energy().base(), 0.0);
 }
 
-TEST(Parallel, CountsAndPricedEnergyIndependentOfWorkersAndBatches) {
-  // 23 samples: not a multiple of 5, and 8 workers outnumber every batch
-  // count. Event counts do not depend on the batch split at all; the ledger
-  // is those counts priced once plus clock and leakage over the cycles, so
-  // it depends on the batch split only through the cycles.
+TEST(Parallel, RunBatchedEqualsLockstepRunForAnyThreadCount) {
+  // One stream, one schedule, for every worker count: predictions, cycles,
+  // event counts and the ledger equal the observed lockstep run(), and the
+  // ledger is those counts priced once plus clock and leakage over the
+  // cycles. 23 samples leave 2, 3 and 8 workers an uneven share; 1 sample
+  // caps every worker count at one.
   const nn::SnnNetwork snn = random_snn({150, 40, 7}, 295);
   SystemSimulator sim(tech::imec3nm(), snn, {});
-  const auto inputs = random_inputs(23, 150, 296);
-
-  const TileStats tile0_before = sim.tile(0).stats();
-  const RunResult reference = sim.run_batched(inputs);
-  // One worker runs everything on the canonical tiles.
-  EXPECT_EQ(reference.tile_counts[0], sim.tile(0).stats() - tile0_before);
-  EXPECT_EQ(reference.tile_counts[0].inferences, inputs.size());
-  for (const std::size_t batch : {1u, 5u, 0u}) {
-    std::optional<RunResult> first;
+  for (const std::size_t n : {1u, 23u, 100u}) {
+    const auto inputs = random_inputs(n, 150, 296);
+    std::vector<std::uint8_t> labels(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      labels[i] = static_cast<std::uint8_t>(i % 7);
+    }
+    NoopObserver observer;
+    const RunResult lockstep = sim.run(inputs, &labels, &observer);
     for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
-      SCOPED_TRACE(testing::Message()
-                   << "batch=" << batch << " threads=" << threads);
-      const RunResult r = sim.run_batched(
-          inputs, nullptr, {.num_threads = threads, .batch_size = batch});
-      EXPECT_EQ(r.tile_counts, reference.tile_counts);
+      SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads);
+      const TileStats tile0_before = sim.tile(0).stats();
+      const RunResult r =
+          sim.run_batched(inputs, &labels, {.num_threads = threads});
+      expect_identical(lockstep, r);
       expect_same_ledger(r.ledger, sim.price(r.tile_counts, r.cycles));
-      if (!first) first = r;
-      expect_identical(*first, r);
+      EXPECT_EQ(r.tile_counts[0].inferences, n);
+      EXPECT_EQ(r.threads, std::min<std::size_t>(threads, n));
+      if (r.threads == 1) {
+        // One worker runs everything on the canonical tiles.
+        EXPECT_EQ(r.tile_counts[0], sim.tile(0).stats() - tile0_before);
+      }
     }
   }
 }
@@ -290,7 +251,7 @@ TEST(Parallel, HalvesSumToTheWholeStream) {
   std::vector<TileStats> halves(sim.tile_count());
   for (const auto* part : {&head, &tail}) {
     const RunResult r =
-        sim.run_batched(*part, nullptr, {.num_threads = 2, .batch_size = 4});
+        sim.run_batched(*part, nullptr, {.num_threads = 2});
     for (std::size_t t = 0; t < halves.size(); ++t) {
       halves[t] += r.tile_counts[t];
     }
