@@ -14,9 +14,16 @@
 // accumulated; when every arbiter reports R_empty the neurons compare
 // against their thresholds, fire, and the output spike vector is handed to
 // the next tile over the binary-pulse fabric.
+//
+// step() models that cycle by cycle; it is the lockstep / observer path and
+// the oracle. run_inference() computes the same burst in closed form: with
+// Vmem starting at zero and no partial sum able to saturate, neuron j ends
+// at 2 * |in & col_j| - |in| (one popcount over a column-major copy of the
+// observed weights, re-gathered from the macros whose stamp changed), and
+// every event count follows from the per-row-group spike counts, since each
+// arbiter grants min(pending, ports) rows per cycle.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -126,18 +133,28 @@ class Tile {
   /// Advances one clock cycle (no-op when idle).
   void step();
 
-  /// Latches `input_spikes` and steps until the fire phase -- one tile's
-  /// burst on one inference. Returns the cycles spent busy; throws
-  /// std::logic_error past kMaxBurstCycles (the hang detector).
+  /// One tile's burst on one inference, through the fire phase: the same
+  /// state, outputs and TileStats as start_inference() plus step() until
+  /// idle, computed in closed form. Tiles that carry membranes across
+  /// inferences, or whose fan-in could saturate Vmem, step instead (and
+  /// throw std::logic_error past kMaxBurstCycles, the hang detector).
+  /// Returns the cycles spent busy.
   std::uint64_t run_inference(const BitVec& input_spikes);
+  /// Whether run_inference() takes the closed form (fixed at construction).
+  [[nodiscard]] bool closed_form() const { return closed_form_; }
 
   /// Consumes the fired output spikes (hidden tiles; requires output_ready).
   BitVec take_output();
+  /// Same, copied into `out` (which keeps its storage when wide enough).
+  void take_output_into(BitVec& out);
 
   /// Output-layer readout: raw Vmem accumulators and offset-corrected
   /// scores (requires output_ready on an output-layer tile).
   [[nodiscard]] std::vector<std::int32_t> output_vmem() const;
   [[nodiscard]] std::vector<float> output_scores() const;
+  /// Winner-take-all readout: the index of the first maximum of
+  /// output_scores(), without building the vector.
+  [[nodiscard]] std::size_t winner() const;
   /// Clears the output-ready latch after readout (output-layer tiles).
   void consume_output();
 
@@ -208,6 +225,13 @@ class Tile {
   void copy_column_from(const Tile& src, std::size_t j);
 
  private:
+  /// start_inference's checks and latches, shared with the closed form:
+  /// input copy and row-group slices, membrane reset, fabric count.
+  void latch(const BitVec& input_spikes);
+  /// The closed-form burst on the latched input (see run_inference).
+  std::uint64_t closed_form_burst();
+  /// Re-gathers the columns of every macro whose stamp changed.
+  void refresh_columns();
   void fire_phase();
   [[nodiscard]] std::size_t array_rows(std::size_t row_group) const;
   [[nodiscard]] std::size_t array_cols(std::size_t col_group) const;
@@ -260,6 +284,19 @@ class Tile {
   arbiter::GrantSet grant_scratch_;
   std::vector<BitVec> input_slice_scratch_;
 
+  /// Closed-form burst state. columns_ holds neuron j's observed weight
+  /// column at [j * column_stride_, +column_stride_), row group rg at word
+  /// offset rg * rg_words_ (zero-padded), gathered from the macros;
+  /// column_stamps_[macro] is the macro stamp it was gathered at.
+  /// input_words_ lays the input out the same way.
+  bool closed_form_ = false;
+  std::size_t rg_words_ = 0;
+  std::size_t column_stride_ = 0;
+  std::vector<std::uint64_t> columns_;
+  std::vector<std::uint64_t> column_stamps_;
+  std::vector<std::uint64_t> input_words_;
+  std::vector<std::size_t> row_group_spikes_;
+
   // Unit energies of the counted events, pure functions of the static
   // configuration, computed once at construction (see price).
   /// Decoder/driver + port-latch energy of one granted read, per col group.
@@ -285,7 +322,8 @@ class Tile {
 ///    is taken -- where learning rules observe the pass.
 ///  - handoff: caller-owned inter-tile spike buffer, reused across samples.
 /// Returns the winner-take-all class: the first maximum of the output tile's
-/// offset-corrected scores.
+/// offset-corrected scores (Tile::winner). Allocation-free once `handoff`
+/// has grown to the widest hidden output.
 template <typename Hook>
 std::size_t walk_cascade(std::span<Tile> tiles, const BitVec& input,
                          BitVec& handoff, std::span<std::uint64_t> busy,
@@ -297,14 +335,13 @@ std::size_t walk_cascade(std::span<Tile> tiles, const BitVec& input,
     if (!busy.empty()) busy[t] = cycles;
     before_handoff(t, std::as_const(tile));
     if (t + 1 == tiles.size()) break;
-    handoff = tile.take_output();
+    tile.take_output_into(handoff);
     spikes = &handoff;
   }
   Tile& out = tiles.back();
-  const std::vector<float> scores = out.output_scores();
+  const std::size_t winner = out.winner();
   out.consume_output();
-  return static_cast<std::size_t>(
-      std::max_element(scores.begin(), scores.end()) - scores.begin());
+  return winner;
 }
 
 }  // namespace esam::arch

@@ -7,6 +7,13 @@
 //  * learning: column-wise read / write through the transposed RW port
 //    (4:1 muxed), or -- for the 6T baseline -- row-wise read/write.
 //
+// The macro keeps a column-major mirror of what every port observes (the
+// fault-masked bits), the software view of the transposed port: every
+// mutator updates it, so a column read is a word copy and the tile's
+// closed-form burst reads each neuron's column as packed words. A stamp
+// taken from one global counter changes with every mutation, so a reader
+// can cache the mirror and re-read only what changed.
+//
 // Every access is counted in MacroStats and costed by the timing model; the
 // macro posts no energy. The tile prices its inference reads with
 // inference_read_energy(), the learner charges column_update_cost() per
@@ -74,7 +81,19 @@ class SramMacro {
   /// peek_column to mirror another macro's *observable* column).
   void poke_column(std::size_t col, const BitVec& bits);
   /// Loads a full weight matrix (row-major, rows x cols), cost-free.
-  void load(const std::vector<BitVec>& rows);
+  void load(std::vector<BitVec> rows);
+
+  // --- observed column-major mirror -----------------------------------------
+
+  /// Packed words of the fault-masked column `col` (column_word_count()
+  /// words, bit r = row r; bits past the last row are zero). Unchecked.
+  [[nodiscard]] const std::uint64_t* column_words(std::size_t col) const {
+    return observed_cols_.data() + col * col_words_;
+  }
+  [[nodiscard]] std::size_t column_word_count() const { return col_words_; }
+  /// Changes with every mutation of the observed or stored bits; equal
+  /// stamps mean equal contents (a copy keeps its source's stamp).
+  [[nodiscard]] std::uint64_t stamp() const { return stamp_; }
 
   // --- inference port --------------------------------------------------------
 
@@ -87,6 +106,12 @@ class SramMacro {
   /// storage -- the simulator's per-grant hot path avoids one allocation per
   /// row read this way.
   void read_row_into(std::size_t port, std::size_t row, BitVec& out);
+
+  /// Counts `n` inference row reads served in closed form (the tile's
+  /// burst evaluator reads the mirror instead of the rows).
+  void count_inference_reads(std::uint64_t n) {
+    stats_.inference_row_reads += n;
+  }
 
   /// Energy of one inference row read (the tile prices its reads with it).
   [[nodiscard]] util::Energy inference_read_energy() const {
@@ -122,6 +147,12 @@ class SramMacro {
   [[nodiscard]] BitVec observed_row(std::size_t row) const;
   /// Allocation-free variant writing into `out` (same masking).
   void observed_row_into(std::size_t row, BitVec& out) const;
+  /// Rebuilds the whole mirror from the stored rows and the masks.
+  void rebuild_mirror();
+  /// Stores `bits` (one column, unmasked) into the mirror's column `col`.
+  void mirror_column(std::size_t col, const BitVec& bits);
+  /// Re-derives the mirror bit at (row, col) from the stored bit.
+  void mirror_bit(std::size_t row, std::size_t col);
 
   SramTimingModel timing_;
   /// Cached timing_.inference_row_read_energy(): the timing model is
@@ -134,6 +165,15 @@ class SramMacro {
   /// Per-row stuck-at masks; empty vectors when no faults are injected.
   std::vector<BitVec> stuck0_;
   std::vector<BitVec> stuck1_;
+  /// Words per column of the column-major arrays: ceil(rows / 64).
+  std::size_t col_words_;
+  /// Observed bits, column-major: column c at [c * col_words_, +col_words_).
+  std::vector<std::uint64_t> observed_cols_;
+  /// The stuck-at masks, column-major like observed_cols_; empty when no
+  /// faults are injected.
+  std::vector<std::uint64_t> stuck0_cols_;
+  std::vector<std::uint64_t> stuck1_cols_;
+  std::uint64_t stamp_;
   MacroStats stats_;
 };
 

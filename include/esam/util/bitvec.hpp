@@ -29,6 +29,10 @@ class BitVec {
   /// Creates a vector from a string of '0'/'1' characters, index 0 first.
   static BitVec from_string(const std::string& s);
 
+  /// Creates a `size`-bit vector from packed words (the words() format);
+  /// `words` holds at least (size + 63) / 64 words, bits past `size` drop.
+  static BitVec from_words(std::size_t size, const std::uint64_t* words);
+
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -164,5 +168,12 @@ class BitVec {
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// Transposes a row-major bit matrix (every row one width, the column count)
+/// into column-major words: bit r of column c lands in bit r % 64 of
+/// out[c * stride + r / 64], with stride >= ceil(rows / 64). Works in 64x64
+/// blocks, not bit by bit; bits past the last row come out zero.
+void transpose_bits(const std::vector<BitVec>& rows, std::uint64_t* out,
+                    std::size_t stride);
 
 }  // namespace esam::util

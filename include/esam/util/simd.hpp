@@ -58,11 +58,6 @@ struct Kernels {
   /// counters only ever accumulate zeros.
   void (*accumulate_ones)(const std::uint64_t* w, std::size_t n,
                           std::int32_t* ones);
-  /// Saturating membrane update over `n` *counters* (not words):
-  /// vmem[i] = clamp(vmem[i] + 2*ones[i] - grants, lo, hi).
-  void (*integrate_saturating)(std::int32_t* vmem, const std::int32_t* ones,
-                               std::int32_t grants, std::int32_t lo,
-                               std::int32_t hi, std::size_t n);
 };
 
 /// The portable reference table (always available).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "esam/tech/calibration.hpp"
 #include "esam/util/simd.hpp"
@@ -97,6 +98,19 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
     input_slice_scratch_.emplace_back(array_rows(rg));
   }
 
+  // The burst has a closed form when Vmem starts from zero and no partial
+  // sum of +-1 terms (|sum| <= fan-in) can reach a saturation rail.
+  const neuron::IfNeuron& probe = neurons_.front();
+  const auto fan_in = static_cast<std::int64_t>(cfg_.inputs);
+  closed_form_ = !cfg_.carry_membrane && fan_in <= probe.saturation_max() &&
+                 -fan_in >= probe.saturation_min();
+  rg_words_ = (cfg_.max_array_dim + 63) / 64;
+  column_stride_ = row_groups_ * rg_words_;
+  columns_.assign(cfg_.outputs * column_stride_, 0);
+  column_stamps_.assign(macros_.size(), 0);
+  input_words_.assign(column_stride_, 0);
+  row_group_spikes_.assign(row_groups_, 0);
+
   // Unit energies of the counted events (see price).
   row_read_extra_.reserve(col_groups_);
   for (std::size_t cg = 0; cg < col_groups_; ++cg) {
@@ -147,12 +161,9 @@ void Tile::load_layer(const nn::SnnLayer& layer) {
       const std::size_t col0 = cg * cfg_.max_array_dim;
       std::vector<BitVec> rows(m.geometry().rows, BitVec(m.geometry().cols));
       for (std::size_t r = 0; r < m.geometry().rows; ++r) {
-        const BitVec& full_row = layer.weight_rows[row0 + r];
-        for (std::size_t c = 0; c < m.geometry().cols; ++c) {
-          rows[r].set(c, full_row.test(col0 + c));
-        }
+        layer.weight_rows[row0 + r].slice_into(col0, rows[r]);
       }
-      m.load(rows);
+      m.load(std::move(rows));
     }
   }
   for (std::size_t j = 0; j < cfg_.outputs; ++j) {
@@ -200,7 +211,7 @@ void Tile::attach_ledger(EnergyLedger* ledger) {
   if (ledger != nullptr) latched_ = stats_;
 }
 
-void Tile::start_inference(const BitVec& input_spikes) {
+void Tile::latch(const BitVec& input_spikes) {
   if (busy_) throw std::logic_error("Tile::start_inference: tile is busy");
   if (output_ready_) {
     throw std::logic_error(
@@ -210,21 +221,26 @@ void Tile::start_inference(const BitVec& input_spikes) {
     throw std::invalid_argument("Tile::start_inference: spike width mismatch");
   }
   last_input_.assign(input_spikes);
+  // Word-packed per-row-group slices of the tile-wide vector (a funnel
+  // shift per word, not a per-bit test() loop).
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
-    arbiters_[rg].reset();
-    // Word-packed request latch: funnel-shift the row-group's slice out of
-    // the tile-wide vector instead of a per-bit test() loop.
     input_spikes.slice_into(rg * cfg_.max_array_dim, input_slice_scratch_[rg]);
-    arbiters_[rg].request(input_slice_scratch_[rg]);
   }
   if (!cfg_.carry_membrane) {
     for (auto& n : neurons_) n.reset();
   }
-  busy_ = true;
-  output_ready_ = false;
   if (ledger_.ledger != nullptr) latched_ = stats_;
   // Received as parallel binary pulses over the fabric.
   stats_.input_spikes += input_spikes.count();
+}
+
+void Tile::start_inference(const BitVec& input_spikes) {
+  latch(input_spikes);
+  for (std::size_t rg = 0; rg < row_groups_; ++rg) {
+    arbiters_[rg].reset();
+    arbiters_[rg].request(input_slice_scratch_[rg]);
+  }
+  busy_ = true;
 }
 
 void Tile::step() {
@@ -287,6 +303,10 @@ void Tile::step() {
 }
 
 std::uint64_t Tile::run_inference(const BitVec& input_spikes) {
+  if (closed_form_) {
+    latch(input_spikes);
+    return closed_form_burst();
+  }
   start_inference(input_spikes);
   std::uint64_t cycles = 0;
   while (busy()) {
@@ -296,6 +316,81 @@ std::uint64_t Tile::run_inference(const BitVec& input_spikes) {
                              "exceeded (pipeline deadlock)");
     }
   }
+  return cycles;
+}
+
+void Tile::refresh_columns() {
+  for (std::size_t rg = 0; rg < row_groups_; ++rg) {
+    for (std::size_t cg = 0; cg < col_groups_; ++cg) {
+      const std::size_t mi = rg * col_groups_ + cg;
+      const sram::SramMacro& m = macros_[mi];
+      if (column_stamps_[mi] == m.stamp()) continue;
+      column_stamps_[mi] = m.stamp();
+      const std::size_t words = m.column_word_count();
+      for (std::size_t c = 0; c < m.geometry().cols; ++c) {
+        const std::size_t j = cg * cfg_.max_array_dim + c;
+        const std::uint64_t* src = m.column_words(c);
+        std::copy(src, src + words,
+                  columns_.data() + j * column_stride_ + rg * rg_words_);
+      }
+    }
+  }
+}
+
+std::uint64_t Tile::closed_form_burst() {
+  refresh_columns();
+
+  // Vmem: each served spike adds +1 where its row stores a 1 and -1
+  // elsewhere, so after the burst vmem_j = 2 * |in & col_j| - |in|, in any
+  // grant order (no partial sum saturates, see closed_form_).
+  std::size_t total = 0;
+  for (std::size_t rg = 0; rg < row_groups_; ++rg) {
+    const BitVec& slice = input_slice_scratch_[rg];
+    std::copy(slice.words().begin(), slice.words().end(),
+              input_words_.data() + rg * rg_words_);
+    row_group_spikes_[rg] = slice.count();
+    total += row_group_spikes_[rg];
+  }
+  const util::simd::Kernels& kern = util::simd::active();
+  const auto total32 = static_cast<std::int32_t>(total);
+  for (std::size_t j = 0; j < cfg_.outputs; ++j) {
+    const auto ones = static_cast<std::int32_t>(
+        kern.and_count(input_words_.data(),
+                       columns_.data() + j * column_stride_, column_stride_));
+    neurons_[j].integrate_sum(2 * ones - total32);
+  }
+
+  // Events: each row-group arbiter grants min(pending, ports) rows per
+  // cycle until it drains, so the counts step() would record follow from
+  // the per-row-group spike counts alone. The tile fires on the cycle its
+  // slowest row group drains, or on the first cycle when no spike came.
+  const std::size_t p = arb_ports_;
+  std::size_t cycles = 1;
+  for (std::size_t rg = 0; rg < row_groups_; ++rg) {
+    const std::size_t s = row_group_spikes_[rg];
+    cycles = std::max(cycles, (s + p - 1) / p);
+    stats_.row_group_grants[rg] += s;
+    for (std::size_t cg = 0; cg < col_groups_; ++cg) {
+      macros_[rg * col_groups_ + cg].count_inference_reads(s);
+    }
+  }
+  for (std::size_t c = 0; c < cycles; ++c) {
+    std::size_t grants = 0;
+    for (std::size_t rg = 0; rg < row_groups_; ++rg) {
+      const std::size_t s = row_group_spikes_[rg];
+      if (s <= c * p) continue;
+      const std::size_t pending = s - c * p;
+      const std::size_t g = std::min(p, pending);
+      ++stats_.arbiter_cycles[pending * (p + 1) + g];
+      ++stats_.active_row_group_cycles;
+      grants += g;
+    }
+    if (grants > 0) ++stats_.grant_cycles[grants];
+  }
+  stats_.busy_cycles += cycles;
+  stats_.spikes_served += total;
+  stats_.row_reads += total * col_groups_;
+  fire_phase();
   return cycles;
 }
 
@@ -315,7 +410,7 @@ void Tile::fire_phase() {
   if (ledger_.ledger != nullptr) *ledger_.ledger += price(stats_ - latched_);
 }
 
-BitVec Tile::take_output() {
+void Tile::take_output_into(BitVec& out) {
   if (!output_ready_) throw std::logic_error("Tile::take_output: no output");
   if (cfg_.is_output_layer) {
     throw std::logic_error("Tile::take_output: output layer exposes Vmem");
@@ -323,7 +418,13 @@ BitVec Tile::take_output() {
   output_ready_ = false;
   // Downstream grant clears the request registers.
   for (auto& n : neurons_) n.grant();
-  return output_spikes_;
+  out = output_spikes_;
+}
+
+BitVec Tile::take_output() {
+  BitVec out;
+  take_output_into(out);
+  return out;
 }
 
 std::vector<std::int32_t> Tile::output_vmem() const {
@@ -338,6 +439,20 @@ std::vector<float> Tile::output_scores() const {
     s[j] = static_cast<float>(neurons_[j].vmem()) - readout_offsets_[j];
   }
   return s;
+}
+
+std::size_t Tile::winner() const {
+  std::size_t best = 0;
+  float best_score = 0.0f;
+  for (std::size_t j = 0; j < cfg_.outputs; ++j) {
+    const float score =
+        static_cast<float>(neurons_[j].vmem()) - readout_offsets_[j];
+    if (j == 0 || score > best_score) {
+      best = j;
+      best_score = score;
+    }
+  }
+  return best;
 }
 
 void Tile::consume_output() {

@@ -205,24 +205,32 @@ PreparedDataset prepare(const Dataset& raw, const std::string& source) {
 
 TrainTestSplit load_default_split(std::size_t n_train, std::size_t n_test,
                                   std::uint64_t seed) {
+  // Each split is prepared before the next is read or generated, so the raw
+  // float images of both splits are never held at once.
   const char* dir = std::getenv("ESAM_MNIST_DIR");
   if (dir != nullptr) {
     try {
       const std::string base(dir);
-      Dataset train =
+      TrainTestSplit split;
+      split.train = prepare(
           load_mnist_idx(base + "/train-images-idx3-ubyte",
-                         base + "/train-labels-idx1-ubyte", n_train);
-      Dataset test = load_mnist_idx(base + "/t10k-images-idx3-ubyte",
-                                    base + "/t10k-labels-idx1-ubyte", n_test);
-      return {prepare(train, "mnist-idx"), prepare(test, "mnist-idx")};
+                         base + "/train-labels-idx1-ubyte", n_train),
+          "mnist-idx");
+      split.test = prepare(load_mnist_idx(base + "/t10k-images-idx3-ubyte",
+                                          base + "/t10k-labels-idx1-ubyte",
+                                          n_test),
+                           "mnist-idx");
+      return split;
     } catch (const std::exception&) {
       // fall through to synthetic
     }
   }
-  Dataset train = generate_synthetic_digits(n_train, seed);
-  Dataset test =
-      generate_synthetic_digits(n_test, seed ^ 0xdead'beef'cafe'f00dULL);
-  return {prepare(train, "synthetic"), prepare(test, "synthetic")};
+  TrainTestSplit split;
+  split.train = prepare(generate_synthetic_digits(n_train, seed), "synthetic");
+  split.test = prepare(
+      generate_synthetic_digits(n_test, seed ^ 0xdead'beef'cafe'f00dULL),
+      "synthetic");
+  return split;
 }
 
 }  // namespace esam::data

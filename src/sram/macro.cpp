@@ -1,9 +1,21 @@
 #include "esam/sram/macro.hpp"
 
+#include <atomic>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace esam::sram {
+namespace {
+
+/// Mirror stamps come from one counter, so two macros share a stamp only
+/// when one is a copy of the other (same contents).
+std::uint64_t next_stamp() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1) + 1;
+}
+
+}  // namespace
 
 SramMacro::SramMacro(const TechnologyParams& tech, BitcellSpec spec,
                      ArrayGeometry geometry, Voltage vprech,
@@ -11,7 +23,10 @@ SramMacro::SramMacro(const TechnologyParams& tech, BitcellSpec spec,
     : timing_(tech, spec, geometry, vprech),
       inference_read_energy_(timing_.inference_row_read_energy()),
       usable_ports_(spec.read_ports == 0 ? 1 : spec.read_ports),
-      bits_(geometry.rows, BitVec(geometry.cols)) {
+      bits_(geometry.rows, BitVec(geometry.cols)),
+      col_words_((geometry.rows + 63) / 64),
+      observed_cols_(geometry.cols * col_words_, 0),
+      stamp_(next_stamp()) {
   if (!allow_non_yielding && !timing_.yielding()) {
     throw std::invalid_argument(
         "SramMacro: " + std::to_string(geometry.rows) + "x" +
@@ -23,20 +38,13 @@ SramMacro::SramMacro(const TechnologyParams& tech, BitcellSpec spec,
 
 bool SramMacro::peek(std::size_t row, std::size_t col) const {
   check_row(row);
-  return observed_row(row).test(col);
+  check_col(col);
+  return (column_words(col)[row >> 6] >> (row & 63)) & 1u;
 }
 
 BitVec SramMacro::peek_column(std::size_t col) const {
   check_col(col);
-  BitVec out(geometry().rows);
-  for (std::size_t r = 0; r < geometry().rows; ++r) {
-    bool v = bits_[r].test(col);
-    if (!stuck0_.empty()) {
-      v = (v && !stuck0_[r].test(col)) || stuck1_[r].test(col);
-    }
-    out.set(r, v);
-  }
-  return out;
+  return BitVec::from_words(geometry().rows, column_words(col));
 }
 
 BitVec SramMacro::observed_row(std::size_t row) const {
@@ -52,6 +60,41 @@ void SramMacro::observed_row_into(std::size_t row, BitVec& out) const {
   }
 }
 
+void SramMacro::rebuild_mirror() {
+  util::transpose_bits(bits_, observed_cols_.data(), col_words_);
+  if (has_faults()) {
+    for (std::size_t i = 0; i < observed_cols_.size(); ++i) {
+      observed_cols_[i] = (observed_cols_[i] & ~stuck0_cols_[i]) |
+                          stuck1_cols_[i];
+    }
+  }
+  stamp_ = next_stamp();
+}
+
+void SramMacro::mirror_column(std::size_t col, const BitVec& bits) {
+  std::uint64_t* out = observed_cols_.data() + col * col_words_;
+  for (std::size_t wi = 0; wi < col_words_; ++wi) {
+    std::uint64_t w = bits.word(wi);
+    if (has_faults()) {
+      const std::size_t i = col * col_words_ + wi;
+      w = (w & ~stuck0_cols_[i]) | stuck1_cols_[i];
+    }
+    out[wi] = w;
+  }
+  stamp_ = next_stamp();
+}
+
+void SramMacro::mirror_bit(std::size_t row, std::size_t col) {
+  bool v = bits_[row].test(col);
+  if (has_faults()) {
+    v = (v && !stuck0_[row].test(col)) || stuck1_[row].test(col);
+  }
+  const std::uint64_t mask = std::uint64_t{1} << (row & 63);
+  std::uint64_t& w = observed_cols_[col * col_words_ + (row >> 6)];
+  w = v ? (w | mask) : (w & ~mask);
+  stamp_ = next_stamp();
+}
+
 void SramMacro::apply_faults(const FaultMap& map) {
   const std::size_t rows = geometry().rows;
   const std::size_t cols = geometry().cols;
@@ -59,19 +102,26 @@ void SramMacro::apply_faults(const FaultMap& map) {
       map.stuck_at_one.size() != rows * cols) {
     throw std::invalid_argument("SramMacro::apply_faults: shape mismatch");
   }
+  // Row r of the cell-major map is the bit range [r * cols, (r + 1) * cols).
   stuck0_.assign(rows, BitVec(cols));
   stuck1_.assign(rows, BitVec(cols));
   for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      stuck0_[r].set(c, map.stuck_at_zero.test(r * cols + c));
-      stuck1_[r].set(c, map.stuck_at_one.test(r * cols + c));
-    }
+    map.stuck_at_zero.slice_into(r * cols, stuck0_[r]);
+    map.stuck_at_one.slice_into(r * cols, stuck1_[r]);
   }
+  stuck0_cols_.assign(observed_cols_.size(), 0);
+  stuck1_cols_.assign(observed_cols_.size(), 0);
+  util::transpose_bits(stuck0_, stuck0_cols_.data(), col_words_);
+  util::transpose_bits(stuck1_, stuck1_cols_.data(), col_words_);
+  rebuild_mirror();
 }
 
 void SramMacro::clear_faults() {
   stuck0_.clear();
   stuck1_.clear();
+  stuck0_cols_.clear();
+  stuck1_cols_.clear();
+  rebuild_mirror();
 }
 
 std::size_t SramMacro::fault_count() const {
@@ -85,6 +135,7 @@ std::size_t SramMacro::fault_count() const {
 void SramMacro::poke(std::size_t row, std::size_t col, bool value) {
   check_row(row);
   bits_[row].set(col, value);
+  mirror_bit(row, col);
 }
 
 void SramMacro::poke_column(std::size_t col, const BitVec& bits) {
@@ -95,9 +146,10 @@ void SramMacro::poke_column(std::size_t col, const BitVec& bits) {
   for (std::size_t r = 0; r < geometry().rows; ++r) {
     bits_[r].set(col, bits.test(r));
   }
+  mirror_column(col, bits);
 }
 
-void SramMacro::load(const std::vector<BitVec>& rows) {
+void SramMacro::load(std::vector<BitVec> rows) {
   if (rows.size() != geometry().rows) {
     throw std::invalid_argument("SramMacro::load: row count mismatch");
   }
@@ -106,7 +158,8 @@ void SramMacro::load(const std::vector<BitVec>& rows) {
       throw std::invalid_argument("SramMacro::load: column count mismatch");
     }
   }
-  bits_ = rows;
+  bits_ = std::move(rows);
+  rebuild_mirror();
 }
 
 void SramMacro::account_inference_read(std::size_t port) {
@@ -130,11 +183,7 @@ void SramMacro::read_row_into(std::size_t port, std::size_t row, BitVec& out) {
 }
 
 BitVec SramMacro::read_column(std::size_t col) {
-  check_col(col);
-  BitVec out(geometry().rows);
-  for (std::size_t r = 0; r < geometry().rows; ++r) {
-    out.set(r, observed_row(r).test(col));
-  }
+  BitVec out = peek_column(col);
   // Transposed cells: col_mux accesses; the 6T baseline reads every row
   // just to fish out one bit each.
   stats_.rw_read_accesses +=
@@ -150,6 +199,7 @@ void SramMacro::write_column(std::size_t col, const BitVec& value) {
   for (std::size_t r = 0; r < geometry().rows; ++r) {
     bits_[r].set(col, value.test(r));
   }
+  mirror_column(col, value);
   stats_.rw_write_accesses +=
       timing_.rw_port_is_columnwise() ? geometry().col_mux : geometry().rows;
 }
@@ -176,6 +226,7 @@ void SramMacro::write_row_rw(std::size_t row, const BitVec& value) {
     throw std::invalid_argument("SramMacro::write_row_rw: size mismatch");
   }
   bits_[row] = value;
+  for (std::size_t c = 0; c < geometry().cols; ++c) mirror_bit(row, c);
   ++stats_.rw_write_accesses;
 }
 

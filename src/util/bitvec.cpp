@@ -24,6 +24,13 @@ BitVec BitVec::from_string(const std::string& s) {
   return v;
 }
 
+BitVec BitVec::from_words(std::size_t size, const std::uint64_t* words) {
+  BitVec v(size);
+  std::copy(words, words + v.words_.size(), v.words_.begin());
+  v.trim();
+  return v;
+}
+
 void BitVec::clear() {
   for (auto& w : words_) w = 0;
 }
@@ -189,6 +196,52 @@ void BitVec::trim() {
   const std::size_t used = size_ & 63;
   if (used != 0 && !words_.empty()) {
     words_.back() &= (std::uint64_t{1} << used) - 1;
+  }
+}
+
+namespace {
+
+/// In-place transpose of a 64x64 bit block, a[i] bit j <-> a[j] bit i, by
+/// recursive block swaps (Hacker's Delight 7-3, for LSB-first bit order).
+void transpose64(std::uint64_t a[64]) {
+  std::uint64_t m = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (unsigned k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k | j]) & m;
+      a[k] ^= t << j;
+      a[k | j] ^= t;
+    }
+  }
+}
+
+}  // namespace
+
+void transpose_bits(const std::vector<BitVec>& rows, std::uint64_t* out,
+                    std::size_t stride) {
+  if (rows.empty()) return;
+  const std::size_t n_rows = rows.size();
+  const std::size_t n_cols = rows.front().size();
+  if (stride < (n_rows + 63) / 64) {
+    throw std::invalid_argument("transpose_bits: stride too small");
+  }
+  std::uint64_t block[64] = {};
+  for (std::size_t cb = 0; cb * 64 < n_cols; ++cb) {
+    for (std::size_t rb = 0; rb * 64 < n_rows; ++rb) {
+      const std::size_t r_end = std::min<std::size_t>(64, n_rows - rb * 64);
+      for (std::size_t i = 0; i < r_end; ++i) {
+        const BitVec& row = rows[rb * 64 + i];
+        if (row.size() != n_cols) {
+          throw std::invalid_argument("transpose_bits: ragged rows");
+        }
+        block[i] = row.word(cb);
+      }
+      std::fill(block + r_end, block + 64, std::uint64_t{0});
+      transpose64(block);
+      const std::size_t c_end = std::min<std::size_t>(64, n_cols - cb * 64);
+      for (std::size_t j = 0; j < c_end; ++j) {
+        out[(cb * 64 + j) * stride + rb] = block[j];
+      }
+    }
   }
 }
 

@@ -123,35 +123,12 @@ void avx2_accumulate_ones(const std::uint64_t* w, std::size_t n,
   }
 }
 
-void avx2_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
-                               std::int32_t grants, std::int32_t lo,
-                               std::int32_t hi, std::size_t n) {
-  const __m256i vlo = _mm256_set1_epi32(lo);
-  const __m256i vhi = _mm256_set1_epi32(hi);
-  const __m256i vg = _mm256_set1_epi32(grants);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i o =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ones + i));
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vmem + i));
-    v = _mm256_add_epi32(v, _mm256_sub_epi32(_mm256_add_epi32(o, o), vg));
-    v = _mm256_min_epi32(_mm256_max_epi32(v, vlo), vhi);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(vmem + i), v);
-  }
-  for (; i < n; ++i) {
-    std::int32_t v = vmem[i] + 2 * ones[i] - grants;
-    v = v < lo ? lo : v;
-    v = v > hi ? hi : v;
-    vmem[i] = v;
-  }
-}
-
 constexpr Kernels kAvx2Table{
     "avx2",              avx2_count,
     avx2_and_count,      avx2_xor_count,
     avx2_and_assign,     avx2_or_assign,
     avx2_xor_assign,     avx2_andnot_assign,
-    avx2_accumulate_ones, avx2_integrate_saturating,
+    avx2_accumulate_ones,
 };
 
 }  // namespace

@@ -113,34 +113,12 @@ void neon_accumulate_ones(const std::uint64_t* w, std::size_t n,
   }
 }
 
-void neon_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
-                               std::int32_t grants, std::int32_t lo,
-                               std::int32_t hi, std::size_t n) {
-  const int32x4_t vlo = vdupq_n_s32(lo);
-  const int32x4_t vhi = vdupq_n_s32(hi);
-  const int32x4_t vg = vdupq_n_s32(grants);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const int32x4_t o = vld1q_s32(ones + i);
-    int32x4_t v = vld1q_s32(vmem + i);
-    v = vaddq_s32(v, vsubq_s32(vaddq_s32(o, o), vg));
-    v = vminq_s32(vmaxq_s32(v, vlo), vhi);
-    vst1q_s32(vmem + i, v);
-  }
-  for (; i < n; ++i) {
-    std::int32_t v = vmem[i] + 2 * ones[i] - grants;
-    v = v < lo ? lo : v;
-    v = v > hi ? hi : v;
-    vmem[i] = v;
-  }
-}
-
 constexpr Kernels kNeonTable{
     "neon",              neon_count,
     neon_and_count,      neon_xor_count,
     neon_and_assign,     neon_or_assign,
     neon_xor_assign,     neon_andnot_assign,
-    neon_accumulate_ones, neon_integrate_saturating,
+    neon_accumulate_ones,
 };
 
 }  // namespace

@@ -65,17 +65,6 @@ void scalar_accumulate_ones(const std::uint64_t* w, std::size_t n,
   }
 }
 
-void scalar_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
-                                 std::int32_t grants, std::int32_t lo,
-                                 std::int32_t hi, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::int32_t v = vmem[i] + 2 * ones[i] - grants;
-    v = v < lo ? lo : v;
-    v = v > hi ? hi : v;
-    vmem[i] = v;
-  }
-}
-
 }  // namespace
 
 const Kernels& scalar_kernels() {
@@ -84,7 +73,7 @@ const Kernels& scalar_kernels() {
       scalar_and_count,      scalar_xor_count,
       scalar_and_assign,     scalar_or_assign,
       scalar_xor_assign,     scalar_andnot_assign,
-      scalar_accumulate_ones, scalar_integrate_saturating,
+      scalar_accumulate_ones,
   };
   return kTable;
 }

@@ -158,37 +158,6 @@ TEST(Simd, AccumulateOnesAddsEachSetBitOnce) {
   }
 }
 
-TEST(Simd, IntegrateSaturatingMatchesScalar) {
-  const Kernels& ref = scalar_kernels();
-  Rng rng(404);
-  const std::int32_t lo = -2048;
-  const std::int32_t hi = 2047;
-  for (Backend b : nonscalar_backends()) {
-    const Kernels& k = *kernels_for(b);
-    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                          std::size_t{8}, std::size_t{100}, std::size_t{256}}) {
-      std::vector<std::int32_t> vmem(n);
-      std::vector<std::int32_t> ones(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        // Values spanning the clamp edges, including exact lo/hi.
-        vmem[i] = static_cast<std::int32_t>(rng.uniform_index(5000)) - 2500;
-        ones[i] = static_cast<std::int32_t>(rng.uniform_index(40));
-      }
-      if (n > 1) {
-        vmem[0] = lo;
-        vmem[1] = hi;
-      }
-      for (std::int32_t grants : {0, 1, 5, 39}) {
-        auto got = vmem;
-        auto want = vmem;
-        k.integrate_saturating(got.data(), ones.data(), grants, lo, hi, n);
-        ref.integrate_saturating(want.data(), ones.data(), grants, lo, hi, n);
-        EXPECT_EQ(got, want) << backend_name(b) << ", n=" << n;
-      }
-    }
-  }
-}
-
 TEST(Simd, BitVecOpsIdenticalAcrossBackends) {
   // End-to-end through the BitVec dispatch layer, at widths exercising the
   // partial tail word.
