@@ -1,6 +1,6 @@
 // K1: microbenchmarks of the simulator kernels -- SIMD bit-kernels, arbiter
-// grant loops, SRAM row reads, the fast engine vs its lockstep oracle and
-// the packed BNN forward vs the SNN software reference. These
+// grant loops, SRAM row reads, the fast engine vs its lockstep oracle, the
+// packed BNN forward vs the SNN software reference, and BNN training. These
 // measure the *reproduction's* software performance (how fast the simulator
 // itself runs), not the modelled hardware.
 //
@@ -213,9 +213,9 @@ int main(int argc, char** argv) {
     ratios.push_back({"pipelined_over_sequential", speedup});
   }
 
-  // --- scoring: packed BNN forward vs the SNN software reference ----------
+  // --- scoring and training: packed BNN forward vs the SNN reference -----
   {
-    // Same random paper-shape network and inputs for both; the ratio
+    // Same random paper-shape network and inputs for all three; the ratio
     // snn/bnn stays >= 0.5 while the BNN scores within 2x of the SNN.
     util::Rng rng(4);
     const nn::BnnNetwork bnn({768, 256, 256, 256, 10}, rng);
@@ -237,11 +237,24 @@ int main(int argc, char** argv) {
         [&] { acc_sink = bnn.accuracy(bipolar, labels); }, score_window, n);
     const double snn_ns = ns_per_op(
         [&] { acc_sink = snn.accuracy(spikes, labels); }, score_window, n);
+    // Training on the same network and inputs: one epoch of fit() per op,
+    // each on a fresh copy, so every op does the same work.
+    nn::TrainConfig tc;
+    tc.epochs = 1;
+    const double train_ns = ns_per_op(
+        [&] {
+          nn::BnnNetwork net = bnn;
+          nn::BnnTrainer trainer(net, tc);
+          acc_sink = trainer.fit(bipolar, labels);
+        },
+        score_window, n);
     std::printf("\n%-28s %12.0f ns/sample\n", "bnn_score", bnn_ns);
     std::printf("%-28s %12.0f ns/sample\n", "snn_score", snn_ns);
+    std::printf("%-28s %12.0f ns/sample-epoch\n", "bnn_train", train_ns);
     std::printf("%-28s %11.2fx\n", "snn_over_bnn_score", snn_ns / bnn_ns);
     host_ns.push_back({"bnn_score_ns_per_sample", bnn_ns});
     host_ns.push_back({"snn_score_ns_per_sample", snn_ns});
+    host_ns.push_back({"bnn_train_ns_per_sample", train_ns});
     ratios.push_back({"snn_over_bnn_score", snn_ns / bnn_ns});
   }
 

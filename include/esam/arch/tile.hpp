@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -69,6 +70,20 @@ struct TileConfig {
 /// Hang detector of every simulated inference: no tile may stay busy this
 /// many cycles on one input (a healthy tile needs about fan-in / ports).
 inline constexpr std::uint64_t kMaxBurstCycles = std::uint64_t{1} << 20;
+
+/// A simulation that cannot finish: a hang detector fired. Derived from
+/// std::logic_error, so handlers written for that still catch it.
+class SimulationError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
+/// The hang detectors' one check: throws SimulationError with `what` once
+/// `cycles` exceeds `limit`.
+inline void check_cycle_limit(std::uint64_t cycles, std::uint64_t limit,
+                              const char* what) {
+  if (cycles > limit) throw SimulationError(what);
+}
 
 /// Per-tile event counts, all integers: the tile's activity record and,
 /// through Tile::price, its energy record. Integer sums commute, so counts
@@ -137,7 +152,7 @@ class Tile {
   /// state, outputs and TileStats as start_inference() plus step() until
   /// idle, computed in closed form. Tiles that carry membranes across
   /// inferences, or whose fan-in could saturate Vmem, step instead (and
-  /// throw std::logic_error past kMaxBurstCycles, the hang detector).
+  /// throw SimulationError past kMaxBurstCycles, the hang detector).
   /// Returns the cycles spent busy.
   std::uint64_t run_inference(const BitVec& input_spikes);
   /// Whether run_inference() takes the closed form (fixed at construction).

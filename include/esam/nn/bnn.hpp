@@ -20,8 +20,22 @@
 // a float sum of +-1 terms is an exact integer below 2^24 in magnitude
 // (load() caps fan-in at 2^20) and the bias is added last. So scores,
 // argmax, STE masks, gradients and saved caches match the float forward,
-// the oracle in tests/bnn_oracle.hpp. The backward, the STE and Adam are
-// float.
+// the oracle in tests/bnn_oracle.hpp.
+//
+// The backward, the STE and Adam are float, and exact to the oracle's
+// per-sample loops too. The trainer runs the forward for a whole batch,
+// then goes back one layer at a time: each weight-gradient row and each
+// sample's dA = dZ Wb is one sum over the nonzero dZ entries of +-1 rows,
+// kept in registers over 32-column blocks. Every product is +-dz, exact,
+// and each element sees the same float additions in the same order, from
+// +0, as the per-sample outer product; so gradients, and the bytes of a
+// saved cache, do not change. Adam is the util::simd adam_step kernel
+// (IEEE ops in the oracle's order, on every backend). Each batch runs
+// under util::FlushDenormals: decayed Adam moments would otherwise go
+// subnormal and stall x86 on every touch. Progress logging runs outside it,
+// in the caller's mode. That flush is not exact by construction;
+// tests/test_nn.cpp pins the saved bytes against the unflushed oracle over
+// a run that reaches subnormal moments.
 //
 // Inputs must be exactly +-1.0f and as wide as the first layer: predict(),
 // accuracy(), fit() and train_epoch() throw std::invalid_argument naming
@@ -136,6 +150,8 @@ class BnnTrainer {
   double run_epoch(const std::vector<std::vector<float>>& xs,
                    const std::vector<std::uint64_t>& packed_xs,
                    const std::vector<std::uint8_t>& ys);
+  /// One Adam step on samples idx[begin, end), under
+  /// util::FlushDenormals.
   void train_batch(const std::vector<std::vector<float>>& xs,
                    const std::vector<std::uint64_t>& packed_xs,
                    const std::vector<std::uint8_t>& ys,
@@ -149,6 +165,17 @@ class BnnTrainer {
   std::vector<Matrix> m_w_, v_w_;
   std::vector<std::vector<float>> m_b_, v_b_;
   std::uint64_t step_ = 0;
+  // Per-batch state, reused across batches. Per layer l: the gradients,
+  // the deployed +-1 weights as floats (l >= 1, for dA = dZ Wb), and
+  // batch-major buffers: pre-activations z_[l] and their gradients dz_[l]
+  // (batch x out) and the +-1 inputs act_[l] (batch x in, l >= 1; layer 0
+  // reads the samples). bits_ holds one hidden input's packed signs.
+  std::vector<Matrix> grad_w_, wb_;
+  std::vector<std::vector<float>> grad_b_, z_, dz_, act_;
+  std::vector<std::uint64_t> bits_;
+  // One weighted row sum's terms: the rows and their nonzero coefficients.
+  std::vector<const float*> term_rows_;
+  std::vector<float> term_coefs_;
 };
 
 }  // namespace esam::nn

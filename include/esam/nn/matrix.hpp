@@ -1,13 +1,10 @@
-// Minimal dense matrix for BNN training (no external BLAS in this repo).
-//
-// Row-major float storage with just the operations the trainer's float
-// backward needs: transposed products and outer-product accumulation (the
-// forward runs on packed sign bits, esam/nn/packed.hpp). Sizes in this
-// project are small (<= 768x256), so clarity beats blocking tricks.
+// Dense row-major float storage for BNN latent weights, Adam moments and
+// gradients. It holds no arithmetic: the forward runs on packed sign bits
+// (esam/nn/packed.hpp) and the trainer's blocked backward and the Adam
+// kernel work on the flat storage (src/nn/bnn.cpp).
 #pragma once
 
 #include <cstddef>
-#include <stdexcept>
 #include <vector>
 
 namespace esam::nn {
@@ -36,14 +33,6 @@ class Matrix {
   }
   [[nodiscard]] std::vector<float>& flat() { return data_; }
   [[nodiscard]] const std::vector<float>& flat() const { return data_; }
-
-  /// y = this^T * x  (cols) <- (rows)
-  [[nodiscard]] std::vector<float> multiply_transposed(
-      const std::vector<float>& x) const;
-
-  /// this += scale * a b^T (outer product accumulate)
-  void add_outer(float scale, const std::vector<float>& a,
-                 const std::vector<float>& b);
 
  private:
   std::size_t rows_ = 0;

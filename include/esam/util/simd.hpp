@@ -1,6 +1,7 @@
-// Runtime-dispatched SIMD backends for the BitVec / tile hot kernels.
+// Runtime-dispatched SIMD backends for the BitVec / tile hot kernels and
+// the BNN trainer's Adam step.
 //
-// Every kernel operates on raw 64-bit word spans (the BitVec storage
+// The bit kernels operate on raw 64-bit word spans (the BitVec storage
 // format: little-endian bit order within each word, tail bits beyond the
 // logical width kept zero). A backend is one table of function pointers;
 // the scalar table is the portable reference, and the AVX2 / NEON tables
@@ -17,7 +18,9 @@
 // All backends are exact drop-in replacements: for every input the result
 // is bit-identical to the scalar reference (pinned by the randomized
 // differential tests in tests/test_simd.cpp), so modelled numbers never
-// depend on the backend.
+// depend on the backend. The float kernel keeps that promise because it
+// uses only correctly rounded IEEE operations (mul, add, div, sqrt) in
+// one fixed order, and the build forbids FMA contraction.
 #pragma once
 
 #include <cstddef>
@@ -29,9 +32,21 @@ namespace esam::util::simd {
 
 enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
-/// One backend's kernel table. `n` is always a count of 64-bit words;
-/// callers guarantee equal-length operands (BitVec enforces width equality
-/// before dispatching).
+/// One Adam step's constants (see Kernels::adam_step).
+struct AdamStep {
+  /// Multiplies the summed gradient (1 / batch size).
+  float grad_scale;
+  float beta1, beta2;
+  /// Bias corrections 1 - beta^t.
+  float correction1, correction2;
+  float learning_rate, eps;
+  /// Parameters are clamped to [-clip, clip]; +infinity clamps nothing.
+  float clip;
+};
+
+/// One backend's kernel table. For the bit kernels `n` is a count of 64-bit
+/// words; callers guarantee equal-length operands (BitVec enforces width
+/// equality before dispatching). adam_step counts floats.
 struct Kernels {
   const char* name;
 
@@ -58,6 +73,16 @@ struct Kernels {
   /// counters only ever accumulate zeros.
   void (*accumulate_ones)(const std::uint64_t* w, std::size_t n,
                           std::int32_t* ones);
+  /// Adam on `n` parameters, element-wise and in this exact order:
+  ///   gi = g * grad_scale
+  ///   m  = beta1 * m + (1 - beta1) * gi
+  ///   v  = beta2 * v + ((1 - beta2) * gi) * gi
+  ///   p  = p - (learning_rate * (m / correction1)) /
+  ///            (sqrt(v / correction2) + eps)
+  ///   p  = p < -clip ? -clip : (clip < p ? clip : p)   (std::clamp; NaN
+  ///                                                     passes through)
+  void (*adam_step)(float* p, float* m, float* v, const float* g,
+                    std::size_t n, const AdamStep& s);
 };
 
 /// The portable reference table (always available).

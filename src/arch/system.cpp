@@ -115,9 +115,8 @@ std::uint64_t stream_lockstep(std::vector<Tile>& tiles,
       (static_cast<std::uint64_t>(n) + tiles.size()) * kMaxBurstCycles;
 
   while (completed < n) {
-    if (++cycles > cycle_limit) {
-      throw std::logic_error("SystemSimulator: pipeline deadlock");
-    }
+    check_cycle_limit(++cycles, cycle_limit,
+                      "SystemSimulator: pipeline deadlock");
 
     for (std::size_t i = 0; i < tiles.size(); ++i) {
       served_before[i] = tiles[i].stats().spikes_served;

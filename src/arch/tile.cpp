@@ -311,10 +311,9 @@ std::uint64_t Tile::run_inference(const BitVec& input_spikes) {
   std::uint64_t cycles = 0;
   while (busy()) {
     step();
-    if (++cycles > kMaxBurstCycles) {
-      throw std::logic_error("Tile::run_inference: burst cycle limit "
-                             "exceeded (pipeline deadlock)");
-    }
+    check_cycle_limit(++cycles, kMaxBurstCycles,
+                      "Tile::run_inference: burst cycle limit exceeded "
+                      "(pipeline deadlock)");
   }
   return cycles;
 }

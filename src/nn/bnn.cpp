@@ -2,6 +2,8 @@
 
 #include "esam/nn/packed.hpp"
 #include "esam/util/crc32.hpp"
+#include "esam/util/fp_env.hpp"
+#include "esam/util/simd.hpp"
 
 #include <unistd.h>
 
@@ -11,22 +13,55 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace esam::nn {
 namespace {
 
-/// Materializes the binarized weights of a layer for the backward's
-/// transposed products (hot loops want a flat array, not a per-element
-/// branch).
-Matrix binarize(const Matrix& latent) {
-  Matrix wb(latent.rows(), latent.cols());
+/// Writes the deployed +-1 weights of `latent` into `wb` as floats, the
+/// row operands of the backward's transposed product.
+void binarize_into(const Matrix& latent, Matrix& wb) {
   const auto& src = latent.flat();
   auto& dst = wb.flat();
   for (std::size_t i = 0; i < src.size(); ++i) {
     dst[i] = src[i] >= 0.0f ? 1.0f : -1.0f;
   }
-  return wb;
+}
+
+/// Four floats in one SSE / NEON register (GCC and Clang vector extension).
+using Float4 = float __attribute__((vector_size(16)));
+
+/// out[c] = sum over i < n, in order, of coef[i] * rows[i][c], for
+/// c < width, each sum starting at +0.0f. Both backward products are such
+/// sums over +-1 rows: coef * row[c] is +-coef, exact, so every out[c] sees
+/// the float additions of the per-sample outer-product / transposed-product
+/// loops in their order (those skip zero coefficients, as callers here do;
+/// a +-0 term could not change a sum that starts at +0 anyway). Blocks of
+/// 32 columns keep their partial sums in eight vector registers.
+void weighted_rows(const float* const* rows, const float* coef,
+                   std::size_t n, std::size_t width, float* out) {
+  constexpr std::size_t kVecs = 8;
+  constexpr std::size_t kBlock = 4 * kVecs;
+  std::size_t c = 0;
+  for (; c + kBlock <= width; c += kBlock) {
+    Float4 acc[kVecs] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      const Float4 d = {coef[i], coef[i], coef[i], coef[i]};
+      const float* row = rows[i] + c;
+      for (std::size_t k = 0; k < kVecs; ++k) {
+        Float4 r;
+        std::memcpy(&r, row + 4 * k, sizeof r);
+        acc[k] += d * r;
+      }
+    }
+    std::memcpy(out + c, acc, sizeof acc);
+  }
+  for (; c < width; ++c) {
+    float acc = 0.0f;
+    for (std::size_t i = 0; i < n; ++i) acc += coef[i] * rows[i][c];
+    out[c] = acc;
+  }
 }
 
 /// Routes a progress line to the configured sink (stderr by default; the
@@ -264,11 +299,20 @@ BnnTrainer::BnnTrainer(BnnNetwork& net, TrainConfig cfg)
   if (cfg.batch_size == 0) {
     throw std::invalid_argument("BnnTrainer: batch_size must be > 0");
   }
-  for (const auto& l : net.layers()) {
-    m_w_.emplace_back(l.out_features(), l.in_features());
-    v_w_.emplace_back(l.out_features(), l.in_features());
-    m_b_.emplace_back(l.out_features(), 0.0f);
-    v_b_.emplace_back(l.out_features(), 0.0f);
+  const std::size_t n_layers = net.layers().size();
+  z_.resize(n_layers);
+  dz_.resize(n_layers);
+  act_.resize(n_layers);
+  wb_.resize(n_layers);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    const BnnLayer& layer = net.layers()[l];
+    m_w_.emplace_back(layer.out_features(), layer.in_features());
+    v_w_.emplace_back(layer.out_features(), layer.in_features());
+    m_b_.emplace_back(layer.out_features(), 0.0f);
+    v_b_.emplace_back(layer.out_features(), 0.0f);
+    grad_w_.emplace_back(layer.out_features(), layer.in_features());
+    grad_b_.emplace_back(layer.out_features(), 0.0f);
+    if (l > 0) wb_[l] = Matrix(layer.out_features(), layer.in_features());
   }
 }
 
@@ -301,130 +345,148 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
                              const std::vector<std::size_t>& idx,
                              std::size_t begin, std::size_t end,
                              double& loss_sum) {
+  // Decayed Adam moments would otherwise go subnormal and stall x86 on
+  // every touch. The caller's mode is back before run_epoch logs progress.
+  const util::FlushDenormals no_subnormals;
   auto& layers = net_->layers();
   const std::size_t n_layers = layers.size();
+  const std::size_t batch = end - begin;
 
-  // Weights reused across the batch: packed signs for the forward, float
-  // +-1 matrices for the backward's transposed products (layer 0's are
-  // never needed: the backward stops at its weight gradient).
   const PackedBnn packed_net(*net_);
   const std::vector<PackedLayer>& packed = packed_net.layers();
-  std::vector<Matrix> wb(n_layers);
-  for (std::size_t l = 1; l < n_layers; ++l) {
-    wb[l] = binarize(layers[l].latent);
-  }
-
-  std::vector<Matrix> grad_w;
-  std::vector<std::vector<float>> grad_b;
-  for (const auto& l : layers) {
-    grad_w.emplace_back(l.out_features(), l.in_features());
-    grad_b.emplace_back(l.out_features(), 0.0f);
-  }
-
-  // Forward buffers: pre-activations z[l] of layer l, and the hidden
-  // activations a[l] / their packed signs bits[l] that feed layer l >= 1
-  // (layer 0 reads the sample itself).
-  std::vector<std::vector<float>> z(n_layers), a(n_layers);
-  std::vector<std::vector<std::uint64_t>> bits(n_layers);
   for (std::size_t l = 0; l < n_layers; ++l) {
-    z[l].resize(packed[l].out);
-    if (l > 0) {
-      a[l].resize(packed[l].in);
-      bits[l].resize(packed[l].words);
-    }
+    z_[l].resize(batch * packed[l].out);
+    dz_[l].resize(batch * packed[l].out);
+    if (l > 0) act_[l].resize(batch * packed[l].in);
   }
 
-  for (std::size_t s = begin; s < end; ++s) {
-    const std::vector<float>& x = xs[idx[s]];
-    const std::uint8_t label = ys[idx[s]];
-
-    const std::uint64_t* in = packed_xs.data() + idx[s] * packed[0].words;
+  // Forward over the whole batch, in sample order (loss_sum keeps its
+  // order), on packed signs.
+  const std::size_t classes = packed.back().out;
+  const float temp =
+      std::sqrt(static_cast<float>(layers.back().in_features()));
+  for (std::size_t s = 0; s < batch; ++s) {
+    const std::size_t sample = idx[begin + s];
+    const std::uint64_t* in = packed_xs.data() + sample * packed[0].words;
     for (std::size_t l = 0; l < n_layers; ++l) {
-      packed[l].forward(in, z[l].data());
+      const std::size_t out = packed[l].out;
+      float* z = z_[l].data() + s * out;
+      packed[l].forward(in, z);
       if (l + 1 == n_layers) break;
-      for (std::size_t j = 0; j < z[l].size(); ++j) {
-        a[l + 1][j] = sign_activation(z[l][j]);
-      }
-      pack_signs(a[l + 1].data(), a[l + 1].size(), bits[l + 1].data());
-      in = bits[l + 1].data();
+      float* a = act_[l + 1].data() + s * out;
+      for (std::size_t j = 0; j < out; ++j) a[j] = sign_activation(z[j]);
+      // The packed signs feed the next layer only; forward() is done with
+      // `in`, so one buffer serves every layer.
+      bits_.resize(packed[l + 1].words);
+      pack_signs(a, out, bits_.data());
+      in = bits_.data();
     }
 
     // Softmax cross-entropy on the last pre-activations. Binary-weight
     // logits are integer-scaled sums with magnitudes ~ fan-in, which would
     // saturate the softmax; a temperature of sqrt(fan_in) restores useful
     // gradients without changing the argmax (deployment uses raw scores).
-    std::vector<float>& logits = z[n_layers - 1];
-    const float temp =
-        std::sqrt(static_cast<float>(layers.back().in_features()));
-    const float zmax = *std::max_element(logits.begin(), logits.end());
+    const float* logits = z_[n_layers - 1].data() + s * classes;
+    float* dz = dz_[n_layers - 1].data() + s * classes;
+    const std::uint8_t label = ys[sample];
+    const float zmax = *std::max_element(logits, logits + classes);
     double denom = 0.0;
-    for (float v : logits) {
-      denom += std::exp(static_cast<double>((v - zmax) / temp));
+    for (std::size_t j = 0; j < classes; ++j) {
+      denom += std::exp(static_cast<double>((logits[j] - zmax) / temp));
     }
     const double logp =
         static_cast<double>((logits[label] - zmax) / temp) - std::log(denom);
     loss_sum += -logp;
-
-    std::vector<float> dz(logits.size());
-    for (std::size_t j = 0; j < logits.size(); ++j) {
+    for (std::size_t j = 0; j < classes; ++j) {
       const double p =
           std::exp(static_cast<double>((logits[j] - zmax) / temp)) / denom;
       dz[j] = static_cast<float>(p) - (j == label ? 1.0f : 0.0f);
     }
+  }
 
-    // Backward with STE through the sign activations. The STE window scales
-    // with sqrt(fan_in), the natural magnitude of the +-1-weighted sums
-    // (a +-1 window would zero nearly all hidden gradients).
-    for (std::size_t l = n_layers; l-- > 0;) {
-      grad_w[l].add_outer(1.0f, dz, l == 0 ? x : a[l]);
-      for (std::size_t j = 0; j < dz.size(); ++j) grad_b[l][j] += dz[j];
-      if (l == 0) break;
-      std::vector<float> da = wb[l].multiply_transposed(dz);
-      const float ste_clip =
-          std::sqrt(static_cast<float>(layers[l - 1].in_features()));
-      dz.assign(da.size(), 0.0f);
-      for (std::size_t j = 0; j < da.size(); ++j) {
-        dz[j] = std::fabs(z[l - 1][j]) <= ste_clip ? da[j] : 0.0f;
+  // Backward one layer at a time, with STE through the sign activations.
+  // The STE window scales with sqrt(fan_in), the natural magnitude of the
+  // +-1-weighted sums (a +-1 window would zero nearly all hidden
+  // gradients). Every gradient element is a weighted_rows sum over the
+  // nonzero dZ entries in the order the per-sample loop added them.
+  for (std::size_t l = n_layers; l-- > 0;) {
+    const std::size_t in = layers[l].in_features();
+    const std::size_t out = layers[l].out_features();
+    const float* dz = dz_[l].data();
+    const auto input = [&](std::size_t s) {
+      return l == 0 ? xs[idx[begin + s]].data() : act_[l].data() + s * in;
+    };
+
+    // grad_b[j] and grad_w row j: sums over the batch's samples.
+    std::vector<float>& grad_b = grad_b_[l];
+    std::fill(grad_b.begin(), grad_b.end(), 0.0f);
+    for (std::size_t s = 0; s < batch; ++s) {
+      for (std::size_t j = 0; j < out; ++j) grad_b[j] += dz[s * out + j];
+    }
+    for (std::size_t j = 0; j < out; ++j) {
+      term_rows_.clear();
+      term_coefs_.clear();
+      for (std::size_t s = 0; s < batch; ++s) {
+        const float d = dz[s * out + j];
+        if (d == 0.0f) continue;
+        term_rows_.push_back(input(s));
+        term_coefs_.push_back(d);
+      }
+      weighted_rows(term_rows_.data(), term_coefs_.data(), term_rows_.size(),
+                    in, grad_w_[l].row_data(j));
+    }
+    if (l == 0) break;
+
+    // dA = dZ Wb per sample, then the STE mask of layer l - 1.
+    binarize_into(layers[l].latent, wb_[l]);
+    const float ste_clip =
+        std::sqrt(static_cast<float>(layers[l - 1].in_features()));
+    for (std::size_t s = 0; s < batch; ++s) {
+      term_rows_.clear();
+      term_coefs_.clear();
+      for (std::size_t j = 0; j < out; ++j) {
+        const float d = dz[s * out + j];
+        if (d == 0.0f) continue;
+        term_rows_.push_back(wb_[l].row_data(j));
+        term_coefs_.push_back(d);
+      }
+      float* da = dz_[l - 1].data() + s * in;
+      weighted_rows(term_rows_.data(), term_coefs_.data(), term_rows_.size(),
+                    in, da);
+      const float* z = z_[l - 1].data() + s * in;
+      for (std::size_t c = 0; c < in; ++c) {
+        da[c] = std::fabs(z[c]) <= ste_clip ? da[c] : 0.0f;
       }
     }
   }
 
-  // Adam step on the latent weights and biases; clip latents to [-1, 1].
+  // Adam step on the latent weights (clipped to [-1, 1]) and the biases
+  // (unclipped).
   ++step_;
-  const float b1 = cfg_.adam_beta1;
-  const float b2 = cfg_.adam_beta2;
-  const float bc1 = 1.0f - std::pow(b1, static_cast<float>(step_));
-  const float bc2 = 1.0f - std::pow(b2, static_cast<float>(step_));
-  const float inv_batch = 1.0f / static_cast<float>(end - begin);
+  util::simd::AdamStep adam{};
+  adam.grad_scale = 1.0f / static_cast<float>(batch);
+  adam.beta1 = cfg_.adam_beta1;
+  adam.beta2 = cfg_.adam_beta2;
+  adam.correction1 = 1.0f - std::pow(adam.beta1, static_cast<float>(step_));
+  adam.correction2 = 1.0f - std::pow(adam.beta2, static_cast<float>(step_));
+  adam.learning_rate = cfg_.learning_rate;
+  adam.eps = cfg_.adam_eps;
+  const auto adam_step = util::simd::active().adam_step;
   for (std::size_t l = 0; l < n_layers; ++l) {
-    auto& lat = layers[l].latent.flat();
-    auto& g = grad_w[l].flat();
-    auto& m = m_w_[l].flat();
-    auto& v = v_w_[l].flat();
-    for (std::size_t i = 0; i < lat.size(); ++i) {
-      const float gi = g[i] * inv_batch;
-      m[i] = b1 * m[i] + (1.0f - b1) * gi;
-      v[i] = b2 * v[i] + (1.0f - b2) * gi * gi;
-      const float mhat = m[i] / bc1;
-      const float vhat = v[i] / bc2;
-      lat[i] -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + cfg_.adam_eps);
-      lat[i] = std::clamp(lat[i], -1.0f, 1.0f);
-    }
-    auto& bias = layers[l].bias;
-    for (std::size_t j = 0; j < bias.size(); ++j) {
-      const float gj = grad_b[l][j] * inv_batch;
-      m_b_[l][j] = b1 * m_b_[l][j] + (1.0f - b1) * gj;
-      v_b_[l][j] = b2 * v_b_[l][j] + (1.0f - b2) * gj * gj;
-      const float mhat = m_b_[l][j] / bc1;
-      const float vhat = v_b_[l][j] / bc2;
-      bias[j] -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + cfg_.adam_eps);
-    }
+    adam.clip = 1.0f;
+    adam_step(layers[l].latent.flat().data(), m_w_[l].flat().data(),
+              v_w_[l].flat().data(), grad_w_[l].flat().data(),
+              grad_w_[l].size(), adam);
+    adam.clip = std::numeric_limits<float>::infinity();
+    adam_step(layers[l].bias.data(), m_b_[l].data(), v_b_[l].data(),
+              grad_b_[l].data(), grad_b_[l].size(), adam);
   }
 }
 
 double BnnTrainer::train_epoch(const std::vector<std::vector<float>>& xs,
                                const std::vector<std::uint8_t>& ys) {
-  return run_epoch(xs, pack_dataset(xs, ys), ys);
+  const std::vector<std::uint64_t> packed_xs = pack_dataset(xs, ys);
+  return run_epoch(xs, packed_xs, ys);
 }
 
 double BnnTrainer::run_epoch(const std::vector<std::vector<float>>& xs,

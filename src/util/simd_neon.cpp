@@ -113,12 +113,19 @@ void neon_accumulate_ones(const std::uint64_t* w, std::size_t n,
   }
 }
 
+/// No NEON Adam kernel: the step runs the scalar reference, which is
+/// bit-identical by definition.
+void neon_adam_step(float* p, float* m, float* v, const float* g,
+                    std::size_t n, const AdamStep& s) {
+  scalar_kernels().adam_step(p, m, v, g, n, s);
+}
+
 constexpr Kernels kNeonTable{
     "neon",              neon_count,
     neon_and_count,      neon_xor_count,
     neon_and_assign,     neon_or_assign,
     neon_xor_assign,     neon_andnot_assign,
-    neon_accumulate_ones,
+    neon_accumulate_ones, neon_adam_step,
 };
 
 }  // namespace

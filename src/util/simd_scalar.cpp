@@ -1,6 +1,8 @@
 // Portable scalar reference backend. Every other backend must reproduce
 // these results bit-for-bit (tests/test_simd.cpp).
+#include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "esam/util/simd.hpp"
 
@@ -65,6 +67,21 @@ void scalar_accumulate_ones(const std::uint64_t* w, std::size_t n,
   }
 }
 
+void scalar_adam_step(float* p, float* m, float* v, const float* g,
+                      std::size_t n, const AdamStep& s) {
+  const float keep1 = 1.0f - s.beta1;
+  const float keep2 = 1.0f - s.beta2;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float gi = g[i] * s.grad_scale;
+    m[i] = s.beta1 * m[i] + keep1 * gi;
+    v[i] = s.beta2 * v[i] + keep2 * gi * gi;
+    const float mhat = m[i] / s.correction1;
+    const float vhat = v[i] / s.correction2;
+    p[i] -= s.learning_rate * mhat / (std::sqrt(vhat) + s.eps);
+    p[i] = std::clamp(p[i], -s.clip, s.clip);
+  }
+}
+
 }  // namespace
 
 const Kernels& scalar_kernels() {
@@ -73,7 +90,7 @@ const Kernels& scalar_kernels() {
       scalar_and_count,      scalar_xor_count,
       scalar_and_assign,     scalar_or_assign,
       scalar_xor_assign,     scalar_andnot_assign,
-      scalar_accumulate_ones,
+      scalar_accumulate_ones, scalar_adam_step,
   };
   return kTable;
 }

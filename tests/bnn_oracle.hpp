@@ -1,13 +1,17 @@
-// Float BNN forward oracle shared by the tests: serial float dot products
-// over the binarized weights. BnnNetwork::predict / accuracy and BnnTrainer,
-// which run on packed sign bits (esam/nn/packed.hpp), must match it bit for
-// bit -- scores, argmax, STE masks, gradients and saved caches.
+// Float BNN oracle shared by the tests: serial float dot products over the
+// binarized weights, and the per-sample float backward (outer-product
+// accumulation, transposed products, scalar Adam). BnnNetwork::predict /
+// accuracy and BnnTrainer, which run on packed sign bits
+// (esam/nn/packed.hpp), a blocked backward and the SIMD Adam kernel, must
+// match it bit for bit -- scores, argmax, STE masks, gradients, losses and
+// saved caches.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "esam/nn/bnn.hpp"
@@ -26,6 +30,37 @@ inline std::vector<float> matvec(const nn::Matrix& m,
     y[r] = acc;
   }
   return y;
+}
+
+/// y = m^T x: rows with x[r] == 0 skipped, the rest added in row order.
+inline std::vector<float> multiply_transposed(const nn::Matrix& m,
+                                              const std::vector<float>& x) {
+  if (x.size() != m.rows()) {
+    throw std::invalid_argument("multiply_transposed: dimension mismatch");
+  }
+  std::vector<float> y(m.cols(), 0.0f);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    const float xr = x[r];
+    if (xr == 0.0f) continue;
+    const float* row = m.row_data(r);
+    for (std::size_t c = 0; c < m.cols(); ++c) y[c] += xr * row[c];
+  }
+  return y;
+}
+
+/// m += scale * a b^T, one row at a time; rows with scale * a[r] == 0 are
+/// skipped.
+inline void add_outer(nn::Matrix& m, float scale, const std::vector<float>& a,
+                      const std::vector<float>& b) {
+  if (a.size() != m.rows() || b.size() != m.cols()) {
+    throw std::invalid_argument("add_outer: dimension mismatch");
+  }
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    const float s = scale * a[r];
+    if (s == 0.0f) continue;
+    float* row = m.row_data(r);
+    for (std::size_t c = 0; c < m.cols(); ++c) row[c] += s * b[c];
+  }
 }
 
 /// The deployed +-1 weights as floats (latent >= 0.0f -> +1).
@@ -80,6 +115,11 @@ class FloatTrainer {
       m_b_.emplace_back(l.out_features(), 0.0f);
       v_b_.emplace_back(l.out_features(), 0.0f);
     }
+  }
+
+  /// Adam moments found subnormal after a step, summed over all steps.
+  [[nodiscard]] std::size_t subnormal_moments() const {
+    return subnormal_moments_;
   }
 
   double fit(const std::vector<std::vector<float>>& xs,
@@ -147,10 +187,10 @@ class FloatTrainer {
       }
 
       for (std::size_t l = n_layers; l-- > 0;) {
-        grad_w[l].add_outer(1.0f, dz, a[l]);
+        add_outer(grad_w[l], 1.0f, dz, a[l]);
         for (std::size_t j = 0; j < dz.size(); ++j) grad_b[l][j] += dz[j];
         if (l == 0) break;
-        const std::vector<float> da = wb[l].multiply_transposed(dz);
+        const std::vector<float> da = multiply_transposed(wb[l], dz);
         const float ste_clip =
             std::sqrt(static_cast<float>(layers[l - 1].in_features()));
         dz.assign(da.size(), 0.0f);
@@ -185,7 +225,17 @@ class FloatTrainer {
       for (std::size_t j = 0; j < bias.size(); ++j) {
         adam(bias[j], m_b_[l][j], v_b_[l][j], grad_b[l][j]);
       }
+      subnormal_moments_ += count_subnormal(m_w_[l].flat()) +
+                            count_subnormal(v_w_[l].flat()) +
+                            count_subnormal(m_b_[l]) + count_subnormal(v_b_[l]);
     }
+  }
+
+  static std::size_t count_subnormal(const std::vector<float>& v) {
+    return static_cast<std::size_t>(
+        std::count_if(v.begin(), v.end(), [](float x) {
+          return std::fpclassify(x) == FP_SUBNORMAL;
+        }));
   }
 
   nn::BnnNetwork* net_;
@@ -194,6 +244,7 @@ class FloatTrainer {
   std::vector<nn::Matrix> m_w_, v_w_;
   std::vector<std::vector<float>> m_b_, v_b_;
   std::uint64_t step_ = 0;
+  std::size_t subnormal_moments_ = 0;
 };
 
 }  // namespace esam::oracle

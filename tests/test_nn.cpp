@@ -7,6 +7,8 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "bnn_oracle.hpp"
 #include "esam/nn/bnn.hpp"
@@ -32,7 +34,7 @@ TEST(Matrix, MultiplyTransposed) {
   float vals[] = {1, 2, 3, 4, 5, 6};
   std::copy(std::begin(vals), std::end(vals), m.flat().begin());
   // m^T * [1, -1]^T = [-3, -3, -3]
-  const std::vector<float> y = m.multiply_transposed({1.0f, -1.0f});
+  const std::vector<float> y = oracle::multiply_transposed(m, {1.0f, -1.0f});
   ASSERT_EQ(y.size(), 3u);
   EXPECT_FLOAT_EQ(y[0], -3.0f);
   EXPECT_FLOAT_EQ(y[2], -3.0f);
@@ -40,15 +42,15 @@ TEST(Matrix, MultiplyTransposed) {
 
 TEST(Matrix, DimensionMismatchThrows) {
   Matrix m(2, 3);
-  EXPECT_THROW((void)m.multiply_transposed({1.0f, 2.0f, 3.0f}),
+  EXPECT_THROW((void)oracle::multiply_transposed(m, {1.0f, 2.0f, 3.0f}),
                std::invalid_argument);
-  EXPECT_THROW(m.add_outer(1.0f, {1.0f}, {1.0f, 2.0f, 3.0f}),
+  EXPECT_THROW(oracle::add_outer(m, 1.0f, {1.0f}, {1.0f, 2.0f, 3.0f}),
                std::invalid_argument);
 }
 
 TEST(Matrix, AddOuter) {
   Matrix m(2, 2, 1.0f);
-  m.add_outer(0.5f, {2.0f, 0.0f}, {1.0f, 3.0f});
+  oracle::add_outer(m, 0.5f, {2.0f, 0.0f}, {1.0f, 3.0f});
   EXPECT_FLOAT_EQ(m.at(0, 0), 2.0f);   // 1 + 0.5*2*1
   EXPECT_FLOAT_EQ(m.at(0, 1), 4.0f);   // 1 + 0.5*2*3
   EXPECT_FLOAT_EQ(m.at(1, 0), 1.0f);   // untouched (a[1] == 0)
@@ -311,6 +313,89 @@ TEST(Bnn, PackedTrainingMatchesFloatOracleBytes) {
   ASSERT_FALSE(packed_bytes.empty());
   EXPECT_NE(packed_bytes, file_bytes(dir + "/bnn_train_init.bin"));
   EXPECT_EQ(packed_bytes, file_bytes(dir + "/bnn_train_float.bin"));
+}
+
+/// Trains two copies of a network on (xs, ys), one with BnnTrainer and one
+/// with the float oracle, and returns their saved bytes (trainer first);
+/// the losses must match exactly.
+std::pair<std::string, std::string> train_both(
+    const std::vector<std::size_t>& shape, const TrainConfig& cfg,
+    const std::vector<std::vector<float>>& xs,
+    const std::vector<std::uint8_t>& ys, std::size_t* subnormal_moments,
+    const std::string& tag) {
+  util::Rng init_a(71), init_b(71);
+  BnnNetwork trained(shape, init_a);
+  BnnNetwork reference_net(shape, init_b);
+  BnnTrainer trainer(trained, cfg);
+  oracle::FloatTrainer reference(reference_net, cfg);
+  EXPECT_EQ(trainer.fit(xs, ys), reference.fit(xs, ys)) << tag;
+  if (subnormal_moments != nullptr) {
+    *subnormal_moments = reference.subnormal_moments();
+  }
+  const std::string dir = ::testing::TempDir();
+  EXPECT_TRUE(trained.save(dir + "/bnn_" + tag + "_trainer.bin"));
+  EXPECT_TRUE(reference_net.save(dir + "/bnn_" + tag + "_oracle.bin"));
+  return {file_bytes(dir + "/bnn_" + tag + "_trainer.bin"),
+          file_bytes(dir + "/bnn_" + tag + "_oracle.bin")};
+}
+
+TEST(Bnn, BlockedTrainingMatchesFloatOracleOnRaggedShapes) {
+  // Widths that are not multiples of the 32-column register block (nor of
+  // 64), batch sizes that leave tail batches (70 samples: 70 % 3 == 1,
+  // 70 % 16 == 6, 70 % 64 == 6), and one sample per batch.
+  const std::vector<std::vector<std::size_t>> shapes{{70, 65, 129, 3},
+                                                     {33, 17, 5}};
+  for (const auto& shape : shapes) {
+    util::Rng data_rng(72);
+    std::vector<std::vector<float>> xs;
+    std::vector<std::uint8_t> ys;
+    for (int i = 0; i < 70; ++i) {
+      xs.push_back(random_bipolar(shape.front(), data_rng));
+      ys.push_back(static_cast<std::uint8_t>(
+          ((xs.back()[0] > 0.0f) + 2 * (xs.back()[1] > 0.0f)) %
+          shape.back()));
+    }
+    for (std::size_t batch : {1u, 3u, 16u, 64u}) {
+      TrainConfig cfg;
+      cfg.epochs = 3;
+      cfg.batch_size = batch;
+      cfg.seed = 73;
+      const std::string tag = std::to_string(shape.front()) + "_" +
+                              std::to_string(batch);
+      const auto [got, want] = train_both(shape, cfg, xs, ys, nullptr, tag);
+      ASSERT_FALSE(got.empty()) << tag;
+      EXPECT_EQ(got, want) << tag;
+    }
+  }
+}
+
+TEST(Bnn, FlushedTrainingMatchesUnflushedOracleBytes) {
+  // BnnTrainer flushes subnormals to zero while it trains; the oracle does
+  // not. Inputs 6..32 are a constant -1 background, as in the digits, so
+  // hidden neurons that saturate on it stop receiving gradient and their
+  // Adam moments decay into the subnormal range within the 1 120 steps.
+  const std::vector<std::size_t> shape{33, 17, 5};
+  util::Rng data_rng(74);
+  std::vector<std::vector<float>> xs;
+  std::vector<std::uint8_t> ys;
+  for (int i = 0; i < 64; ++i) {
+    std::vector<float> x(33, -1.0f);
+    for (std::size_t c = 0; c < 6; ++c) {
+      x[c] = data_rng.bernoulli(0.5) ? 1.0f : -1.0f;
+    }
+    ys.push_back(static_cast<std::uint8_t>((x[0] > 0.0f) + (x[1] > 0.0f)));
+    xs.push_back(std::move(x));
+  }
+  TrainConfig cfg;
+  cfg.epochs = 70;
+  cfg.batch_size = 4;
+  cfg.seed = 75;
+  std::size_t subnormal_moments = 0;
+  const auto [got, want] =
+      train_both(shape, cfg, xs, ys, &subnormal_moments, "flush");
+  ASSERT_GT(subnormal_moments, 0u) << "the run never reaches subnormals";
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got, want);
 }
 
 TEST(Bnn, TrainerRejectsZeroBatchSize) {

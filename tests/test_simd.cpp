@@ -2,12 +2,16 @@
 // (include/esam/util/simd.hpp): every available backend must be bit-exact
 // against the portable scalar reference on randomized inputs, including
 // tail-word widths, empty and all-ones vectors -- the modelled numbers must
-// never depend on which backend executed. Also pins backend parsing /
-// selection and the word-parallel arbiter fast path against the structural
-// priority-encoder cascade.
+// never depend on which backend executed; the float Adam kernel is held to
+// the same bit-exactness on NaN latents, +-0, clamp edges and subnormal
+// moments. Also pins backend parsing / selection and the word-parallel
+// arbiter fast path against the structural priority-encoder cascade.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "esam/arbiter/arbiter.hpp"
@@ -156,6 +160,97 @@ TEST(Simd, AccumulateOnesAddsEachSetBitOnce) {
     const bool set = i == 0 || i == 63 || i == 64 + 5;
     EXPECT_EQ(ones[i], set ? 8 : 7) << "counter " << i;
   }
+}
+
+TEST(Simd, AdamStepMatchesScalar) {
+  // Every lane case the trainer can meet: +-0 gradients and moments, NaN
+  // and +-inf latents (std::clamp passes NaN through), latents on and just
+  // past the clip edges, subnormal moments and gradients, and an unclipped
+  // (bias) step; sizes cover the vector tails. Moments and gradients stay
+  // finite, as in training, so a NaN lane has one NaN operand and its
+  // payload is defined.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float sub = std::numeric_limits<float>::denorm_min() * 3.0f;
+  const float edge = std::nextafter(1.0f, 2.0f);
+  const std::vector<float> finite{0.0f, -0.0f, 1.0f,   -1.0f,  edge,
+                                  -edge, sub,  -sub,  1e-30f, -1e-30f};
+  std::vector<float> latents = finite;
+  latents.insert(latents.end(), {nan, -nan, inf, -inf});
+  const Kernels& ref = scalar_kernels();
+  Rng rng(406);
+  const auto pick = [&](const std::vector<float>& specials, float scale) {
+    if (rng.bernoulli(0.25)) {
+      return specials[rng.uniform_index(specials.size())];
+    }
+    return static_cast<float>(rng.uniform(-scale, scale));
+  };
+  for (Backend b : nonscalar_backends()) {
+    const Kernels& k = *kernels_for(b);
+    for (std::size_t n : {0u, 1u, 3u, 4u, 7u, 8u, 9u, 15u, 16u, 17u, 67u}) {
+      for (float clip : {1.0f, inf}) {
+        AdamStep s{};
+        s.grad_scale = 1.0f / 64.0f;
+        s.beta1 = 0.9f;
+        s.beta2 = 0.999f;
+        s.correction1 = 1.0f - std::pow(0.9f, 37.0f);
+        s.correction2 = 1.0f - std::pow(0.999f, 37.0f);
+        s.learning_rate = 3e-3f;
+        s.eps = 1e-8f;
+        s.clip = clip;
+        std::vector<float> p(n), m(n), v(n), g(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          p[i] = pick(latents, 1.2f);
+          m[i] = pick(finite, 1e-2f);
+          // Second moments are never negative in training.
+          v[i] = std::fabs(pick(finite, 1e-4f));
+          g[i] = pick(finite, 4.0f);
+        }
+        auto p2 = p, m2 = m, v2 = v;
+        k.adam_step(p.data(), m.data(), v.data(), g.data(), n, s);
+        ref.adam_step(p2.data(), m2.data(), v2.data(), g.data(), n, s);
+        const auto bits = [](const std::vector<float>& x) {
+          std::vector<std::uint32_t> out;
+          for (float f : x) out.push_back(std::bit_cast<std::uint32_t>(f));
+          return out;
+        };
+        EXPECT_EQ(bits(p), bits(p2)) << backend_name(b) << ", n=" << n;
+        EXPECT_EQ(bits(m), bits(m2)) << backend_name(b) << ", n=" << n;
+        EXPECT_EQ(bits(v), bits(v2)) << backend_name(b) << ", n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Simd, AdamStepClampsLikeStdClamp) {
+  // Scalar-reference semantics (the differential test above transfers them
+  // to every backend): a zero step leaves p = clamp(p, -clip, clip) with
+  // NaN passing through; clip = +inf clamps nothing.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  AdamStep s{};
+  s.grad_scale = 1.0f;
+  s.beta1 = 0.9f;
+  s.beta2 = 0.999f;
+  s.correction1 = 0.1f;
+  s.correction2 = 0.001f;
+  s.learning_rate = 1e-3f;
+  s.eps = 1e-8f;
+  s.clip = 1.0f;
+  std::vector<float> p{2.0f, -3.0f, 0.5f, nan, -0.0f};
+  std::vector<float> m(p.size(), 0.0f), v(p.size(), 0.0f), g(p.size(), 0.0f);
+  scalar_kernels().adam_step(p.data(), m.data(), v.data(), g.data(),
+                             p.size(), s);
+  EXPECT_EQ(p[0], 1.0f);
+  EXPECT_EQ(p[1], -1.0f);
+  EXPECT_EQ(p[2], 0.5f);
+  EXPECT_TRUE(std::isnan(p[3]));
+  EXPECT_TRUE(std::signbit(p[4]));
+  s.clip = inf;
+  p = {2.0f, -3.0f};
+  scalar_kernels().adam_step(p.data(), m.data(), v.data(), g.data(), 2, s);
+  EXPECT_EQ(p[0], 2.0f);
+  EXPECT_EQ(p[1], -3.0f);
 }
 
 TEST(Simd, BitVecOpsIdenticalAcrossBackends) {

@@ -48,6 +48,22 @@ TEST(Tile, DecomposesIntoRowAndColGroups) {
   EXPECT_EQ(t128.col_groups(), 1u);
 }
 
+TEST(Tile, HangDetectorThrowsTypedSimulationError) {
+  // A healthy burst ends within fan-in / ports cycles, far below the
+  // limit, so the limit is forced on the detector the tile and the
+  // lockstep engine share.
+  EXPECT_NO_THROW(check_cycle_limit(kMaxBurstCycles, kMaxBurstCycles, "x"));
+  try {
+    check_cycle_limit(kMaxBurstCycles + 1, kMaxBurstCycles,
+                      "burst cycle limit exceeded");
+    FAIL() << "the cycle limit did not fire";
+  } catch (const SimulationError& e) {
+    EXPECT_STREQ(e.what(), "burst cycle limit exceeded");
+  }
+  // Handlers written for std::logic_error still catch it.
+  EXPECT_THROW(check_cycle_limit(2, 1, "deadlock"), std::logic_error);
+}
+
 TEST(Tile, RejectsEmptyShape) {
   EXPECT_THROW(Tile(tech::imec3nm(), config_for(0, 10)), std::invalid_argument);
   EXPECT_THROW(Tile(tech::imec3nm(), config_for(10, 0)), std::invalid_argument);
