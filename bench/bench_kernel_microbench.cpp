@@ -103,8 +103,6 @@ int main(int argc, char** argv) {
   {
     const util::BitVec a = random_bits(1024, 11, 0.5);
     const util::BitVec b = random_bits(1024, 12, 0.5);
-    const util::BitVec row = random_bits(128, 13, 0.5);
-    std::vector<std::int32_t> ones(128, 0);
     const simd::Kernels& act = simd::active();
     const simd::Kernels& ref = simd::scalar_kernels();
 
@@ -130,19 +128,6 @@ int main(int argc, char** argv) {
                g_sink = ref.and_count(a.words().data(), b.words().data(), 16);
              },
              window)});
-    cases.push_back({"accumulate_ones_128",
-                     ns_per_op(
-                         [&] {
-                           act.accumulate_ones(row.words().data(), 2,
-                                               ones.data());
-                         },
-                         window),
-                     ns_per_op(
-                         [&] {
-                           ref.accumulate_ones(row.words().data(), 2,
-                                               ones.data());
-                         },
-                         window)});
     std::printf("%-28s %12s %12s %9s\n", "kernel", "active ns/op",
                 "scalar ns/op", "speedup");
     for (const KernelCase& c : cases) {

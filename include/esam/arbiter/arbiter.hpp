@@ -36,12 +36,12 @@ class MultiPortArbiter {
  public:
   /// `width`: request-vector width (SRAM rows, 128 in the paper).
   /// `ports`: number of decoupled read ports p (1 for the 6T baseline).
+  /// Grants do not depend on the encoder topology (flat and tree encoders
+  /// grant alike); its timing lives in ArbiterTimingModel.
   MultiPortArbiter(std::size_t width, std::size_t ports,
-                   EncoderTopology topology = EncoderTopology::kTree,
-                   std::size_t base_width = 32,
                    ArbiterPolicy policy = ArbiterPolicy::kFixedPriority);
 
-  [[nodiscard]] std::size_t width() const { return encoder_.width(); }
+  [[nodiscard]] std::size_t width() const { return pending_.size(); }
   [[nodiscard]] std::size_t ports() const { return ports_; }
   [[nodiscard]] ArbiterPolicy policy() const { return policy_; }
 
@@ -74,7 +74,6 @@ class MultiPortArbiter {
   void reset();
 
  private:
-  PriorityEncoder encoder_;
   std::size_t ports_;
   ArbiterPolicy policy_;
   BitVec pending_;

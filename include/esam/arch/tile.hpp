@@ -285,15 +285,11 @@ class Tile {
   /// snapshot (fixed storage, overwritten in place each inference).
   BitVec last_input_;
   std::vector<std::int32_t> fire_vmem_;
-  /// Reusable per-column-group row buffers + per-neuron ones counters so the
-  /// step() hot path performs no allocations. The ones counters are laid out
-  /// per column group at a word-aligned stride (`ones_stride_`, max_array_dim
-  /// rounded up to a multiple of 64) so the word-parallel accumulate_ones
-  /// kernel can write full 64-counter blocks without clobbering the next
-  /// group; the pad counters only ever accumulate the zero tail bits.
+  /// Reusable per-column-group row buffers + one ones counter per neuron
+  /// (step()'s granted rows with a 1 in that column), so the step() hot
+  /// path performs no allocations.
   std::vector<BitVec> row_scratch_;
   std::vector<std::int32_t> ones_scratch_;
-  std::size_t ones_stride_ = 0;
   /// Reusable grant storage (arbitrate_into) and per-row-group input-slice
   /// buffers (start_inference), also allocation-free after construction.
   arbiter::GrantSet grant_scratch_;

@@ -14,6 +14,13 @@
 // the converted network classifies identically to the BNN (verified by the
 // equivalence tests). The output layer does not spike; its class scores are
 // read as Vmem_j - (S_j - b_j)/2 (a per-neuron readout offset).
+//
+// Scoring reads neuron j's weight column as one word row (bit i = W01_ji),
+// so L_j = 2 * |spikes & col_j| - |spikes|: one popcount per neuron, the
+// identity the tile's closed-form burst evaluates on its column mirror.
+// The column copy is private and built once per network; SnnLayer's
+// pre-synaptic weight_rows stay the exchange format (tile deployment,
+// checkpoints, learning read-back).
 #pragma once
 
 #include <cstdint>
@@ -58,9 +65,10 @@ class SnnNetwork {
   [[nodiscard]] const std::vector<SnnLayer>& layers() const { return layers_; }
   [[nodiscard]] std::vector<std::size_t> shape() const;
 
-  /// Accumulated +-1 sums L_j of one layer for the given input spikes.
-  [[nodiscard]] static std::vector<std::int32_t> accumulate(
-      const SnnLayer& layer, const BitVec& spikes);
+  /// Accumulated +-1 sums L_j = 2 * |spikes & col_j| - |spikes| of layer
+  /// `layer` for the given input spikes.
+  [[nodiscard]] std::vector<std::int32_t> accumulate(
+      std::size_t layer, const BitVec& spikes) const;
 
   /// Spikes emitted by a (hidden) layer: L_j >= Vth_j.
   [[nodiscard]] static BitVec fire(const SnnLayer& layer,
@@ -87,6 +95,10 @@ class SnnNetwork {
 
  private:
   std::vector<SnnLayer> layers_;
+  /// layers_[l]'s weights column-major, fixed at construction: neuron j's
+  /// column at [j * w, +w) with w = packed words of the layer's inputs
+  /// (the layout of PackedLayer::rows).
+  std::vector<std::vector<std::uint64_t>> columns_;
 };
 
 /// Converts a {-1,+1} activation vector to a spike vector ('+1' -> spike).

@@ -134,7 +134,8 @@ struct ServerStats {
 class InferenceServer {
  public:
   /// Deploys `ckpt` as model version 1 on the given node/hardware config.
-  /// The node must outlive the server.
+  /// The node must outlive the server. Throws std::invalid_argument on an
+  /// empty checkpoint or a threshold that does not fit hw.neuron.vth_bits.
   InferenceServer(const tech::TechnologyParams& node, arch::SystemConfig hw,
                   io::Checkpoint ckpt, ServerConfig cfg = {});
   ~InferenceServer();
@@ -163,8 +164,10 @@ class InferenceServer {
                                       std::optional<std::uint8_t> label = {})
       ESAM_EXCLUDES(queue_mutex_);
 
-  /// Atomically publishes new weights (shape must match the deployed
-  /// model). Workers pick the new version up at their next batch boundary.
+  /// Atomically publishes new weights. Throws std::invalid_argument, and
+  /// leaves the served model as it was, when the shape differs from the
+  /// deployed model's or a threshold does not fit hw.neuron.vth_bits.
+  /// Workers pick the new version up at their next batch boundary.
   void publish(io::Checkpoint ckpt)
       ESAM_EXCLUDES(model_mutex_, stats_mutex_);
 

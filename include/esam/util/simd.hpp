@@ -1,5 +1,6 @@
-// Runtime-dispatched SIMD backends for the BitVec / tile hot kernels and
-// the BNN trainer's Adam step.
+// Runtime-dispatched SIMD backends for the BitVec popcount and boolean
+// kernels (the tile, SNN and packed BNN forwards each score a neuron with
+// one masked or XOR popcount) and the BNN trainer's Adam step.
 //
 // The bit kernels operate on raw 64-bit word spans (the BitVec storage
 // format: little-endian bit order within each word, tail bits beyond the
@@ -65,14 +66,6 @@ struct Kernels {
   void (*xor_assign)(std::uint64_t* a, const std::uint64_t* b, std::size_t n);
   void (*andnot_assign)(std::uint64_t* a, const std::uint64_t* b,
                         std::size_t n);
-  /// Fused mask-expand add: ones[64*wi + b] += bit b of w[wi], for all
-  /// 64*n counters. Replaces the per-set-bit counter scatter in the tile
-  /// accumulation loops. The caller must provide 64*n writable counters
-  /// (round the logical width up to the word boundary); tail bits beyond
-  /// the logical width are zero by the BitVec invariant, so the padded
-  /// counters only ever accumulate zeros.
-  void (*accumulate_ones)(const std::uint64_t* w, std::size_t n,
-                          std::int32_t* ones);
   /// Adam on `n` parameters, element-wise and in this exact order:
   ///   gi = g * grad_scale
   ///   m  = beta1 * m + (1 - beta1) * gi

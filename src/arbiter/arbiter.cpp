@@ -5,12 +5,11 @@
 namespace esam::arbiter {
 
 MultiPortArbiter::MultiPortArbiter(std::size_t width, std::size_t ports,
-                                   EncoderTopology topology,
-                                   std::size_t base_width, ArbiterPolicy policy)
-    : encoder_(width, topology, base_width),
-      ports_(ports),
-      policy_(policy),
-      pending_(width) {
+                                   ArbiterPolicy policy)
+    : ports_(ports), policy_(policy), pending_(width) {
+  if (width == 0) {
+    throw std::invalid_argument("MultiPortArbiter: width must be > 0");
+  }
   if (ports == 0) {
     throw std::invalid_argument("MultiPortArbiter: ports must be > 0");
   }

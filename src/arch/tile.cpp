@@ -81,7 +81,7 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
           sram::ArrayGeometry{array_rows(rg), array_cols(cg), cfg_.col_mux},
           cfg_.vprech);
     }
-    arbiters_.emplace_back(array_rows(rg), ports, cfg_.topology);
+    arbiters_.emplace_back(array_rows(rg), ports);
   }
   neurons_.assign(cfg_.outputs, neuron::IfNeuron(cfg_.neuron));
   readout_offsets_.assign(cfg_.outputs, 0.0f);
@@ -90,8 +90,7 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
   for (std::size_t cg = 0; cg < col_groups_; ++cg) {
     row_scratch_.emplace_back(array_cols(cg));
   }
-  ones_stride_ = ((cfg_.max_array_dim + 63) / 64) * 64;
-  ones_scratch_.assign(col_groups_ * ones_stride_, 0);
+  ones_scratch_.assign(cfg_.outputs, 0);
   grant_scratch_.rows.reserve(ports);
   input_slice_scratch_.reserve(row_groups_);
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
@@ -247,15 +246,13 @@ void Tile::step() {
   if (!busy_) return;
   ++stats_.busy_cycles;
 
-  // Word-packed accumulation. Every granted row read contributes +1 to the
-  // columns whose stored bit is 1 and -1 to the rest, and each grant touches
-  // every column group; with ones[c] = granted rows whose bit at column c is
-  // set, the per-cycle delta is 2*ones[c] - total_grants. Counting set bits
-  // word-by-word replaces the per-bit test() loop.
+  // Every granted row read contributes +1 to the columns whose stored bit
+  // is 1 and -1 to the rest, and each grant touches every column group;
+  // with ones[j] = granted rows whose bit at neuron j's column is set, the
+  // per-cycle delta is 2*ones[j] - total_grants.
   std::fill(ones_scratch_.begin(), ones_scratch_.end(), 0);
   std::size_t total_grants = 0;
   bool all_empty = true;
-  const util::simd::Kernels& kern = util::simd::active();
 
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
     arbiter::MultiPortArbiter& arb = arbiters_[rg];
@@ -278,23 +275,16 @@ void Tile::step() {
         macros_[rg * col_groups_ + cg].read_row_into(port, local_row,
                                                      row_bits);
         ++stats_.row_reads;
-        // Word-parallel counter update: ones[c] += bit c of the row. The
-        // stride-padded scratch absorbs the full 64-counter blocks.
-        kern.accumulate_ones(row_bits.words().data(), row_bits.word_count(),
-                             ones_scratch_.data() + cg * ones_stride_);
+        std::int32_t* ones = ones_scratch_.data() + cg * cfg_.max_array_dim;
+        row_bits.for_each_set([ones](std::size_t c) { ++ones[c]; });
       }
     }
   }
 
   if (total_grants > 0) {
     const auto grants32 = static_cast<std::int32_t>(total_grants);
-    for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-      const std::int32_t* ones = ones_scratch_.data() + cg * ones_stride_;
-      neuron::IfNeuron* col = neurons_.data() + cg * cfg_.max_array_dim;
-      const std::size_t n = array_cols(cg);
-      for (std::size_t c = 0; c < n; ++c) {
-        col[c].integrate_sum(2 * ones[c] - grants32);
-      }
+    for (std::size_t j = 0; j < cfg_.outputs; ++j) {
+      neurons_[j].integrate_sum(2 * ones_scratch_[j] - grants32);
     }
     ++stats_.grant_cycles[total_grants];
   }

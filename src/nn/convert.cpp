@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "esam/nn/packed.hpp"
 #include "esam/util/simd.hpp"
 
 namespace esam::nn {
@@ -11,25 +12,38 @@ namespace esam::nn {
 SnnNetwork SnnNetwork::from_bnn(const BnnNetwork& bnn) {
   SnnNetwork snn;
   snn.layers_.reserve(bnn.layers().size());
-  for (const auto& l : bnn.layers()) {
+  snn.columns_.reserve(bnn.layers().size());
+  for (const BnnLayer& l : bnn.layers()) {
+    // The packed sign rows are the weight columns: row j, bit i = W01_ji.
+    PackedLayer packed(l);
+    const std::size_t in = packed.in;
+    const std::size_t n_out = packed.out;
     SnnLayer out;
-    const std::size_t in = l.in_features();
-    const std::size_t n_out = l.out_features();
-    out.weight_rows.assign(in, BitVec(n_out));
     out.thresholds.assign(n_out, 0);
     out.readout_offsets.assign(n_out, 0.0f);
+    std::vector<BitVec> cols;
+    cols.reserve(n_out);
     for (std::size_t j = 0; j < n_out; ++j) {
-      std::int32_t s = 0;
-      for (std::size_t i = 0; i < in; ++i) {
-        const bool w01 = l.binary_weight(j, i) > 0.0f;
-        out.weight_rows[i].set(j, w01);
-        s += w01 ? 1 : -1;
-      }
+      cols.push_back(
+          BitVec::from_words(in, packed.rows.data() + j * packed.words));
+      // S_j = sum_i (2 W01_ji - 1).
+      const auto s = static_cast<std::int32_t>(2 * cols.back().count()) -
+                     static_cast<std::int32_t>(in);
       const double offset = (static_cast<double>(s) - l.bias[j]) / 2.0;
       out.readout_offsets[j] = static_cast<float>(offset);
       out.thresholds[j] = static_cast<std::int32_t>(std::ceil(offset));
     }
+    // weight_rows is the transpose: input i's row, bit j = W01_ji.
+    const std::size_t row_words = packed_words(n_out);
+    std::vector<std::uint64_t> rows(in * row_words, 0);
+    util::transpose_bits(cols, rows.data(), row_words);
+    out.weight_rows.reserve(in);
+    for (std::size_t i = 0; i < in; ++i) {
+      out.weight_rows.push_back(
+          BitVec::from_words(n_out, rows.data() + i * row_words));
+    }
     snn.layers_.push_back(std::move(out));
+    snn.columns_.push_back(std::move(packed.rows));
   }
   return snn;
 }
@@ -60,6 +74,13 @@ SnnNetwork SnnNetwork::from_layers(std::vector<SnnLayer> layers) {
     }
   }
   SnnNetwork snn;
+  snn.columns_.reserve(layers.size());
+  for (const SnnLayer& layer : layers) {
+    const std::size_t words = packed_words(layer.in_features());
+    std::vector<std::uint64_t>& cols = snn.columns_.emplace_back(
+        layer.out_features() * words, 0);
+    util::transpose_bits(layer.weight_rows, cols.data(), words);
+  }
   snn.layers_ = std::move(layers);
   return snn;
 }
@@ -72,30 +93,22 @@ std::vector<std::size_t> SnnNetwork::shape() const {
   return s;
 }
 
-std::vector<std::int32_t> SnnNetwork::accumulate(const SnnLayer& layer,
-                                                 const BitVec& spikes) {
-  if (spikes.size() != layer.in_features()) {
+std::vector<std::int32_t> SnnNetwork::accumulate(
+    std::size_t layer, const BitVec& spikes) const {
+  const std::uint64_t* cols = columns_.at(layer).data();
+  if (spikes.size() != layers_[layer].in_features()) {
     throw std::invalid_argument("SnnNetwork::accumulate: spike width mismatch");
   }
-  // Word-packed: each spiking row adds +1 where its weight bit is 1 and -1
-  // elsewhere, so vmem[j] = 2 * ones[j] - #spikes with ones[j] counted by
-  // the word-parallel accumulate_ones kernel. The counter buffer is padded
-  // to the word boundary (the kernel writes 64 counters per weight word;
-  // zero tail bits add zero) and shrunk to the logical width afterwards.
-  const std::size_t n_out = layer.out_features();
-  const std::size_t padded = ((n_out + 63) / 64) * 64;
-  std::vector<std::int32_t> vmem(padded, 0);
-  std::int32_t n_spikes = 0;
-  std::int32_t* ones = vmem.data();
-  const util::simd::Kernels& kern = util::simd::active();
-  spikes.for_each_set([&](std::size_t i) {
-    const BitVec& row = layer.weight_rows[i];
-    kern.accumulate_ones(row.words().data(), row.word_count(), ones);
-    ++n_spikes;
-  });
-  vmem.resize(n_out);
-  for (std::size_t j = 0; j < n_out; ++j) {
-    vmem[j] = 2 * vmem[j] - n_spikes;
+  // Each spiking input adds +1 where its weight bit is 1 and -1 elsewhere,
+  // so L_j = 2 * |spikes & col_j| - |spikes|.
+  const auto and_count = util::simd::active().and_count;
+  const std::size_t words = spikes.word_count();
+  const auto n_spikes = static_cast<std::int32_t>(spikes.count());
+  std::vector<std::int32_t> vmem(layers_[layer].out_features());
+  for (std::size_t j = 0; j < vmem.size(); ++j) {
+    const auto ones = static_cast<std::int32_t>(
+        and_count(spikes.words().data(), cols + j * words, words));
+    vmem[j] = 2 * ones - n_spikes;
   }
   return vmem;
 }
@@ -124,7 +137,7 @@ SnnNetwork::Trace SnnNetwork::trace(const BitVec& input_spikes) const {
   t.spikes.push_back(input_spikes);
   BitVec current = input_spikes;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const std::vector<std::int32_t> vmem = accumulate(layers_[l], current);
+    const std::vector<std::int32_t> vmem = accumulate(l, current);
     if (l + 1 < layers_.size()) {
       current = fire(layers_[l], vmem);
       t.spikes.push_back(current);

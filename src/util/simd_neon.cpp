@@ -87,32 +87,6 @@ void neon_andnot_assign(std::uint64_t* a, const std::uint64_t* b,
       [](std::uint64_t x, std::uint64_t y) { return x & ~y; });
 }
 
-/// Mask expansion one byte at a time: vtstq yields all-ones lanes where the
-/// broadcast byte has the lane's bit, and subtracting -1 increments the
-/// counter -- 8 counters per byte in two quad ops.
-void neon_accumulate_ones(const std::uint64_t* w, std::size_t n,
-                          std::int32_t* ones) {
-  static const std::uint32_t kLoBits[4] = {1, 2, 4, 8};
-  static const std::uint32_t kHiBits[4] = {16, 32, 64, 128};
-  const uint32x4_t mlo = vld1q_u32(kLoBits);
-  const uint32x4_t mhi = vld1q_u32(kHiBits);
-  for (std::size_t wi = 0; wi < n; ++wi) {
-    const std::uint64_t word = w[wi];
-    if (word == 0) continue;
-    std::int32_t* base = ones + wi * 64;
-    for (int k = 0; k < 8; ++k) {
-      const auto byte = static_cast<std::uint32_t>((word >> (8 * k)) & 0xffu);
-      if (byte == 0) continue;
-      const uint32x4_t vb = vdupq_n_u32(byte);
-      std::int32_t* p = base + 8 * k;
-      const int32x4_t add_lo = vreinterpretq_s32_u32(vtstq_u32(vb, mlo));
-      const int32x4_t add_hi = vreinterpretq_s32_u32(vtstq_u32(vb, mhi));
-      vst1q_s32(p, vsubq_s32(vld1q_s32(p), add_lo));
-      vst1q_s32(p + 4, vsubq_s32(vld1q_s32(p + 4), add_hi));
-    }
-  }
-}
-
 /// No NEON Adam kernel: the step runs the scalar reference, which is
 /// bit-identical by definition.
 void neon_adam_step(float* p, float* m, float* v, const float* g,
@@ -125,7 +99,7 @@ constexpr Kernels kNeonTable{
     neon_and_count,      neon_xor_count,
     neon_and_assign,     neon_or_assign,
     neon_xor_assign,     neon_andnot_assign,
-    neon_accumulate_ones, neon_adam_step,
+    neon_adam_step,
 };
 
 }  // namespace

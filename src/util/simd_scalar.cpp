@@ -55,18 +55,6 @@ void scalar_andnot_assign(std::uint64_t* a, const std::uint64_t* b,
   for (std::size_t i = 0; i < n; ++i) a[i] &= ~b[i];
 }
 
-void scalar_accumulate_ones(const std::uint64_t* w, std::size_t n,
-                            std::int32_t* ones) {
-  for (std::size_t wi = 0; wi < n; ++wi) {
-    std::uint64_t word = w[wi];
-    std::int32_t* base = ones + wi * 64;
-    while (word != 0) {
-      base[std::countr_zero(word)] += 1;
-      word &= word - 1;
-    }
-  }
-}
-
 void scalar_adam_step(float* p, float* m, float* v, const float* g,
                       std::size_t n, const AdamStep& s) {
   const float keep1 = 1.0f - s.beta1;
@@ -90,7 +78,7 @@ const Kernels& scalar_kernels() {
       scalar_and_count,      scalar_xor_count,
       scalar_and_assign,     scalar_or_assign,
       scalar_xor_assign,     scalar_andnot_assign,
-      scalar_accumulate_ones, scalar_adam_step,
+      scalar_adam_step,
   };
   return kTable;
 }

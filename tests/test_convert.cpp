@@ -154,21 +154,21 @@ TEST(Convert, AccumulateMatchesManualSum) {
   util::BitVec spikes(10);
   spikes.set(2);
   spikes.set(7);
-  const auto vmem = SnnNetwork::accumulate(snn.layers()[0], spikes);
+  const auto vmem = snn.accumulate(0, spikes);
   for (std::size_t j = 0; j < 3; ++j) {
     std::int32_t expected = 0;
     expected += snn.layers()[0].weight_rows[2].test(j) ? 1 : -1;
     expected += snn.layers()[0].weight_rows[7].test(j) ? 1 : -1;
     EXPECT_EQ(vmem[j], expected);
   }
-  EXPECT_THROW((void)SnnNetwork::accumulate(snn.layers()[0], util::BitVec(9)),
+  EXPECT_THROW((void)snn.accumulate(0, util::BitVec(9)),
                std::invalid_argument);
 }
 
 TEST(Convert, EmptyInputAccumulatesZero) {
   const BnnNetwork bnn = random_bnn({12, 4}, 66);
   const SnnNetwork snn = SnnNetwork::from_bnn(bnn);
-  const auto vmem = SnnNetwork::accumulate(snn.layers()[0], util::BitVec(12));
+  const auto vmem = snn.accumulate(0, util::BitVec(12));
   for (auto v : vmem) EXPECT_EQ(v, 0);
 }
 

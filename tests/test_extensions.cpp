@@ -14,7 +14,6 @@ namespace esam {
 namespace {
 
 using arbiter::ArbiterPolicy;
-using arbiter::EncoderTopology;
 using arbiter::GrantSet;
 using arbiter::MultiPortArbiter;
 using util::BitVec;
@@ -22,8 +21,7 @@ using util::BitVec;
 // --- round-robin arbiter -----------------------------------------------------
 
 TEST(RoundRobin, RotatesPriorityAcrossCycles) {
-  MultiPortArbiter arb(8, 1, EncoderTopology::kTree, 32,
-                       ArbiterPolicy::kRoundRobin);
+  MultiPortArbiter arb(8, 1, ArbiterPolicy::kRoundRobin);
   arb.request(BitVec::from_string("10100010"));
   EXPECT_EQ(arb.arbitrate().rows.front(), 0u);
   // Priority pointer moved past 0: next grant starts scanning at 1.
@@ -33,8 +31,7 @@ TEST(RoundRobin, RotatesPriorityAcrossCycles) {
 }
 
 TEST(RoundRobin, WrapsAround) {
-  MultiPortArbiter arb(8, 1, EncoderTopology::kTree, 32,
-                       ArbiterPolicy::kRoundRobin);
+  MultiPortArbiter arb(8, 1, ArbiterPolicy::kRoundRobin);
   arb.request(7);
   EXPECT_EQ(arb.arbitrate().rows.front(), 7u);
   arb.request(0);  // pointer is now at 0 (wrapped)
@@ -47,8 +44,7 @@ TEST(RoundRobin, DrainsEverythingExactlyOnce) {
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t width = 8 + rng.uniform_index(120);
     const std::size_t ports = 1 + rng.uniform_index(4);
-    MultiPortArbiter arb(width, ports, EncoderTopology::kTree, 32,
-                         ArbiterPolicy::kRoundRobin);
+    MultiPortArbiter arb(width, ports, ArbiterPolicy::kRoundRobin);
     BitVec req(width);
     std::size_t expected = 0;
     for (std::size_t i = 0; i < width; ++i) {
@@ -80,7 +76,7 @@ TEST(RoundRobin, FairUnderSustainedContention) {
   // round robin serves everyone. Re-request rows 0..3 every cycle while row
   // 120 waits; count cycles until row 120 is granted.
   auto wait_for_row = [](ArbiterPolicy policy) {
-    MultiPortArbiter arb(128, 2, EncoderTopology::kTree, 32, policy);
+    MultiPortArbiter arb(128, 2, policy);
     arb.request(120);
     for (int cycle = 1; cycle <= 200; ++cycle) {
       for (std::size_t hot = 0; hot < 4; ++hot) arb.request(hot);
@@ -98,8 +94,7 @@ TEST(RoundRobin, FairUnderSustainedContention) {
 }
 
 TEST(RoundRobin, ResetRestoresInitialPriority) {
-  MultiPortArbiter arb(8, 1, EncoderTopology::kTree, 32,
-                       ArbiterPolicy::kRoundRobin);
+  MultiPortArbiter arb(8, 1, ArbiterPolicy::kRoundRobin);
   arb.request(5);
   (void)arb.arbitrate();
   arb.reset();

@@ -332,6 +332,38 @@ TEST(Serve, RejectsOutOfRangeLabelBeforeQueueing) {
   EXPECT_EQ(stats.adapt_samples, 1u);
 }
 
+TEST(Serve, RejectsThresholdsThatDoNotFitOnTheCallersThread) {
+  // A threshold past the 12-bit Vth register would throw inside a worker's
+  // Tile::load_layer and terminate the process; the constructor and
+  // publish() must reject it first, and the running server keeps serving.
+  const nn::SnnNetwork snn = random_snn({16, 4}, 418);
+  std::vector<nn::SnnLayer> layers = snn.layers();
+  layers[0].thresholds[0] = 5000;
+  const io::Checkpoint bad =
+      io::Checkpoint::from_network(nn::SnnNetwork::from_layers(layers));
+  EXPECT_THROW(InferenceServer(tech::imec3nm(), {}, bad, {}),
+               std::invalid_argument);
+
+  ServerConfig cfg;
+  cfg.num_workers = 2;
+  InferenceServer server(tech::imec3nm(), {},
+                         io::Checkpoint::from_network(snn), cfg);
+  server.start();
+  EXPECT_THROW(server.publish(bad), std::invalid_argument);
+  EXPECT_EQ(server.model_version(), 1u);
+
+  const auto inputs = random_inputs(6, 16, 419);
+  arch::SystemSimulator offline(tech::imec3nm(), snn, {});
+  const std::vector<std::size_t> want = offline.run(inputs).predictions;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const InferenceResult r = server.submit(inputs[i]).get();
+    EXPECT_EQ(r.prediction, want[i]) << "request " << i;
+    EXPECT_EQ(r.model_version, 1u);
+  }
+  server.stop();
+  EXPECT_EQ(server.stats().checkpoints_published, 0u);
+}
+
 TEST(Serve, StressSubmitAdaptPublishStopRace) {
   // TSan-targeted stress: client threads hammer submit() (some labeled, so
   // the background adaptation engine trains and publishes checkpoints

@@ -124,44 +124,6 @@ TEST(Simd, BulkBooleanOpsMatchScalar) {
   }
 }
 
-TEST(Simd, AccumulateOnesMatchesScalar) {
-  const Kernels& ref = scalar_kernels();
-  Rng rng(403);
-  for (Backend b : nonscalar_backends()) {
-    const Kernels& k = *kernels_for(b);
-    for (std::size_t n : kWordCounts) {
-      for (int pat = 0; pat < 4; ++pat) {
-        const auto w = make_words(n, rng, pat);
-        // Non-zero starting counters: the kernel must accumulate, not
-        // overwrite.
-        std::vector<std::int32_t> got(64 * n);
-        for (auto& c : got) {
-          c = static_cast<std::int32_t>(rng.uniform_index(100));
-        }
-        auto want = got;
-        k.accumulate_ones(w.data(), n, got.data());
-        ref.accumulate_ones(w.data(), n, want.data());
-        EXPECT_EQ(got, want) << backend_name(b) << ", n=" << n;
-      }
-    }
-  }
-}
-
-TEST(Simd, AccumulateOnesAddsEachSetBitOnce) {
-  // Scalar-reference semantics check (the differential test above then
-  // transfers it to every backend): ones[64*wi + b] += bit b of w[wi].
-  const Kernels& ref = scalar_kernels();
-  std::vector<std::uint64_t> w = {(std::uint64_t{1} << 0) |
-                                      (std::uint64_t{1} << 63),
-                                  std::uint64_t{1} << 5};
-  std::vector<std::int32_t> ones(128, 7);
-  ref.accumulate_ones(w.data(), w.size(), ones.data());
-  for (std::size_t i = 0; i < ones.size(); ++i) {
-    const bool set = i == 0 || i == 63 || i == 64 + 5;
-    EXPECT_EQ(ones[i], set ? 8 : 7) << "counter " << i;
-  }
-}
-
 TEST(Simd, AdamStepMatchesScalar) {
   // Every lane case the trainer can meet: +-0 gradients and moments, NaN
   // and +-inf latents (std::clamp passes NaN through), latents on and just
@@ -350,7 +312,7 @@ TEST(ArbiterDifferential, FastPathMatchesEncoderCascade) {
                               std::size_t{128}, std::size_t{200}}) {
       for (std::size_t ports : {std::size_t{1}, std::size_t{2},
                                 std::size_t{4}}) {
-        MultiPortArbiter arb(width, ports, topo);
+        MultiPortArbiter arb(width, ports);
         for (int trial = 0; trial < 20; ++trial) {
           util::BitVec pending(width);
           const double density = trial % 3 == 0 ? 0.02 : 0.3;

@@ -160,7 +160,8 @@ TEST(Tile, AccumulationMatchesReferenceModel) {
   out_tile.start_inference(spikes);
   while (out_tile.busy()) out_tile.step();
 
-  const auto expected = nn::SnnNetwork::accumulate(layer, spikes);
+  const auto expected =
+      nn::SnnNetwork::from_layers({layer}).accumulate(0, spikes);
   const auto got = out_tile.output_vmem();
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t j = 0; j < expected.size(); ++j) {
