@@ -16,12 +16,6 @@
 
 namespace esam::arbiter {
 
-/// Grant-selection policy. The paper's design is a fixed-priority encoder
-/// (lowest index wins); the round-robin extension rotates the highest
-/// priority after each cycle, bounding per-row wait times under sustained
-/// load at the cost of a rotate stage in front of the encoder.
-enum class ArbiterPolicy : std::uint8_t { kFixedPriority, kRoundRobin };
-
 /// Grants produced in one clock cycle.
 struct GrantSet {
   /// Granted wordline indices, in priority order; size <= ports.
@@ -38,12 +32,10 @@ class MultiPortArbiter {
   /// `ports`: number of decoupled read ports p (1 for the 6T baseline).
   /// Grants do not depend on the encoder topology (flat and tree encoders
   /// grant alike); its timing lives in ArbiterTimingModel.
-  MultiPortArbiter(std::size_t width, std::size_t ports,
-                   ArbiterPolicy policy = ArbiterPolicy::kFixedPriority);
+  MultiPortArbiter(std::size_t width, std::size_t ports);
 
   [[nodiscard]] std::size_t width() const { return pending_.size(); }
   [[nodiscard]] std::size_t ports() const { return ports_; }
-  [[nodiscard]] ArbiterPolicy policy() const { return policy_; }
 
   /// Latches new spike requests (OR-ed into the pending vector).
   void request(const BitVec& spikes);
@@ -60,9 +52,9 @@ class MultiPortArbiter {
   GrantSet arbitrate();
 
   /// Allocation-free arbitrate: overwrites `out`, reusing its grant-row
-  /// storage (the tile step loop keeps one GrantSet per pipeline). The
-  /// fixed-priority path grants the `ports` lowest-index pending requests
-  /// with word-packed find-first scans -- functionally identical to the
+  /// storage (the tile step loop keeps one GrantSet per pipeline). It
+  /// grants the `ports` lowest-index pending requests with word-packed
+  /// find-first scans -- functionally identical to the
   /// cascaded PriorityEncoder evaluation (each 1-port stage grants the
   /// lowest remaining index), pinned by a differential test against the
   /// structural encoder cascade.
@@ -75,11 +67,7 @@ class MultiPortArbiter {
 
  private:
   std::size_t ports_;
-  ArbiterPolicy policy_;
   BitVec pending_;
-  /// Round-robin rotation pointer: index with the highest priority next
-  /// cycle (one past the last granted row).
-  std::size_t rr_start_ = 0;
 };
 
 }  // namespace esam::arbiter

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "esam/arch/tile.hpp"
@@ -167,6 +168,14 @@ struct OnlineRunResult {
   RunResult final_eval;
 };
 
+/// Throws std::invalid_argument, naming `who`, unless every threshold of
+/// `net` fits the Vth register of `neuron`-configured hardware (the check
+/// IfNeuron::set_vth makes when Tile::load_layer deploys a layer). Callers
+/// run it before touching any tile, so a rejected network changes nothing.
+void check_thresholds_fit(const nn::SnnNetwork& net,
+                          const neuron::NeuronConfig& neuron,
+                          const std::string& who);
+
 class SystemSimulator {
  public:
   /// Builds one tile per SNN layer and loads the converted weights.
@@ -260,9 +269,10 @@ class SystemSimulator {
   /// Inverse of export_network(): loads `snn` into the existing tiles
   /// (weights, thresholds, readout offsets), e.g. deploying a checkpoint
   /// into already-built hardware or refreshing a serve worker's pipeline
-  /// after a checkpoint swap. Every layer shape is validated *before* any
-  /// tile is touched, so a mismatch throws std::invalid_argument and leaves
-  /// the currently deployed weights intact.
+  /// after a checkpoint swap. Every layer shape and threshold is validated
+  /// *before* any tile is touched, so a mismatch or a threshold past
+  /// vth_bits throws std::invalid_argument and leaves the currently
+  /// deployed network intact.
   void import_network(const nn::SnnNetwork& snn);
 
   /// Energy of `cycles` pipeline cycles in which tile t gathered the event

@@ -16,12 +16,14 @@
 // the next tile over the binary-pulse fabric.
 //
 // step() models that cycle by cycle; it is the lockstep / observer path and
-// the oracle. run_inference() computes the same burst in closed form: with
-// Vmem starting at zero and no partial sum able to saturate, neuron j ends
-// at 2 * |in & col_j| - |in| (one popcount over a column-major copy of the
-// observed weights, re-gathered from the macros whose stamp changed), and
-// every event count follows from the per-row-group spike counts, since each
-// arbiter grants min(pending, ports) rows per cycle.
+// the oracle, and reads each granted row from the macros' column-major
+// cells. run_inference() computes the same burst in closed form: with Vmem
+// starting at zero and no partial sum able to saturate, neuron j ends at
+// 2 * |in & col_j| - |in|, one popcount per neuron over a row-group-strided
+// copy of its column that the tile re-gathers only from macros whose stamp
+// changed. Every event count follows from the per-row-group spike counts,
+// since each arbiter grants min(pending, ports) rows per cycle; the counts
+// live in TileStats alone (the macros count nothing).
 #pragma once
 
 #include <cstdint>
@@ -297,8 +299,10 @@ class Tile {
 
   /// Closed-form burst state. columns_ holds neuron j's observed weight
   /// column at [j * column_stride_, +column_stride_), row group rg at word
-  /// offset rg * rg_words_ (zero-padded), gathered from the macros;
-  /// column_stamps_[macro] is the macro stamp it was gathered at.
+  /// offset rg * rg_words_ (zero-padded), copied from the macros' column
+  /// words so that one and_count spans every row group (reading the macros
+  /// in place would split it into one short call per macro);
+  /// column_stamps_[macro] is the macro stamp it was copied at.
   /// input_words_ lays the input out the same way.
   bool closed_form_ = false;
   std::size_t rg_words_ = 0;

@@ -17,7 +17,7 @@
 //
 // Scoring reads neuron j's weight column as one word row (bit i = W01_ji),
 // so L_j = 2 * |spikes & col_j| - |spikes|: one popcount per neuron, the
-// identity the tile's closed-form burst evaluates on its column mirror.
+// identity the tile's closed-form burst evaluates on its macros' columns.
 // The column copy is private and built once per network; SnnLayer's
 // pre-synaptic weight_rows stay the exchange format (tile deployment,
 // checkpoints, learning read-back).

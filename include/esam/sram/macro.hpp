@@ -5,20 +5,23 @@
 //  * inference: up to `p` simultaneous row reads through the decoupled
 //    single-ended ports (one per granted spike);
 //  * learning: column-wise read / write through the transposed RW port
-//    (4:1 muxed), or -- for the 6T baseline -- row-wise read/write.
+//    (4:1 muxed), or -- for the 6T baseline -- a sweep over every row.
 //
-// The macro keeps a column-major mirror of what every port observes (the
-// fault-masked bits), the software view of the transposed port: every
-// mutator updates it, so a column read is a word copy and the tile's
-// closed-form burst reads each neuron's column as packed words. A stamp
-// taken from one global counter changes with every mutation, so a reader
-// can cache the mirror and re-read only what changed.
+// The bitcell array is held once, column-major, as the software view of
+// the transposed port: column c is column_word_count() packed words, bit r
+// = row r. A column read is a word copy, the tile's closed-form burst copies
+// each neuron's column as packed words, and a row read gathers one bit per
+// column (only the lockstep oracle reads rows). While a fault map is
+// installed the macro also keeps the column-major stuck-at masks and the
+// written bits under them, so clearing the faults restores what was
+// written. A stamp taken from one global counter changes with every
+// mutation, so a reader can cache the columns and re-read only what
+// changed.
 //
-// Every access is counted in MacroStats and costed by the timing model; the
-// macro posts no energy. The tile prices its inference reads with
-// inference_read_energy(), the learner charges column_update_cost() per
-// column update. Simulated time is advanced by the caller (the system
-// simulator owns the clock).
+// The macro counts nothing and posts no energy: the tile counts and prices
+// its inference reads (inference_read_energy() each) in TileStats, the
+// learner charges column_update_cost() per column update. Simulated time is
+// advanced by the caller (the system simulator owns the clock).
 #pragma once
 
 #include <cstdint>
@@ -34,13 +37,6 @@ namespace esam::sram {
 
 using util::BitVec;
 
-/// Operation counters for utilization reporting.
-struct MacroStats {
-  std::uint64_t inference_row_reads = 0;
-  std::uint64_t rw_read_accesses = 0;
-  std::uint64_t rw_write_accesses = 0;
-};
-
 class SramMacro {
  public:
   /// Builds a zero-initialized macro. Throws if the geometry violates the
@@ -55,7 +51,6 @@ class SramMacro {
     return timing_.geometry();
   }
   [[nodiscard]] const BitcellSpec& spec() const { return timing_.spec(); }
-  [[nodiscard]] const MacroStats& stats() const { return stats_; }
 
   /// Injects permanent bitcell faults (yield study): stuck cells read their
   /// stuck value through every port and silently ignore writes. Passing a
@@ -67,7 +62,7 @@ class SramMacro {
   [[nodiscard]] std::size_t fault_count() const;
   /// Whether a fault map is installed (cheap; the learning path skips its
   /// post-write verification rescan on pristine arrays).
-  [[nodiscard]] bool has_faults() const { return !stuck0_.empty(); }
+  [[nodiscard]] bool has_faults() const { return !stuck0_cols_.empty(); }
 
   // --- cost-free content access (test / setup plumbing, not hardware) -------
 
@@ -81,9 +76,9 @@ class SramMacro {
   /// peek_column to mirror another macro's *observable* column).
   void poke_column(std::size_t col, const BitVec& bits);
   /// Loads a full weight matrix (row-major, rows x cols), cost-free.
-  void load(std::vector<BitVec> rows);
+  void load(const std::vector<BitVec>& rows);
 
-  // --- observed column-major mirror -----------------------------------------
+  // --- column-major cell array -----------------------------------------------
 
   /// Packed words of the fault-masked column `col` (column_word_count()
   /// words, bit r = row r; bits past the last row are zero). Unchecked.
@@ -91,27 +86,20 @@ class SramMacro {
     return observed_cols_.data() + col * col_words_;
   }
   [[nodiscard]] std::size_t column_word_count() const { return col_words_; }
-  /// Changes with every mutation of the observed or stored bits; equal
+  /// Changes with every mutation of the observed or written bits; equal
   /// stamps mean equal contents (a copy keeps its source's stamp).
   [[nodiscard]] std::uint64_t stamp() const { return stamp_; }
 
   // --- inference port --------------------------------------------------------
 
-  /// Reads one full row through decoupled port `port`; costs one row-read.
+  /// Reads one full row (fault-masked) through decoupled port `port`.
   /// `port` must be < max(1, read_ports) (the 6T baseline serves port 0
   /// through its RW port).
-  BitVec read_row(std::size_t port, std::size_t row);
+  [[nodiscard]] BitVec read_row(std::size_t port, std::size_t row) const;
 
-  /// Same access (and cost) as read_row, but writes into `out`, reusing its
-  /// storage -- the simulator's per-grant hot path avoids one allocation per
-  /// row read this way.
-  void read_row_into(std::size_t port, std::size_t row, BitVec& out);
-
-  /// Counts `n` inference row reads served in closed form (the tile's
-  /// burst evaluator reads the mirror instead of the rows).
-  void count_inference_reads(std::uint64_t n) {
-    stats_.inference_row_reads += n;
-  }
+  /// Same access as read_row, but writes into `out`, reusing its storage
+  /// (Tile::step reads one row per grant and column group this way).
+  void read_row_into(std::size_t port, std::size_t row, BitVec& out) const;
 
   /// Energy of one inference row read (the tile prices its reads with it).
   [[nodiscard]] util::Energy inference_read_energy() const {
@@ -120,17 +108,13 @@ class SramMacro {
 
   // --- RW port (learning path) -----------------------------------------------
 
-  /// Reads a full column through the transposed port (multiport cells:
-  /// col_mux accesses) or -- for the 6T baseline -- by sweeping all rows.
-  BitVec read_column(std::size_t col);
+  /// Reads a full column (fault-masked) through the transposed port
+  /// (multiport cells: col_mux accesses) or -- for the 6T baseline -- by
+  /// sweeping all rows; column_update_cost() prices the access.
+  [[nodiscard]] BitVec read_column(std::size_t col) const;
 
-  /// Writes a full column; same access decomposition as read_column.
+  /// Writes a full column; stuck cells keep their stuck value.
   void write_column(std::size_t col, const BitVec& bits);
-
-  /// Reads / writes a full row through the RW port. Only meaningful for the
-  /// 6T baseline (row-wise RW port); throws for transposed cells.
-  BitVec read_row_rw(std::size_t row);
-  void write_row_rw(std::size_t row, const BitVec& bits);
 
   /// Total (time, energy) of updating one full column of weights, as in
   /// sec. 4.4.1: transposed cells do col_mux reads + col_mux writes; the 6T
@@ -140,19 +124,14 @@ class SramMacro {
  private:
   void check_row(std::size_t row) const;
   void check_col(std::size_t col) const;
-  /// Shared port validation + stats accounting of one inference row
-  /// read (used by both read_row flavours).
-  void account_inference_read(std::size_t port);
-  /// Row content with stuck-at masking applied.
-  [[nodiscard]] BitVec observed_row(std::size_t row) const;
-  /// Allocation-free variant writing into `out` (same masking).
-  void observed_row_into(std::size_t row, BitVec& out) const;
-  /// Rebuilds the whole mirror from the stored rows and the masks.
-  void rebuild_mirror();
-  /// Stores `bits` (one column, unmasked) into the mirror's column `col`.
-  void mirror_column(std::size_t col, const BitVec& bits);
-  /// Re-derives the mirror bit at (row, col) from the stored bit.
-  void mirror_bit(std::size_t row, std::size_t col);
+  /// The raw written bits: written_cols_ under a fault map, otherwise the
+  /// one array, observed_cols_.
+  std::vector<std::uint64_t>& written();
+  /// Re-derives observed words [begin, end) from the written bits and the
+  /// masks, and takes a new stamp.
+  void observe(std::size_t begin, std::size_t end);
+  /// Stores `bits` (one column, unmasked) as column `col`.
+  void store_column(std::size_t col, const BitVec& bits);
 
   SramTimingModel timing_;
   /// Cached timing_.inference_row_read_energy(): the timing model is
@@ -161,20 +140,19 @@ class SramMacro {
   util::Energy inference_read_energy_;
   /// Cached max(spec.read_ports, 1) for the per-read port check.
   std::size_t usable_ports_;
-  std::vector<BitVec> bits_;  // [row] -> cols
-  /// Per-row stuck-at masks; empty vectors when no faults are injected.
-  std::vector<BitVec> stuck0_;
-  std::vector<BitVec> stuck1_;
   /// Words per column of the column-major arrays: ceil(rows / 64).
   std::size_t col_words_;
-  /// Observed bits, column-major: column c at [c * col_words_, +col_words_).
+  /// The cell array as every port observes it, column-major: column c at
+  /// [c * col_words_, +col_words_). On a fault-free macro this is the one
+  /// copy of the stored bits.
   std::vector<std::uint64_t> observed_cols_;
-  /// The stuck-at masks, column-major like observed_cols_; empty when no
-  /// faults are injected.
+  /// Fault-recovery state, laid out like observed_cols_ and empty when no
+  /// faults are injected: the stuck-at masks and the bits last written
+  /// under them (what clear_faults() restores).
   std::vector<std::uint64_t> stuck0_cols_;
   std::vector<std::uint64_t> stuck1_cols_;
+  std::vector<std::uint64_t> written_cols_;
   std::uint64_t stamp_;
-  MacroStats stats_;
 };
 
 }  // namespace esam::sram

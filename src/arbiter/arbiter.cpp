@@ -4,9 +4,8 @@
 
 namespace esam::arbiter {
 
-MultiPortArbiter::MultiPortArbiter(std::size_t width, std::size_t ports,
-                                   ArbiterPolicy policy)
-    : ports_(ports), policy_(policy), pending_(width) {
+MultiPortArbiter::MultiPortArbiter(std::size_t width, std::size_t ports)
+    : ports_(ports), pending_(width) {
   if (width == 0) {
     throw std::invalid_argument("MultiPortArbiter: width must be > 0");
   }
@@ -31,31 +30,14 @@ GrantSet MultiPortArbiter::arbitrate() {
 
 void MultiPortArbiter::arbitrate_into(GrantSet& out) {
   out.rows.clear();
-  if (policy_ == ArbiterPolicy::kFixedPriority) {
-    // Functional equivalent of cascading p 1-port encoders: every stage
-    // grants the lowest remaining index. find_first is a word-packed scan
-    // and reset() a single word write, so the cycle does no allocation.
-    for (std::size_t port = 0; port < ports_; ++port) {
-      const std::size_t idx = pending_.find_first();
-      if (idx == pending_.size()) break;
-      out.rows.push_back(idx);
-      pending_.reset(idx);
-    }
-  } else {
-    // Round robin: a rotate stage presents the vector to the same encoder
-    // starting at rr_start_; functionally, scan with wrap-around.
-    const std::size_t w = width();
-    std::size_t scanned = 0;
-    std::size_t idx = rr_start_ % w;
-    while (out.rows.size() < ports_ && scanned < w) {
-      if (pending_.test(idx)) {
-        out.rows.push_back(idx);
-        pending_.reset(idx);
-        rr_start_ = (idx + 1) % w;
-      }
-      idx = (idx + 1) % w;
-      ++scanned;
-    }
+  // Functional equivalent of cascading p 1-port encoders: every stage
+  // grants the lowest remaining index. find_first is a word-packed scan
+  // and reset() a single word write, so the cycle does no allocation.
+  for (std::size_t port = 0; port < ports_; ++port) {
+    const std::size_t idx = pending_.find_first();
+    if (idx == pending_.size()) break;
+    out.rows.push_back(idx);
+    pending_.reset(idx);
   }
   out.valid_ports = out.rows.size();
   out.r_empty_after = pending_.none();
@@ -68,7 +50,6 @@ std::size_t MultiPortArbiter::drain_cycles(std::size_t spikes) const {
 
 void MultiPortArbiter::reset() {
   pending_.clear();
-  rr_start_ = 0;
 }
 
 }  // namespace esam::arbiter

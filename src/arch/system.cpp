@@ -542,6 +542,24 @@ OnlineRunResult SystemSimulator::run_online(
   return out;
 }
 
+void check_thresholds_fit(const nn::SnnNetwork& net,
+                          const neuron::NeuronConfig& neuron,
+                          const std::string& who) {
+  neuron::IfNeuron probe(neuron);
+  for (std::size_t l = 0; l < net.layers().size(); ++l) {
+    for (const std::int32_t vth : net.layers()[l].thresholds) {
+      try {
+        probe.set_vth(vth);
+      } catch (const std::invalid_argument&) {
+        throw std::invalid_argument(
+            who + ": layer " + std::to_string(l) + " threshold " +
+            std::to_string(vth) + " does not fit the " +
+            std::to_string(neuron.vth_bits) + "-bit Vth register");
+      }
+    }
+  }
+}
+
 nn::SnnNetwork SystemSimulator::export_network() const {
   std::vector<nn::SnnLayer> layers;
   layers.reserve(tiles_.size());
@@ -568,6 +586,7 @@ void SystemSimulator::import_network(const nn::SnnNetwork& snn) {
           std::to_string(tiles_[l].config().outputs));
     }
   }
+  check_thresholds_fit(snn, cfg_.neuron, "SystemSimulator::import_network");
   for (std::size_t l = 0; l < layers.size(); ++l) {
     tiles_[l].load_layer(layers[l]);
   }

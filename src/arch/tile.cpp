@@ -162,7 +162,7 @@ void Tile::load_layer(const nn::SnnLayer& layer) {
       for (std::size_t r = 0; r < m.geometry().rows; ++r) {
         layer.weight_rows[row0 + r].slice_into(col0, rows[r]);
       }
-      m.load(std::move(rows));
+      m.load(rows);
     }
   }
   for (std::size_t j = 0; j < cfg_.outputs; ++j) {
@@ -359,9 +359,6 @@ std::uint64_t Tile::closed_form_burst() {
     const std::size_t s = row_group_spikes_[rg];
     cycles = std::max(cycles, (s + p - 1) / p);
     stats_.row_group_grants[rg] += s;
-    for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-      macros_[rg * col_groups_ + cg].count_inference_reads(s);
-    }
   }
   for (std::size_t c = 0; c < cycles; ++c) {
     std::size_t grants = 0;

@@ -29,28 +29,6 @@ double percentile(std::vector<double> samples, double q) {
   return *nth;
 }
 
-/// Throws std::invalid_argument, on the caller's thread, when a worker
-/// could not deploy `net` on `neuron`-configured hardware: every threshold
-/// must pass the IfNeuron::set_vth that Tile::load_layer runs, which would
-/// otherwise throw inside a worker and end the process.
-void check_thresholds_fit(const nn::SnnNetwork& net,
-                          const neuron::NeuronConfig& neuron,
-                          const std::string& who) {
-  neuron::IfNeuron probe(neuron);
-  for (std::size_t l = 0; l < net.layers().size(); ++l) {
-    for (const std::int32_t vth : net.layers()[l].thresholds) {
-      try {
-        probe.set_vth(vth);
-      } catch (const std::invalid_argument&) {
-        throw std::invalid_argument(
-            who + ": layer " + std::to_string(l) + " threshold " +
-            std::to_string(vth) + " does not fit the " +
-            std::to_string(neuron.vth_bits) + "-bit Vth register");
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void InferenceServer::WaitRecorder::record(double wait_us) {
@@ -75,7 +53,9 @@ InferenceServer::InferenceServer(const tech::TechnologyParams& node,
   if (ckpt.network.layers().empty()) {
     throw std::invalid_argument("InferenceServer: empty checkpoint");
   }
-  check_thresholds_fit(ckpt.network, hw_.neuron, "InferenceServer");
+  // Rejected here, on the caller's thread: a worker deploying it would
+  // throw and end the process.
+  arch::check_thresholds_fit(ckpt.network, hw_.neuron, "InferenceServer");
   cfg_.num_workers = std::max<std::size_t>(1, cfg_.num_workers);
   cfg_.max_batch = std::max<std::size_t>(1, cfg_.max_batch);
   cfg_.adapt_batch = std::max<std::size_t>(1, cfg_.adapt_batch);
@@ -205,7 +185,8 @@ void InferenceServer::publish(io::Checkpoint ckpt) {
         "InferenceServer::publish: checkpoint shape does not match the "
         "deployed model");
   }
-  check_thresholds_fit(ckpt.network, hw_.neuron, "InferenceServer::publish");
+  arch::check_thresholds_fit(ckpt.network, hw_.neuron,
+                             "InferenceServer::publish");
   auto p = std::make_shared<Published>();
   p->ckpt = std::move(ckpt);
   {

@@ -1,14 +1,17 @@
 #include "esam/sram/macro.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "esam/util/simd.hpp"
+
 namespace esam::sram {
 namespace {
 
-/// Mirror stamps come from one counter, so two macros share a stamp only
+/// Stamps come from one counter, so two macros share a stamp only
 /// when one is a copy of the other (same contents).
 std::uint64_t next_stamp() {
   static std::atomic<std::uint64_t> counter{0};
@@ -23,7 +26,6 @@ SramMacro::SramMacro(const TechnologyParams& tech, BitcellSpec spec,
     : timing_(tech, spec, geometry, vprech),
       inference_read_energy_(timing_.inference_row_read_energy()),
       usable_ports_(spec.read_ports == 0 ? 1 : spec.read_ports),
-      bits_(geometry.rows, BitVec(geometry.cols)),
       col_words_((geometry.rows + 63) / 64),
       observed_cols_(geometry.cols * col_words_, 0),
       stamp_(next_stamp()) {
@@ -47,52 +49,26 @@ BitVec SramMacro::peek_column(std::size_t col) const {
   return BitVec::from_words(geometry().rows, column_words(col));
 }
 
-BitVec SramMacro::observed_row(std::size_t row) const {
-  if (stuck0_.empty()) return bits_[row];
-  return (bits_[row] & ~stuck0_[row]) | stuck1_[row];
+std::vector<std::uint64_t>& SramMacro::written() {
+  return has_faults() ? written_cols_ : observed_cols_;
 }
 
-void SramMacro::observed_row_into(std::size_t row, BitVec& out) const {
-  out.assign(bits_[row]);
-  if (!stuck0_.empty()) {
-    out.andnot_assign(stuck0_[row]);
-    out |= stuck1_[row];
-  }
-}
-
-void SramMacro::rebuild_mirror() {
-  util::transpose_bits(bits_, observed_cols_.data(), col_words_);
+void SramMacro::observe(std::size_t begin, std::size_t end) {
   if (has_faults()) {
-    for (std::size_t i = 0; i < observed_cols_.size(); ++i) {
-      observed_cols_[i] = (observed_cols_[i] & ~stuck0_cols_[i]) |
-                          stuck1_cols_[i];
-    }
+    const util::simd::Kernels& kern = util::simd::active();
+    std::uint64_t* out = observed_cols_.data() + begin;
+    std::copy(written_cols_.data() + begin, written_cols_.data() + end, out);
+    kern.andnot_assign(out, stuck0_cols_.data() + begin, end - begin);
+    kern.or_assign(out, stuck1_cols_.data() + begin, end - begin);
   }
   stamp_ = next_stamp();
 }
 
-void SramMacro::mirror_column(std::size_t col, const BitVec& bits) {
-  std::uint64_t* out = observed_cols_.data() + col * col_words_;
-  for (std::size_t wi = 0; wi < col_words_; ++wi) {
-    std::uint64_t w = bits.word(wi);
-    if (has_faults()) {
-      const std::size_t i = col * col_words_ + wi;
-      w = (w & ~stuck0_cols_[i]) | stuck1_cols_[i];
-    }
-    out[wi] = w;
-  }
-  stamp_ = next_stamp();
-}
-
-void SramMacro::mirror_bit(std::size_t row, std::size_t col) {
-  bool v = bits_[row].test(col);
-  if (has_faults()) {
-    v = (v && !stuck0_[row].test(col)) || stuck1_[row].test(col);
-  }
-  const std::uint64_t mask = std::uint64_t{1} << (row & 63);
-  std::uint64_t& w = observed_cols_[col * col_words_ + (row >> 6)];
-  w = v ? (w | mask) : (w & ~mask);
-  stamp_ = next_stamp();
+void SramMacro::store_column(std::size_t col, const BitVec& bits) {
+  const std::size_t base = col * col_words_;
+  std::copy(bits.words().begin(), bits.words().end(),
+            written().begin() + static_cast<std::ptrdiff_t>(base));
+  observe(base, base + col_words_);
 }
 
 void SramMacro::apply_faults(const FaultMap& map) {
@@ -102,40 +78,46 @@ void SramMacro::apply_faults(const FaultMap& map) {
       map.stuck_at_one.size() != rows * cols) {
     throw std::invalid_argument("SramMacro::apply_faults: shape mismatch");
   }
-  // Row r of the cell-major map is the bit range [r * cols, (r + 1) * cols).
-  stuck0_.assign(rows, BitVec(cols));
-  stuck1_.assign(rows, BitVec(cols));
-  for (std::size_t r = 0; r < rows; ++r) {
-    map.stuck_at_zero.slice_into(r * cols, stuck0_[r]);
-    map.stuck_at_one.slice_into(r * cols, stuck1_[r]);
-  }
-  stuck0_cols_.assign(observed_cols_.size(), 0);
-  stuck1_cols_.assign(observed_cols_.size(), 0);
-  util::transpose_bits(stuck0_, stuck0_cols_.data(), col_words_);
-  util::transpose_bits(stuck1_, stuck1_cols_.data(), col_words_);
-  rebuild_mirror();
+  // A fault-free array observes exactly what was written.
+  if (!has_faults()) written_cols_ = observed_cols_;
+  // Cell (r, c) is bit r * cols + c of the cell-major map; defects are
+  // sparse, so scatter the set bits instead of transposing whole rows.
+  const auto scatter = [&](const BitVec& cells,
+                           std::vector<std::uint64_t>& out) {
+    out.assign(observed_cols_.size(), 0);
+    cells.for_each_set([&](std::size_t i) {
+      const std::size_t r = i / cols;
+      out[(i % cols) * col_words_ + (r >> 6)] |= std::uint64_t{1} << (r & 63);
+    });
+  };
+  scatter(map.stuck_at_zero, stuck0_cols_);
+  scatter(map.stuck_at_one, stuck1_cols_);
+  observe(0, observed_cols_.size());
 }
 
 void SramMacro::clear_faults() {
-  stuck0_.clear();
-  stuck1_.clear();
+  if (!has_faults()) return;
+  observed_cols_ = std::move(written_cols_);
+  written_cols_.clear();
   stuck0_cols_.clear();
   stuck1_cols_.clear();
-  rebuild_mirror();
+  stamp_ = next_stamp();
 }
 
 std::size_t SramMacro::fault_count() const {
-  std::size_t n = 0;
-  for (std::size_t r = 0; r < stuck0_.size(); ++r) {
-    n += stuck0_[r].count() + stuck1_[r].count();
-  }
-  return n;
+  const util::simd::Kernels& kern = util::simd::active();
+  return kern.count(stuck0_cols_.data(), stuck0_cols_.size()) +
+         kern.count(stuck1_cols_.data(), stuck1_cols_.size());
 }
 
 void SramMacro::poke(std::size_t row, std::size_t col, bool value) {
   check_row(row);
-  bits_[row].set(col, value);
-  mirror_bit(row, col);
+  check_col(col);
+  const std::size_t i = col * col_words_ + (row >> 6);
+  const std::uint64_t bit = std::uint64_t{1} << (row & 63);
+  std::uint64_t& w = written()[i];
+  w = value ? (w | bit) : (w & ~bit);
+  observe(i, i + 1);
 }
 
 void SramMacro::poke_column(std::size_t col, const BitVec& bits) {
@@ -143,13 +125,10 @@ void SramMacro::poke_column(std::size_t col, const BitVec& bits) {
   if (bits.size() != geometry().rows) {
     throw std::invalid_argument("SramMacro::poke_column: row count mismatch");
   }
-  for (std::size_t r = 0; r < geometry().rows; ++r) {
-    bits_[r].set(col, bits.test(r));
-  }
-  mirror_column(col, bits);
+  store_column(col, bits);
 }
 
-void SramMacro::load(std::vector<BitVec> rows) {
+void SramMacro::load(const std::vector<BitVec>& rows) {
   if (rows.size() != geometry().rows) {
     throw std::invalid_argument("SramMacro::load: row count mismatch");
   }
@@ -158,37 +137,40 @@ void SramMacro::load(std::vector<BitVec> rows) {
       throw std::invalid_argument("SramMacro::load: column count mismatch");
     }
   }
-  bits_ = std::move(rows);
-  rebuild_mirror();
+  util::transpose_bits(rows, written().data(), col_words_);
+  observe(0, observed_cols_.size());
 }
 
-void SramMacro::account_inference_read(std::size_t port) {
+BitVec SramMacro::read_row(std::size_t port, std::size_t row) const {
+  BitVec out;
+  read_row_into(port, row, out);
+  return out;
+}
+
+void SramMacro::read_row_into(std::size_t port, std::size_t row,
+                              BitVec& out) const {
+  check_row(row);
   if (port >= usable_ports_) {
     throw std::out_of_range("SramMacro: read port " + std::to_string(port) +
                             " out of range");
   }
-  ++stats_.inference_row_reads;
+  const std::size_t cols = geometry().cols;
+  if (out.size() != cols) out = BitVec(cols);
+  // Gather bit `row` of every column, 64 columns per output word.
+  const std::uint64_t* word = observed_cols_.data() + (row >> 6);
+  const unsigned shift = row & 63;
+  for (std::size_t wi = 0; wi * 64 < cols; ++wi) {
+    const std::size_t n = std::min<std::size_t>(64, cols - wi * 64);
+    std::uint64_t w = 0;
+    for (std::size_t k = 0; k < n; ++k, word += col_words_) {
+      w |= ((*word >> shift) & 1u) << k;
+    }
+    out.set_word(wi, w);
+  }
 }
 
-BitVec SramMacro::read_row(std::size_t port, std::size_t row) {
-  check_row(row);
-  account_inference_read(port);
-  return observed_row(row);
-}
-
-void SramMacro::read_row_into(std::size_t port, std::size_t row, BitVec& out) {
-  check_row(row);
-  account_inference_read(port);
-  observed_row_into(row, out);
-}
-
-BitVec SramMacro::read_column(std::size_t col) {
-  BitVec out = peek_column(col);
-  // Transposed cells: col_mux accesses; the 6T baseline reads every row
-  // just to fish out one bit each.
-  stats_.rw_read_accesses +=
-      timing_.rw_port_is_columnwise() ? geometry().col_mux : geometry().rows;
-  return out;
+BitVec SramMacro::read_column(std::size_t col) const {
+  return peek_column(col);
 }
 
 void SramMacro::write_column(std::size_t col, const BitVec& value) {
@@ -196,38 +178,7 @@ void SramMacro::write_column(std::size_t col, const BitVec& value) {
   if (value.size() != geometry().rows) {
     throw std::invalid_argument("SramMacro::write_column: size mismatch");
   }
-  for (std::size_t r = 0; r < geometry().rows; ++r) {
-    bits_[r].set(col, value.test(r));
-  }
-  mirror_column(col, value);
-  stats_.rw_write_accesses +=
-      timing_.rw_port_is_columnwise() ? geometry().col_mux : geometry().rows;
-}
-
-BitVec SramMacro::read_row_rw(std::size_t row) {
-  if (timing_.rw_port_is_columnwise()) {
-    throw std::logic_error(
-        "SramMacro::read_row_rw: the RW port of multiport cells is "
-        "column-wise; use read_column or the inference ports");
-  }
-  check_row(row);
-  ++stats_.rw_read_accesses;
-  return observed_row(row);
-}
-
-void SramMacro::write_row_rw(std::size_t row, const BitVec& value) {
-  if (timing_.rw_port_is_columnwise()) {
-    throw std::logic_error(
-        "SramMacro::write_row_rw: the RW port of multiport cells is "
-        "column-wise; use write_column");
-  }
-  check_row(row);
-  if (value.size() != geometry().cols) {
-    throw std::invalid_argument("SramMacro::write_row_rw: size mismatch");
-  }
-  bits_[row] = value;
-  for (std::size_t c = 0; c < geometry().cols; ++c) mirror_bit(row, c);
-  ++stats_.rw_write_accesses;
+  store_column(col, value);
 }
 
 OpProfile SramMacro::column_update_cost() const {

@@ -2,8 +2,8 @@
 // facade: a save/load round trip must reproduce the adapted network byte for
 // byte (including fault-masked weight read-back), damaged files must be
 // rejected with CheckpointError instead of deploying garbage, and
-// import_network/deploy must reject shape mismatches without touching the
-// live weights.
+// import_network/deploy must reject shape mismatches and thresholds that do
+// not fit the hardware without touching the live weights.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -239,6 +239,23 @@ TEST(Checkpoint, ImportRejectsShapeMismatchWithoutMutating) {
   // The rejection happened before any tile was touched.
   EXPECT_EQ(io::Checkpoint::from_network(sim.export_network()).encode(),
             before);
+}
+
+TEST(Checkpoint, ImportRejectsOversizedThresholdWithoutMutating) {
+  const nn::SnnNetwork snn = random_snn({16, 8, 4}, 314);
+  arch::SystemSimulator sim(tech::imec3nm(), snn, {});
+  const nn::SnnNetwork before = sim.export_network();
+
+  // Layer 0 of the rejected network differs from the deployed one, so a
+  // partial import would show; layer 1 holds a threshold past the 12-bit
+  // Vth register.
+  std::vector<nn::SnnLayer> layers = random_snn({16, 8, 4}, 315).layers();
+  ASSERT_NE(layers[0].weight_rows, before.layers()[0].weight_rows);
+  layers[1].thresholds[0] = 5000;
+  const nn::SnnNetwork rejected = nn::SnnNetwork::from_layers(layers);
+
+  EXPECT_THROW(sim.import_network(rejected), std::invalid_argument);
+  expect_network_identical(sim.export_network(), before);
 }
 
 TEST(Checkpoint, EsamSystemDeploymentFacade) {

@@ -1,106 +1,16 @@
-// Tests for the extensions: round-robin arbitration, the HVT low-power
-// operating point, and multi-timestep rate-coded operation.
+// Tests for the extensions: the HVT low-power operating point and
+// multi-timestep rate-coded operation.
 #include <gtest/gtest.h>
-
-#include <map>
 
 #include "esam/arch/rate_coded.hpp"
 #include "esam/arch/system.hpp"
-#include "esam/arbiter/arbiter.hpp"
 #include "esam/tech/technology.hpp"
 #include "esam/util/rng.hpp"
 
 namespace esam {
 namespace {
 
-using arbiter::ArbiterPolicy;
-using arbiter::GrantSet;
-using arbiter::MultiPortArbiter;
 using util::BitVec;
-
-// --- round-robin arbiter -----------------------------------------------------
-
-TEST(RoundRobin, RotatesPriorityAcrossCycles) {
-  MultiPortArbiter arb(8, 1, ArbiterPolicy::kRoundRobin);
-  arb.request(BitVec::from_string("10100010"));
-  EXPECT_EQ(arb.arbitrate().rows.front(), 0u);
-  // Priority pointer moved past 0: next grant starts scanning at 1.
-  EXPECT_EQ(arb.arbitrate().rows.front(), 2u);
-  EXPECT_EQ(arb.arbitrate().rows.front(), 6u);
-  EXPECT_TRUE(arb.r_empty());
-}
-
-TEST(RoundRobin, WrapsAround) {
-  MultiPortArbiter arb(8, 1, ArbiterPolicy::kRoundRobin);
-  arb.request(7);
-  EXPECT_EQ(arb.arbitrate().rows.front(), 7u);
-  arb.request(0);  // pointer is now at 0 (wrapped)
-  arb.request(6);
-  EXPECT_EQ(arb.arbitrate().rows.front(), 0u);
-}
-
-TEST(RoundRobin, DrainsEverythingExactlyOnce) {
-  util::Rng rng(9);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t width = 8 + rng.uniform_index(120);
-    const std::size_t ports = 1 + rng.uniform_index(4);
-    MultiPortArbiter arb(width, ports, ArbiterPolicy::kRoundRobin);
-    BitVec req(width);
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < width; ++i) {
-      if (rng.bernoulli(0.3)) {
-        req.set(i);
-        ++expected;
-      }
-    }
-    arb.request(req);
-    std::map<std::size_t, int> seen;
-    std::size_t cycles = 0;
-    while (!arb.r_empty()) {
-      const GrantSet g = arb.arbitrate();
-      ASSERT_LE(g.valid_ports, ports);
-      for (std::size_t r : g.rows) seen[r]++;
-      ASSERT_LE(++cycles, width + 1);
-    }
-    ASSERT_EQ(seen.size(), expected);
-    for (const auto& [row, count] : seen) {
-      ASSERT_TRUE(req.test(row));
-      ASSERT_EQ(count, 1);
-    }
-    ASSERT_EQ(cycles, arb.drain_cycles(expected));
-  }
-}
-
-TEST(RoundRobin, FairUnderSustainedContention) {
-  // Fixed priority starves high rows when low rows keep re-requesting;
-  // round robin serves everyone. Re-request rows 0..3 every cycle while row
-  // 120 waits; count cycles until row 120 is granted.
-  auto wait_for_row = [](ArbiterPolicy policy) {
-    MultiPortArbiter arb(128, 2, policy);
-    arb.request(120);
-    for (int cycle = 1; cycle <= 200; ++cycle) {
-      for (std::size_t hot = 0; hot < 4; ++hot) arb.request(hot);
-      const GrantSet g = arb.arbitrate();
-      for (std::size_t r : g.rows) {
-        if (r == 120) return cycle;
-      }
-    }
-    return 999;
-  };
-  const int rr_wait = wait_for_row(ArbiterPolicy::kRoundRobin);
-  const int fp_wait = wait_for_row(ArbiterPolicy::kFixedPriority);
-  EXPECT_LE(rr_wait, 70);    // bounded by the rotation
-  EXPECT_EQ(fp_wait, 999);   // starved forever by the hot rows
-}
-
-TEST(RoundRobin, ResetRestoresInitialPriority) {
-  MultiPortArbiter arb(8, 1, ArbiterPolicy::kRoundRobin);
-  arb.request(5);
-  (void)arb.arbitrate();
-  arb.reset();
-  arb.request(BitVec::from_string("10000100"));
-  EXPECT_EQ(arb.arbitrate().rows.front(), 0u);  // back to index 0 first
-}
 
 // --- low-power operating point -----------------------------------------------
 

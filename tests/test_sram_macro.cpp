@@ -1,6 +1,12 @@
 // Functional tests for the SRAM macro: storage correctness, transposed
-// access equivalence, energy posting, and the yield guard.
+// access equivalence, read pricing, the yield guard, and a differential
+// test of the column-major cell array against a dense per-cell model.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "esam/sram/macro.hpp"
 #include "esam/tech/technology.hpp"
@@ -115,50 +121,13 @@ TEST(SramMacro, WriteColumnSizeChecked) {
   EXPECT_THROW(m.write_column(0, util::BitVec(127)), std::invalid_argument);
 }
 
-TEST(SramMacro, RowRwOpsOnlyForBaselineCell) {
-  SramMacro m4 = make_macro(CellKind::k1RW4R);
-  EXPECT_THROW((void)m4.read_row_rw(0), std::logic_error);
-  EXPECT_THROW(m4.write_row_rw(0, util::BitVec(128)), std::logic_error);
-
-  SramMacro m0 = make_macro(CellKind::k1RW);
-  util::BitVec row(128);
-  row.set(5);
-  row.set(99);
-  m0.write_row_rw(7, row);
-  EXPECT_EQ(m0.read_row_rw(7), row);
-}
-
-TEST(SramMacro, StatsCountAccesses) {
-  SramMacro m = make_macro(CellKind::k1RW4R);
-  (void)m.read_row(0, 0);
-  (void)m.read_row(1, 5);
-  (void)m.read_column(3);                   // 4 muxed accesses
-  m.write_column(3, util::BitVec(128));     // 4 muxed accesses
-  EXPECT_EQ(m.stats().inference_row_reads, 2u);
-  EXPECT_EQ(m.stats().rw_read_accesses, 4u);
-  EXPECT_EQ(m.stats().rw_write_accesses, 4u);
-
-  SramMacro m0 = make_macro(CellKind::k1RW);
-  (void)m0.read_column(0);  // 6T: one row access per row
-  EXPECT_EQ(m0.stats().rw_read_accesses, 128u);
-}
-
-TEST(SramMacro, AccessesCountedForPricing) {
-  // The macro posts no energy: it counts its accesses, and the callers price
-  // them (the tile its inference reads, at inference_read_energy() each).
-  SramMacro m = make_macro(CellKind::k1RW4R);
-  (void)m.read_row(0, 0);
-  util::BitVec row(128);
-  m.read_row_into(3, 1, row);
-  EXPECT_EQ(m.stats().inference_row_reads, 2u);
+TEST(SramMacro, ReadEnergyCachedForPricing) {
+  // The macro counts nothing and posts no energy: the tile counts its
+  // inference reads and prices each at inference_read_energy().
+  const SramMacro m = make_macro(CellKind::k1RW4R);
   EXPECT_GT(m.inference_read_energy().base(), 0.0);
   EXPECT_EQ(m.inference_read_energy().base(),
             m.timing().inference_row_read_energy().base());
-  (void)m.read_column(0);
-  EXPECT_EQ(m.stats().rw_read_accesses, 4u);  // col_mux accesses
-  m.write_column(0, util::BitVec(128));
-  EXPECT_EQ(m.stats().rw_write_accesses, 4u);
-  EXPECT_EQ(m.stats().inference_row_reads, 2u);
 }
 
 TEST(SramMacro, ColumnUpdateCostMatchesPaperStructure) {
@@ -181,6 +150,159 @@ TEST(SramMacro, NonSquareGeometry) {
   EXPECT_TRUE(col.test(100));
   EXPECT_EQ(col.count(), 1u);
 }
+
+// --- differential test against a dense per-cell model -----------------------
+
+/// What the macro must hold: the written bits and both stuck-at masks, one
+/// bool per cell (index r * cols + c), and the documented read rule.
+struct DenseMacro {
+  std::size_t rows;
+  std::size_t cols;
+  std::vector<bool> written;
+  std::vector<bool> stuck0;  // empty when no fault map is installed
+  std::vector<bool> stuck1;
+
+  DenseMacro(std::size_t r, std::size_t c)
+      : rows(r), cols(c), written(r * c, false) {}
+
+  [[nodiscard]] bool observed(std::size_t r, std::size_t c) const {
+    const std::size_t i = r * cols + c;
+    if (stuck0.empty()) return written[i];
+    return (written[i] && !stuck0[i]) || stuck1[i];
+  }
+  [[nodiscard]] std::size_t fault_count() const {
+    return static_cast<std::size_t>(
+        std::count(stuck0.begin(), stuck0.end(), true) +
+        std::count(stuck1.begin(), stuck1.end(), true));
+  }
+};
+
+util::BitVec random_bits(std::size_t n, double density, util::Rng& rng) {
+  util::BitVec v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.bernoulli(density)) v.set(i);
+  }
+  return v;
+}
+
+std::vector<bool> to_bools(const util::BitVec& v) {
+  std::vector<bool> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = v.test(i);
+  return out;
+}
+
+/// Everything a port or a reader can see, against the model.
+void expect_matches(const SramMacro& m, const DenseMacro& d, util::Rng& rng) {
+  ASSERT_EQ(m.has_faults(), !d.stuck0.empty());
+  ASSERT_EQ(m.fault_count(), d.fault_count());
+  const std::size_t ports = std::max<std::size_t>(1, m.spec().read_ports);
+  for (std::size_t r = 0; r < d.rows; ++r) {
+    const util::BitVec row = m.read_row(rng.uniform_index(ports), r);
+    ASSERT_EQ(row.size(), d.cols);
+    for (std::size_t c = 0; c < d.cols; ++c) {
+      ASSERT_EQ(m.peek(r, c), d.observed(r, c)) << "(" << r << "," << c << ")";
+      ASSERT_EQ(row.test(c), d.observed(r, c)) << "(" << r << "," << c << ")";
+    }
+  }
+  const std::size_t words = m.column_word_count();
+  ASSERT_EQ(words, (d.rows + 63) / 64);
+  for (std::size_t c = 0; c < d.cols; ++c) {
+    const util::BitVec col = m.read_column(c);
+    ASSERT_EQ(col, m.peek_column(c));
+    ASSERT_EQ(col.size(), d.rows);
+    for (std::size_t r = 0; r < d.rows; ++r) {
+      ASSERT_EQ(col.test(r), d.observed(r, c)) << "(" << r << "," << c << ")";
+    }
+    // Bits past the last row stay zero: the tile popcounts whole words.
+    const std::uint64_t* w = m.column_words(c);
+    for (std::size_t r = d.rows; r < words * 64; ++r) {
+      ASSERT_EQ((w[r / 64] >> (r % 64)) & 1u, 0u) << "tail bit " << r;
+    }
+  }
+}
+
+using Geometry = std::pair<std::size_t, std::size_t>;
+
+class SramMacroOracle
+    : public ::testing::TestWithParam<std::tuple<Geometry, CellKind>> {};
+
+TEST_P(SramMacroOracle, MatchesDenseModelUnderRandomOps) {
+  const auto [geometry, cell] = GetParam();
+  const auto [rows, cols] = geometry;
+  util::Rng rng(rows * 131 + cols * 7 + static_cast<std::size_t>(cell));
+  SramMacro m = make_macro(cell, ArrayGeometry{rows, cols, 4});
+  DenseMacro d(rows, cols);
+  expect_matches(m, d, rng);
+  for (int step = 0; step < 60; ++step) {
+    const std::uint64_t stamp = m.stamp();
+    bool mutated = true;
+    switch (rng.uniform_index(7)) {
+      case 0: {
+        const std::size_t r = rng.uniform_index(rows);
+        const std::size_t c = rng.uniform_index(cols);
+        const bool v = rng.bernoulli(0.5);
+        m.poke(r, c, v);
+        d.written[r * cols + c] = v;
+        break;
+      }
+      case 1:
+      case 2: {
+        const std::size_t c = rng.uniform_index(cols);
+        const util::BitVec bits = random_bits(rows, 0.5, rng);
+        if (rng.bernoulli(0.5)) {
+          m.poke_column(c, bits);
+        } else {
+          m.write_column(c, bits);
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+          d.written[r * cols + c] = bits.test(r);
+        }
+        break;
+      }
+      case 3: {
+        std::vector<util::BitVec> matrix;
+        for (std::size_t r = 0; r < rows; ++r) {
+          matrix.push_back(random_bits(cols, 0.5, rng));
+          for (std::size_t c = 0; c < cols; ++c) {
+            d.written[r * cols + c] = matrix.back().test(c);
+          }
+        }
+        m.load(matrix);
+        break;
+      }
+      case 4:
+      case 5: {
+        // Independent masks, so some cells are stuck both ways (stuck-at-1
+        // wins); installing a map over another replaces it.
+        FaultMap map;
+        map.stuck_at_zero = random_bits(rows * cols, 0.1, rng);
+        map.stuck_at_one = random_bits(rows * cols, 0.1, rng);
+        m.apply_faults(map);
+        d.stuck0 = to_bools(map.stuck_at_zero);
+        d.stuck1 = to_bools(map.stuck_at_one);
+        break;
+      }
+      default:
+        mutated = m.has_faults();
+        m.clear_faults();
+        d.stuck0.clear();
+        d.stuck1.clear();
+        break;
+    }
+    // A stale stamp would let the tile keep a stale column copy.
+    if (mutated) {
+      ASSERT_NE(m.stamp(), stamp) << "step " << step;
+    }
+    expect_matches(m, d, rng);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeometriesAndCells, SramMacroOracle,
+    ::testing::Combine(::testing::Values(Geometry{64, 64}, Geometry{100, 100},
+                                         Geometry{128, 128},
+                                         Geometry{128, 10}),
+                       ::testing::Values(CellKind::k1RW, CellKind::k1RW4R)));
 
 }  // namespace
 }  // namespace esam::sram
