@@ -1,6 +1,6 @@
 // K1: microbenchmarks of the simulator kernels -- SIMD bit-kernels, arbiter
-// grant loops, SRAM row reads, the fast engine vs its lockstep oracle, the
-// packed BNN forward vs the SNN software reference, and BNN training. These
+// grant loops, the fast engine vs its lockstep oracle, the packed BNN
+// forward vs the SNN software reference, and BNN training. These
 // measure the *reproduction's* software performance (how fast the simulator
 // itself runs), not the modelled hardware.
 //
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- arbiter + SRAM hot ops ----------------------------------------------
+  // --- arbiter hot op -------------------------------------------------------
   {
     const util::BitVec req = random_bits(128, 14, 0.3);
     arbiter::MultiPortArbiter arb(128, 4);
@@ -152,21 +152,7 @@ int main(int argc, char** argv) {
         },
         window);
     host_ns.push_back({"arbiter_drain_128_p4", drain_ns});
-
-    sram::SramMacro macro(tech::imec3nm(),
-                          sram::BitcellSpec::of(sram::CellKind::k1RW4R), {},
-                          util::millivolts(500.0));
-    util::BitVec out(128);
-    std::size_t r = 0;
-    const double read_ns = ns_per_op(
-        [&] {
-          macro.read_row_into(r % 4, r % 128, out);
-          ++r;
-        },
-        window);
-    host_ns.push_back({"sram_row_read_into", read_ns});
     std::printf("%-28s %12.2f\n", "arbiter_drain_128_p4", drain_ns);
-    std::printf("%-28s %12.2f\n", "sram_row_read_into", read_ns);
   }
 
   // --- execution engines: pipelined vs lockstep tile walk -----------------

@@ -18,10 +18,9 @@ namespace esam::arbiter {
 
 /// Grants produced in one clock cycle.
 struct GrantSet {
-  /// Granted wordline indices, in priority order; size <= ports.
+  /// Granted wordline indices, in priority order; size <= ports (port k
+  /// serves rows[k], the rest are idle).
   std::vector<std::size_t> rows;
-  /// Per-port validity flags (rows.size() ports valid, rest unused).
-  std::size_t valid_ports = 0;
   /// True when the request vector is empty *after* these grants.
   bool r_empty_after = false;
 };
@@ -39,29 +38,20 @@ class MultiPortArbiter {
 
   /// Latches new spike requests (OR-ed into the pending vector).
   void request(const BitVec& spikes);
-  /// Latches a single request.
-  void request(std::size_t row);
 
   /// Pending request count.
   [[nodiscard]] std::size_t pending() const { return pending_.count(); }
-  [[nodiscard]] const BitVec& pending_vector() const { return pending_; }
   [[nodiscard]] bool r_empty() const { return pending_.none(); }
 
-  /// Executes one arbitration cycle: grants up to `ports` pending requests
-  /// (removing them from the pending vector) and reports R_empty.
-  GrantSet arbitrate();
-
-  /// Allocation-free arbitrate: overwrites `out`, reusing its grant-row
-  /// storage (the tile step loop keeps one GrantSet per pipeline). It
-  /// grants the `ports` lowest-index pending requests with word-packed
-  /// find-first scans -- functionally identical to the
+  /// Executes one arbitration cycle into `out`, reusing its grant-row
+  /// storage (the tile step loop keeps one GrantSet per pipeline): grants
+  /// up to `ports` pending requests, removes them from the pending vector
+  /// and reports R_empty. It grants the lowest-index requests with
+  /// word-packed find-first scans -- functionally identical to the
   /// cascaded PriorityEncoder evaluation (each 1-port stage grants the
   /// lowest remaining index), pinned by a differential test against the
   /// structural encoder cascade.
   void arbitrate_into(GrantSet& out);
-
-  /// Cycles needed to drain `spikes` requests at full port utilization.
-  [[nodiscard]] std::size_t drain_cycles(std::size_t spikes) const;
 
   void reset();
 

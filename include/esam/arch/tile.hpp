@@ -16,8 +16,9 @@
 // the next tile over the binary-pulse fabric.
 //
 // step() models that cycle by cycle; it is the lockstep / observer path and
-// the oracle, and reads each granted row from the macros' column-major
-// cells. run_inference() computes the same burst in closed form: with Vmem
+// the oracle, and counts each granted row r as bit r of every column of the
+// macros' column-major cells, read in place (not through the column cache
+// below). run_inference() computes the same burst in closed form: with Vmem
 // starting at zero and no partial sum able to saturate, neuron j ends at
 // 2 * |in & col_j| - |in|, one popcount per neuron over a row-group-strided
 // copy of its column that the tile re-gathers only from macros whose stamp
@@ -165,12 +166,11 @@ class Tile {
   /// Same, copied into `out` (which keeps its storage when wide enough).
   void take_output_into(BitVec& out);
 
-  /// Output-layer readout: raw Vmem accumulators and offset-corrected
-  /// scores (requires output_ready on an output-layer tile).
+  /// Output-layer readout: raw Vmem accumulators (requires output_ready on
+  /// an output-layer tile).
   [[nodiscard]] std::vector<std::int32_t> output_vmem() const;
-  [[nodiscard]] std::vector<float> output_scores() const;
-  /// Winner-take-all readout: the index of the first maximum of
-  /// output_scores(), without building the vector.
+  /// Winner-take-all readout: the index of the first maximum of the
+  /// offset-corrected scores float(vmem_j) - readout_offset(j).
   [[nodiscard]] std::size_t winner() const;
   /// Clears the output-ready latch after readout (output-layer tiles).
   void consume_output();
@@ -228,7 +228,7 @@ class Tile {
   /// Learning-path readout maintenance: the stored offset (S_j - b_j)/2 is
   /// a function of neuron j's column weight sum S_j, so when a column
   /// update flips bits the learner shifts the offset along (+1 per 0->1
-  /// flip) to keep output_scores() consistent with the new weights.
+  /// flip) to keep winner() consistent with the new weights.
   void adjust_readout_offset(std::size_t neuron, float delta);
   [[nodiscard]] float readout_offset(std::size_t neuron) const {
     return readout_offsets_.at(neuron);
@@ -287,10 +287,8 @@ class Tile {
   /// snapshot (fixed storage, overwritten in place each inference).
   BitVec last_input_;
   std::vector<std::int32_t> fire_vmem_;
-  /// Reusable per-column-group row buffers + one ones counter per neuron
-  /// (step()'s granted rows with a 1 in that column), so the step() hot
-  /// path performs no allocations.
-  std::vector<BitVec> row_scratch_;
+  /// One ones counter per neuron (step()'s granted rows with a 1 in that
+  /// column), so the step() hot path performs no allocations.
   std::vector<std::int32_t> ones_scratch_;
   /// Reusable grant storage (arbitrate_into) and per-row-group input-slice
   /// buffers (start_inference), also allocation-free after construction.

@@ -9,14 +9,14 @@
 //
 // The bitcell array is held once, column-major, as the software view of
 // the transposed port: column c is column_word_count() packed words, bit r
-// = row r. A column read is a word copy, the tile's closed-form burst copies
-// each neuron's column as packed words, and a row read gathers one bit per
-// column (only the lockstep oracle reads rows). While a fault map is
-// installed the macro also keeps the column-major stuck-at masks and the
-// written bits under them, so clearing the faults restores what was
-// written. A stamp taken from one global counter changes with every
-// mutation, so a reader can cache the columns and re-read only what
-// changed.
+// = row r. The macro is read only by column: a column read is a word copy,
+// the tile's closed-form burst copies each neuron's column as packed words,
+// and the lockstep step reads a granted row as bit r of every column's
+// words. While a fault map is installed the macro also keeps the
+// column-major stuck-at masks and the written bits under them, so clearing
+// the faults restores what was written. A stamp taken from one global
+// counter changes with every mutation, so a reader can cache the columns
+// and re-read only what changed.
 //
 // The macro counts nothing and posts no energy: the tile counts and prices
 // its inference reads (inference_read_energy() each) in TileStats, the
@@ -60,21 +60,14 @@ class SramMacro {
   void clear_faults();
   /// Number of currently faulty cells.
   [[nodiscard]] std::size_t fault_count() const;
-  /// Whether a fault map is installed (cheap; the learning path skips its
-  /// post-write verification rescan on pristine arrays).
+  /// Whether a fault map is installed (cheap; the learning path re-reads a
+  /// written column only on faulty arrays).
   [[nodiscard]] bool has_faults() const { return !stuck0_cols_.empty(); }
 
   // --- cost-free content access (test / setup plumbing, not hardware) -------
 
   [[nodiscard]] bool peek(std::size_t row, std::size_t col) const;
-  /// Cost-free fault-masked view of one full column (what a read would
-  /// observe; the learning path uses it to measure what a column write
-  /// actually changed on a faulty array).
-  [[nodiscard]] BitVec peek_column(std::size_t col) const;
   void poke(std::size_t row, std::size_t col, bool value);
-  /// Cost-free raw store of one full column (no fault masking -- pair with
-  /// peek_column to mirror another macro's *observable* column).
-  void poke_column(std::size_t col, const BitVec& bits);
   /// Loads a full weight matrix (row-major, rows x cols), cost-free.
   void load(const std::vector<BitVec>& rows);
 
@@ -92,16 +85,8 @@ class SramMacro {
 
   // --- inference port --------------------------------------------------------
 
-  /// Reads one full row (fault-masked) through decoupled port `port`.
-  /// `port` must be < max(1, read_ports) (the 6T baseline serves port 0
-  /// through its RW port).
-  [[nodiscard]] BitVec read_row(std::size_t port, std::size_t row) const;
-
-  /// Same access as read_row, but writes into `out`, reusing its storage
-  /// (Tile::step reads one row per grant and column group this way).
-  void read_row_into(std::size_t port, std::size_t row, BitVec& out) const;
-
-  /// Energy of one inference row read (the tile prices its reads with it).
+  /// Energy of one inference row read through a decoupled port. The tile
+  /// reads granted rows from column_words() and prices each read with it.
   [[nodiscard]] util::Energy inference_read_energy() const {
     return inference_read_energy_;
   }
@@ -110,10 +95,13 @@ class SramMacro {
 
   /// Reads a full column (fault-masked) through the transposed port
   /// (multiport cells: col_mux accesses) or -- for the 6T baseline -- by
-  /// sweeping all rows; column_update_cost() prices the access.
+  /// sweeping all rows. The call itself charges nothing: the learner prices
+  /// it with column_update_cost(), and clone resync and layer export use it
+  /// as free setup access.
   [[nodiscard]] BitVec read_column(std::size_t col) const;
 
-  /// Writes a full column; stuck cells keep their stuck value.
+  /// Writes a full column; stuck cells keep their stuck value. Charges
+  /// nothing itself, like read_column.
   void write_column(std::size_t col, const BitVec& bits);
 
   /// Total (time, energy) of updating one full column of weights, as in
@@ -130,16 +118,12 @@ class SramMacro {
   /// Re-derives observed words [begin, end) from the written bits and the
   /// masks, and takes a new stamp.
   void observe(std::size_t begin, std::size_t end);
-  /// Stores `bits` (one column, unmasked) as column `col`.
-  void store_column(std::size_t col, const BitVec& bits);
 
   SramTimingModel timing_;
   /// Cached timing_.inference_row_read_energy(): the timing model is
   /// immutable after construction and the analytic recompute (wire RC,
   /// bitline caps) dominated the per-read hot path.
   util::Energy inference_read_energy_;
-  /// Cached max(spec.read_ports, 1) for the per-read port check.
-  std::size_t usable_ports_;
   /// Words per column of the column-major arrays: ceil(rows / 64).
   std::size_t col_words_;
   /// The cell array as every port observes it, column-major: column c at

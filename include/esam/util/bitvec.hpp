@@ -146,12 +146,6 @@ class BitVec {
     return words_[wi];
   }
   [[nodiscard]] std::size_t word_count() const { return words_.size(); }
-  /// Bounds-unchecked word store (assert-guarded); bits past size() drop.
-  void set_word(std::size_t wi, std::uint64_t w) {
-    assert(wi < words_.size());
-    words_[wi] = w;
-    if (wi + 1 == words_.size()) trim();
-  }
 
  private:
   void check_index(std::size_t i) const {

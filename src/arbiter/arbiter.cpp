@@ -18,16 +18,6 @@ void MultiPortArbiter::request(const BitVec& spikes) {
   pending_ |= spikes;
 }
 
-void MultiPortArbiter::request(std::size_t row) {
-  pending_.set(row);
-}
-
-GrantSet MultiPortArbiter::arbitrate() {
-  GrantSet out;
-  arbitrate_into(out);
-  return out;
-}
-
 void MultiPortArbiter::arbitrate_into(GrantSet& out) {
   out.rows.clear();
   // Functional equivalent of cascading p 1-port encoders: every stage
@@ -39,13 +29,7 @@ void MultiPortArbiter::arbitrate_into(GrantSet& out) {
     out.rows.push_back(idx);
     pending_.reset(idx);
   }
-  out.valid_ports = out.rows.size();
   out.r_empty_after = pending_.none();
-}
-
-std::size_t MultiPortArbiter::drain_cycles(std::size_t spikes) const {
-  if (spikes == 0) return 0;
-  return (spikes + ports_ - 1) / ports_;
 }
 
 void MultiPortArbiter::reset() {

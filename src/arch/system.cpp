@@ -141,9 +141,7 @@ std::uint64_t stream_lockstep(std::vector<Tile>& tiles,
     for (std::size_t l = tiles.size(); l-- > 0;) {
       if (!tiles[l].output_ready()) continue;
       if (l == last) {
-        const std::vector<float> scores = tiles[l].output_scores();
-        predictions[completed++] = static_cast<std::size_t>(
-            std::max_element(scores.begin(), scores.end()) - scores.begin());
+        predictions[completed++] = tiles[l].winner();
         tiles[l].consume_output();
       } else if (!tiles[l + 1].busy() && !tiles[l + 1].output_ready()) {
         tiles[l + 1].start_inference(tiles[l].take_output());

@@ -86,10 +86,6 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
   neurons_.assign(cfg_.outputs, neuron::IfNeuron(cfg_.neuron));
   readout_offsets_.assign(cfg_.outputs, 0.0f);
   fire_vmem_.assign(cfg_.outputs, 0);
-  row_scratch_.reserve(col_groups_);
-  for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-    row_scratch_.emplace_back(array_cols(cg));
-  }
   ones_scratch_.assign(cfg_.outputs, 0);
   grant_scratch_.rows.reserve(ports);
   input_slice_scratch_.reserve(row_groups_);
@@ -249,7 +245,8 @@ void Tile::step() {
   // Every granted row read contributes +1 to the columns whose stored bit
   // is 1 and -1 to the rest, and each grant touches every column group;
   // with ones[j] = granted rows whose bit at neuron j's column is set, the
-  // per-cycle delta is 2*ones[j] - total_grants.
+  // per-cycle delta is 2*ones[j] - total_grants. A granted row r is bit r
+  // of every column's words, read from the macros in place.
   std::fill(ones_scratch_.begin(), ones_scratch_.end(), 0);
   std::size_t total_grants = 0;
   bool all_empty = true;
@@ -260,23 +257,25 @@ void Tile::step() {
     if (pending_before == 0) continue;
     arb.arbitrate_into(grant_scratch_);
     const arbiter::GrantSet& grants = grant_scratch_;
-    ++stats_.arbiter_cycles[pending_before * (arb_ports_ + 1) +
-                            grants.valid_ports];
-    total_grants += grants.valid_ports;
-    stats_.spikes_served += grants.valid_ports;
-    stats_.row_group_grants[rg] += grants.valid_ports;
-    if (grants.valid_ports > 0) ++stats_.active_row_group_cycles;
+    const std::size_t granted = grants.rows.size();
+    ++stats_.arbiter_cycles[pending_before * (arb_ports_ + 1) + granted];
+    total_grants += granted;
+    stats_.spikes_served += granted;
+    stats_.row_group_grants[rg] += granted;
+    if (granted > 0) ++stats_.active_row_group_cycles;
     if (!grants.r_empty_after) all_empty = false;
 
-    for (std::size_t port = 0; port < grants.valid_ports; ++port) {
-      const std::size_t local_row = grants.rows[port];
+    for (const std::size_t row : grants.rows) {
+      const std::size_t word = row >> 6;
+      const unsigned shift = row & 63;
       for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-        BitVec& row_bits = row_scratch_[cg];
-        macros_[rg * col_groups_ + cg].read_row_into(port, local_row,
-                                                     row_bits);
+        const sram::SramMacro& m = macros_[rg * col_groups_ + cg];
         ++stats_.row_reads;
         std::int32_t* ones = ones_scratch_.data() + cg * cfg_.max_array_dim;
-        row_bits.for_each_set([ones](std::size_t c) { ++ones[c]; });
+        for (std::size_t c = 0; c < m.geometry().cols; ++c) {
+          const std::uint64_t w = m.column_words(c)[word];
+          ones[c] += static_cast<std::int32_t>((w >> shift) & 1u);
+        }
       }
     }
   }
@@ -419,14 +418,6 @@ std::vector<std::int32_t> Tile::output_vmem() const {
   return v;
 }
 
-std::vector<float> Tile::output_scores() const {
-  std::vector<float> s(cfg_.outputs);
-  for (std::size_t j = 0; j < cfg_.outputs; ++j) {
-    s[j] = static_cast<float>(neurons_[j].vmem()) - readout_offsets_[j];
-  }
-  return s;
-}
-
 std::size_t Tile::winner() const {
   std::size_t best = 0;
   float best_score = 0.0f;
@@ -460,12 +451,12 @@ void Tile::copy_column_from(const Tile& src, std::size_t j) {
   }
   const std::size_t cg = j / cfg_.max_array_dim;
   const std::size_t local_col = j % cfg_.max_array_dim;
-  // Mirror the *observable* column: peek applies src's fault mask, so a
-  // clone with an identical fault map ends up observationally identical
-  // even where stuck cells diverge from what was written.
+  // Mirror the *observable* column: read_column applies src's fault mask,
+  // so a clone with an identical fault map ends up observationally
+  // identical even where stuck cells diverge from what was written.
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
-    macro(rg, cg).poke_column(local_col, src.macro(rg, cg).peek_column(
-                                             local_col));
+    macro(rg, cg).write_column(local_col,
+                               src.macro(rg, cg).read_column(local_col));
   }
   readout_offsets_.at(j) = src.readout_offsets_.at(j);
 }
@@ -535,9 +526,9 @@ nn::SnnLayer Tile::export_layer() const {
       const std::size_t row0 = rg * cfg_.max_array_dim;
       const std::size_t col0 = cg * cfg_.max_array_dim;
       for (std::size_t c = 0; c < m.geometry().cols; ++c) {
-        // peek_column applies the stuck-at masks, so the export is what an
+        // read_column applies the stuck-at masks, so the export is what an
         // inference would actually observe on a faulty array.
-        m.peek_column(c).for_each_set([&](std::size_t r) {
+        m.read_column(c).for_each_set([&](std::size_t r) {
           layer.weight_rows[row0 + r].set(col0 + c);
         });
       }

@@ -46,8 +46,8 @@ Time OnlineLearner::apply_column(
     const std::size_t rows = m.geometry().rows;
     const std::size_t row0 = rg * cfg.max_array_dim;
 
-    // Column read-modify-write through the RW port (energy posted by the
-    // macro; time from the timing model, parallel across row-groups). The
+    // Column read-modify-write through the RW port (priced by
+    // column_update_cost(); time parallel across row-groups). The
     // staged events fold over the in-flight value in staged order: each
     // event draws its own Bernoulli masks, but the port traffic -- one read
     // and one write -- is paid once per commit, which is the delayed-update
@@ -65,9 +65,9 @@ Time OnlineLearner::apply_column(
     // Measure what the array actually stores, not what we asked for:
     // stuck-at cells silently ignore writes, and the offset must track the
     // *observable* column sum. Pristine arrays store exactly `updated`, so
-    // only faulty macros pay the per-bit verification rescan.
+    // only faulty macros re-read the column (a word copy) to count it.
     const std::size_t stored_ones = m.has_faults()
-                                        ? m.peek_column(local_col).count()
+                                        ? m.read_column(local_col).count()
                                         : updated.count();
     flipped_to_one += static_cast<std::ptrdiff_t>(stored_ones) -
                       static_cast<std::ptrdiff_t>(old_weights.count());

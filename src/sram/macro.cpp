@@ -25,7 +25,6 @@ SramMacro::SramMacro(const TechnologyParams& tech, BitcellSpec spec,
                      bool allow_non_yielding)
     : timing_(tech, spec, geometry, vprech),
       inference_read_energy_(timing_.inference_row_read_energy()),
-      usable_ports_(spec.read_ports == 0 ? 1 : spec.read_ports),
       col_words_((geometry.rows + 63) / 64),
       observed_cols_(geometry.cols * col_words_, 0),
       stamp_(next_stamp()) {
@@ -44,11 +43,6 @@ bool SramMacro::peek(std::size_t row, std::size_t col) const {
   return (column_words(col)[row >> 6] >> (row & 63)) & 1u;
 }
 
-BitVec SramMacro::peek_column(std::size_t col) const {
-  check_col(col);
-  return BitVec::from_words(geometry().rows, column_words(col));
-}
-
 std::vector<std::uint64_t>& SramMacro::written() {
   return has_faults() ? written_cols_ : observed_cols_;
 }
@@ -62,13 +56,6 @@ void SramMacro::observe(std::size_t begin, std::size_t end) {
     kern.or_assign(out, stuck1_cols_.data() + begin, end - begin);
   }
   stamp_ = next_stamp();
-}
-
-void SramMacro::store_column(std::size_t col, const BitVec& bits) {
-  const std::size_t base = col * col_words_;
-  std::copy(bits.words().begin(), bits.words().end(),
-            written().begin() + static_cast<std::ptrdiff_t>(base));
-  observe(base, base + col_words_);
 }
 
 void SramMacro::apply_faults(const FaultMap& map) {
@@ -120,14 +107,6 @@ void SramMacro::poke(std::size_t row, std::size_t col, bool value) {
   observe(i, i + 1);
 }
 
-void SramMacro::poke_column(std::size_t col, const BitVec& bits) {
-  check_col(col);
-  if (bits.size() != geometry().rows) {
-    throw std::invalid_argument("SramMacro::poke_column: row count mismatch");
-  }
-  store_column(col, bits);
-}
-
 void SramMacro::load(const std::vector<BitVec>& rows) {
   if (rows.size() != geometry().rows) {
     throw std::invalid_argument("SramMacro::load: row count mismatch");
@@ -141,44 +120,20 @@ void SramMacro::load(const std::vector<BitVec>& rows) {
   observe(0, observed_cols_.size());
 }
 
-BitVec SramMacro::read_row(std::size_t port, std::size_t row) const {
-  BitVec out;
-  read_row_into(port, row, out);
-  return out;
-}
-
-void SramMacro::read_row_into(std::size_t port, std::size_t row,
-                              BitVec& out) const {
-  check_row(row);
-  if (port >= usable_ports_) {
-    throw std::out_of_range("SramMacro: read port " + std::to_string(port) +
-                            " out of range");
-  }
-  const std::size_t cols = geometry().cols;
-  if (out.size() != cols) out = BitVec(cols);
-  // Gather bit `row` of every column, 64 columns per output word.
-  const std::uint64_t* word = observed_cols_.data() + (row >> 6);
-  const unsigned shift = row & 63;
-  for (std::size_t wi = 0; wi * 64 < cols; ++wi) {
-    const std::size_t n = std::min<std::size_t>(64, cols - wi * 64);
-    std::uint64_t w = 0;
-    for (std::size_t k = 0; k < n; ++k, word += col_words_) {
-      w |= ((*word >> shift) & 1u) << k;
-    }
-    out.set_word(wi, w);
-  }
-}
-
 BitVec SramMacro::read_column(std::size_t col) const {
-  return peek_column(col);
+  check_col(col);
+  return BitVec::from_words(geometry().rows, column_words(col));
 }
 
-void SramMacro::write_column(std::size_t col, const BitVec& value) {
+void SramMacro::write_column(std::size_t col, const BitVec& bits) {
   check_col(col);
-  if (value.size() != geometry().rows) {
+  if (bits.size() != geometry().rows) {
     throw std::invalid_argument("SramMacro::write_column: size mismatch");
   }
-  store_column(col, value);
+  const std::size_t base = col * col_words_;
+  std::copy(bits.words().begin(), bits.words().end(),
+            written().begin() + static_cast<std::ptrdiff_t>(base));
+  observe(base, base + col_words_);
 }
 
 OpProfile SramMacro::column_update_cost() const {

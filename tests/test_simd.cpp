@@ -325,7 +325,6 @@ TEST(ArbiterDifferential, FastPathMatchesEncoderCascade) {
           GrantSet got;
           arb.arbitrate_into(got);
           EXPECT_EQ(got.rows, want) << "width=" << width << " p=" << ports;
-          EXPECT_EQ(got.valid_ports, want.size());
           EXPECT_EQ(got.r_empty_after, pending.count() == want.size());
         }
       }

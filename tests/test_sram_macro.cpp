@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -43,7 +44,6 @@ TEST(SramMacro, BoundsChecked) {
   SramMacro m = make_macro(CellKind::k1RW4R);
   EXPECT_THROW((void)m.peek(128, 0), std::out_of_range);
   EXPECT_THROW(m.poke(0, 128, true), std::out_of_range);
-  EXPECT_THROW((void)m.read_row(0, 128), std::out_of_range);
   EXPECT_THROW((void)m.read_column(128), std::out_of_range);
 }
 
@@ -66,22 +66,19 @@ TEST(SramMacro, LoadValidatesShape) {
   EXPECT_THROW(m.load(bad_cols), std::invalid_argument);
 }
 
-TEST(SramMacro, ReadRowReturnsLoadedBits) {
+TEST(SramMacro, LoadedRowReadsBackFromCellsAndColumns) {
   SramMacro m = make_macro(CellKind::k1RW4R, ArrayGeometry{8, 8, 4});
   std::vector<util::BitVec> rows(8, util::BitVec(8));
   rows[3] = util::BitVec::from_string("10110010");
   m.load(rows);
-  EXPECT_EQ(m.read_row(0, 3).to_string(), "10110010");
-  EXPECT_EQ(m.read_row(3, 3).to_string(), "10110010");  // any port, same data
-}
-
-TEST(SramMacro, PortRangeEnforced) {
-  SramMacro m4 = make_macro(CellKind::k1RW4R);
-  EXPECT_NO_THROW((void)m4.read_row(3, 0));
-  EXPECT_THROW((void)m4.read_row(4, 0), std::out_of_range);
-  SramMacro m0 = make_macro(CellKind::k1RW);
-  EXPECT_NO_THROW((void)m0.read_row(0, 0));  // 6T serves port 0 via RW port
-  EXPECT_THROW((void)m0.read_row(1, 0), std::out_of_range);
+  std::string row;
+  for (std::size_t c = 0; c < 8; ++c) {
+    row += m.peek(3, c) ? '1' : '0';
+    // Row 3 is bit 3 of every column; no other row holds a 1.
+    EXPECT_EQ(m.read_column(c).count(), rows[3].test(c) ? 1u : 0u);
+    EXPECT_EQ(m.read_column(c).test(3), rows[3].test(c));
+  }
+  EXPECT_EQ(row, "10110010");
 }
 
 TEST(SramMacro, TransposedColumnReadMatchesRowContent) {
@@ -145,7 +142,7 @@ TEST(SramMacro, ColumnUpdateCostMatchesPaperStructure) {
 TEST(SramMacro, NonSquareGeometry) {
   SramMacro m = make_macro(CellKind::k1RW4R, ArrayGeometry{128, 10, 4});
   m.poke(100, 9, true);
-  EXPECT_TRUE(m.read_row(2, 100).test(9));
+  EXPECT_TRUE(m.peek(100, 9));
   const util::BitVec col = m.read_column(9);
   EXPECT_TRUE(col.test(100));
   EXPECT_EQ(col.count(), 1u);
@@ -192,31 +189,29 @@ std::vector<bool> to_bools(const util::BitVec& v) {
 }
 
 /// Everything a port or a reader can see, against the model.
-void expect_matches(const SramMacro& m, const DenseMacro& d, util::Rng& rng) {
+void expect_matches(const SramMacro& m, const DenseMacro& d) {
   ASSERT_EQ(m.has_faults(), !d.stuck0.empty());
   ASSERT_EQ(m.fault_count(), d.fault_count());
-  const std::size_t ports = std::max<std::size_t>(1, m.spec().read_ports);
   for (std::size_t r = 0; r < d.rows; ++r) {
-    const util::BitVec row = m.read_row(rng.uniform_index(ports), r);
-    ASSERT_EQ(row.size(), d.cols);
     for (std::size_t c = 0; c < d.cols; ++c) {
       ASSERT_EQ(m.peek(r, c), d.observed(r, c)) << "(" << r << "," << c << ")";
-      ASSERT_EQ(row.test(c), d.observed(r, c)) << "(" << r << "," << c << ")";
     }
   }
   const std::size_t words = m.column_word_count();
   ASSERT_EQ(words, (d.rows + 63) / 64);
   for (std::size_t c = 0; c < d.cols; ++c) {
     const util::BitVec col = m.read_column(c);
-    ASSERT_EQ(col, m.peek_column(c));
     ASSERT_EQ(col.size(), d.rows);
     for (std::size_t r = 0; r < d.rows; ++r) {
       ASSERT_EQ(col.test(r), d.observed(r, c)) << "(" << r << "," << c << ")";
     }
-    // Bits past the last row stay zero: the tile popcounts whole words.
+    // The words the tile reads rows from; bits past the last row stay
+    // zero, because the tile popcounts whole words.
     const std::uint64_t* w = m.column_words(c);
-    for (std::size_t r = d.rows; r < words * 64; ++r) {
-      ASSERT_EQ((w[r / 64] >> (r % 64)) & 1u, 0u) << "tail bit " << r;
+    for (std::size_t r = 0; r < words * 64; ++r) {
+      const bool want = r < d.rows && d.observed(r, c);
+      ASSERT_EQ((w[r / 64] >> (r % 64)) & 1u, want ? 1u : 0u)
+          << "(" << r << "," << c << ")";
     }
   }
 }
@@ -232,7 +227,7 @@ TEST_P(SramMacroOracle, MatchesDenseModelUnderRandomOps) {
   util::Rng rng(rows * 131 + cols * 7 + static_cast<std::size_t>(cell));
   SramMacro m = make_macro(cell, ArrayGeometry{rows, cols, 4});
   DenseMacro d(rows, cols);
-  expect_matches(m, d, rng);
+  expect_matches(m, d);
   for (int step = 0; step < 60; ++step) {
     const std::uint64_t stamp = m.stamp();
     bool mutated = true;
@@ -249,11 +244,7 @@ TEST_P(SramMacroOracle, MatchesDenseModelUnderRandomOps) {
       case 2: {
         const std::size_t c = rng.uniform_index(cols);
         const util::BitVec bits = random_bits(rows, 0.5, rng);
-        if (rng.bernoulli(0.5)) {
-          m.poke_column(c, bits);
-        } else {
-          m.write_column(c, bits);
-        }
+        m.write_column(c, bits);
         for (std::size_t r = 0; r < rows; ++r) {
           d.written[r * cols + c] = bits.test(r);
         }
@@ -293,7 +284,7 @@ TEST_P(SramMacroOracle, MatchesDenseModelUnderRandomOps) {
     if (mutated) {
       ASSERT_NE(m.stamp(), stamp) << "step " << step;
     }
-    expect_matches(m, d, rng);
+    expect_matches(m, d);
   }
 }
 

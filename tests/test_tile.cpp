@@ -2,6 +2,9 @@
 // drain behaviour, firing semantics, and the physical models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "esam/arch/tile.hpp"
 #include "esam/tech/calibration.hpp"
 #include "esam/tech/technology.hpp"
@@ -353,6 +356,120 @@ TEST(Tile, StatsAccumulate) {
   EXPECT_EQ(t.stats().spikes_served, 2u);
   EXPECT_EQ(t.stats().row_reads, 2u);
   EXPECT_GE(t.stats().busy_cycles, 2u);
+}
+
+// Tiles that step (narrow Vmem, carried membranes) clamp every cycle's +-1
+// sum to the Vmem rails, so the grant order and the cycle boundaries shape
+// Vmem. This pins Tile::step against a per-cycle reference that reads the
+// weights cell by cell (SramMacro::peek): each cycle, every row group grants
+// its lowest `ports` pending rows, and each neuron adds its clamped sum.
+TEST(Tile, SaturatingStepMatchesPerCycleReference) {
+  constexpr std::size_t kIn = 300;
+  constexpr std::size_t kOut = 140;
+  constexpr std::int32_t kMax = 31;  // vmem_bits = 6
+  constexpr std::int32_t kMin = -32;
+  for (const sram::CellKind cell : {sram::CellKind::k1RW,
+                                    sram::CellKind::k1RW4R}) {
+    for (const bool carry : {false, true}) {
+      util::Rng rng(carry ? 41 : 40);
+      TileConfig cfg = config_for(kIn, kOut, cell);
+      cfg.neuron.vmem_bits = 6;
+      cfg.carry_membrane = carry;
+      Tile tile(tech::imec3nm(), cfg);
+      ASSERT_FALSE(tile.closed_form());
+      // Early rows of a row group mostly store 1 and late rows mostly 0, so
+      // Vmem climbs into the upper rail before it falls: clamping once per
+      // burst instead of per cycle ends elsewhere.
+      nn::SnnLayer layer;
+      layer.weight_rows.assign(kIn, util::BitVec(kOut));
+      for (std::size_t i = 0; i < kIn; ++i) {
+        const double p1 = i % cfg.max_array_dim < 64 ? 0.85 : 0.15;
+        for (std::size_t j = 0; j < kOut; ++j) {
+          if (rng.bernoulli(j % 3 == 0 ? 0.5 : p1)) {
+            layer.weight_rows[i].set(j);
+          }
+        }
+      }
+      for (std::size_t j = 0; j < kOut; ++j) {
+        layer.thresholds.push_back(
+            static_cast<std::int32_t>(rng.uniform_index(41)) - 20);
+      }
+      layer.readout_offsets.assign(kOut, 0.0f);
+      tile.load_layer(layer);
+      for (std::size_t rg = 0; rg < tile.row_groups(); ++rg) {
+        for (std::size_t cg = 0; cg < tile.col_groups(); ++cg) {
+          sram::SramMacro& m = tile.macro(rg, cg);
+          if (rng.bernoulli(0.5)) {
+            m.apply_faults(sram::sample_fault_map(
+                m.geometry().rows, m.geometry().cols, 0.05, rng));
+          }
+        }
+      }
+      const std::size_t ports =
+          std::max<std::size_t>(sram::BitcellSpec::of(cell).read_ports, 1);
+      const auto weight = [&](std::size_t i, std::size_t j) {
+        const std::size_t dim = cfg.max_array_dim;
+        return tile.macro(i / dim, j / dim).peek(i % dim, j % dim);
+      };
+
+      std::vector<std::int32_t> vmem(kOut, 0);
+      for (int inference = 0; inference < 8; ++inference) {
+        util::BitVec in(kIn);
+        const double density = inference == 0 ? 0.0 : 0.6;
+        for (std::size_t i = 0; i < kIn; ++i) {
+          if (rng.bernoulli(density)) in.set(i);
+        }
+        // Reference burst: per row group, the pending rows in index order.
+        if (!carry) std::fill(vmem.begin(), vmem.end(), 0);
+        std::vector<std::vector<std::size_t>> pending(tile.row_groups());
+        in.for_each_set([&](std::size_t i) {
+          pending[i / cfg.max_array_dim].push_back(i);
+        });
+        std::vector<std::size_t> next(tile.row_groups(), 0);
+        std::uint64_t cycles = 0;
+        bool drained = false;
+        while (!drained) {
+          ++cycles;
+          std::vector<std::int32_t> delta(kOut, 0);
+          drained = true;
+          for (std::size_t rg = 0; rg < tile.row_groups(); ++rg) {
+            for (std::size_t k = 0; k < ports && next[rg] < pending[rg].size();
+                 ++k) {
+              const std::size_t i = pending[rg][next[rg]++];
+              for (std::size_t j = 0; j < kOut; ++j) {
+                delta[j] += weight(i, j) ? 1 : -1;
+              }
+            }
+            if (next[rg] < pending[rg].size()) drained = false;
+          }
+          for (std::size_t j = 0; j < kOut; ++j) {
+            vmem[j] = std::clamp(vmem[j] + delta[j], kMin, kMax);
+          }
+        }
+        const std::vector<std::int32_t> fire_vmem = vmem;
+        util::BitVec fired(kOut);
+        for (std::size_t j = 0; j < kOut; ++j) {
+          if (vmem[j] >= layer.thresholds[j]) {
+            fired.set(j);
+            vmem[j] = 0;
+          }
+        }
+
+        ASSERT_EQ(tile.run_inference(in), cycles) << "inference " << inference;
+        ASSERT_EQ(tile.fire_vmem(), fire_vmem) << "inference " << inference;
+        ASSERT_EQ(tile.take_output(), fired) << "inference " << inference;
+        // A learner-style column write between inferences: the reference
+        // re-reads every weight through peek.
+        sram::SramMacro& m = tile.macro(rng.uniform_index(tile.row_groups()),
+                                        rng.uniform_index(tile.col_groups()));
+        util::BitVec col(m.geometry().rows);
+        for (std::size_t r = 0; r < col.size(); ++r) {
+          if (rng.bernoulli(0.5)) col.set(r);
+        }
+        m.write_column(rng.uniform_index(m.geometry().cols), col);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -62,9 +62,14 @@ void mutate(Tile& tile, Rng& rng) {
     case 0:
       m.write_column(rng.uniform_index(cols), random_bits(rows, 0.5, rng));
       break;
-    case 1:
-      m.poke_column(rng.uniform_index(cols), random_bits(rows, 0.5, rng));
+    case 1: {
+      std::vector<BitVec> matrix;
+      for (std::size_t r = 0; r < rows; ++r) {
+        matrix.push_back(random_bits(cols, 0.5, rng));
+      }
+      m.load(matrix);
       break;
+    }
     case 2:
       m.poke(rng.uniform_index(rows), rng.uniform_index(cols),
              rng.bernoulli(0.5));
@@ -99,7 +104,11 @@ void expect_same_burst(Tile& fast, Tile& slow, const BitVec& input) {
   ASSERT_EQ(fast.last_input(), slow.last_input());
   ASSERT_EQ(fast.pending_requests(), 0u);
   if (fast.config().is_output_layer) {
-    const std::vector<float> scores = slow.output_scores();
+    const std::vector<std::int32_t> vmem = slow.output_vmem();
+    std::vector<float> scores(vmem.size());
+    for (std::size_t j = 0; j < vmem.size(); ++j) {
+      scores[j] = static_cast<float>(vmem[j]) - slow.readout_offset(j);
+    }
     const auto first_max = static_cast<std::size_t>(
         std::max_element(scores.begin(), scores.end()) - scores.begin());
     ASSERT_EQ(fast.winner(), first_max);
