@@ -59,13 +59,16 @@ int main(int argc, char** argv) {
                                : core::ModelConfig{};
   mc.verbose = true;
   const core::TrainedModel model = core::TrainedModel::create(mc);
-  std::printf(
-      "dataset: %s (%zu train / %zu test, %.1f%% input spike density)\n",
-      model.data.train.source.c_str(), model.data.train.size(),
-      model.data.test.size(), 100.0 * model.data.test.spike_density());
-  std::printf(
-      "BNN accuracy: train %.2f%%, test %.2f%% (paper: 97.64%% on MNIST)\n\n",
-      100.0 * model.bnn_train_accuracy, 100.0 * model.bnn_test_accuracy);
+  std::printf("dataset: %s (%zu test, %.1f%% input spike density)\n",
+              model.data.test.source.c_str(), model.data.test.size(),
+              100.0 * model.data.test.spike_density());
+  // Train accuracy exists only when this run trained (no BNN cache hit).
+  std::printf("BNN accuracy: ");
+  if (model.bnn_train_accuracy) {
+    std::printf("train %.2f%%, ", 100.0 * *model.bnn_train_accuracy);
+  }
+  std::printf("test %.2f%% (paper: 97.64%% on MNIST)\n\n",
+              100.0 * model.bnn_test_accuracy);
 
   util::Table table("Fig. 8 -- system level, 768:256:256:256:10 Binary-SNN");
   table.header({"cell", "clock [MHz]", "throughput [MInf/s]",

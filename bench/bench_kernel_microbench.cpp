@@ -1,15 +1,15 @@
 // K1: microbenchmarks of the simulator kernels -- SIMD bit-kernels, arbiter
 // grant loops, the fast engine vs its lockstep oracle, the packed BNN
-// forward vs the SNN software reference, and BNN training. These
-// measure the *reproduction's* software performance (how fast the simulator
-// itself runs), not the modelled hardware.
+// forward vs the SNN software reference, BNN training, and synthetic digit
+// generation. These measure the *reproduction's* software performance (how
+// fast the simulator itself runs), not the modelled hardware.
 //
 // Self-contained steady_clock harness (no external benchmark framework), so
 // the binary always builds and can feed the benchmark-regression gate.
-// Absolute ns/op numbers are host-dependent and reported as information
-// only; the within-run speedup *ratios* (SIMD backend vs scalar, pipelined
-// engine vs lockstep, SNN vs BNN scoring) are what scripts/check_bench.py
-// gates, since they are comparable across hosts.
+// Absolute times (ns/op, us/sample) are host-dependent and reported as
+// information only; the within-run speedup *ratios* (SIMD backend vs
+// scalar, pipelined engine vs lockstep, SNN vs BNN scoring) are what
+// scripts/check_bench.py gates, since they are comparable across hosts.
 //
 // Usage: bench_kernel_microbench [--smoke] [--json PATH]
 #include <chrono>
@@ -19,6 +19,7 @@
 
 #include "bench_common.hpp"
 #include "esam/arch/system.hpp"
+#include "esam/data/dataset.hpp"
 #include "esam/nn/convert.hpp"
 #include "esam/tech/technology.hpp"
 #include "esam/util/rng.hpp"
@@ -227,6 +228,20 @@ int main(int argc, char** argv) {
     host_ns.push_back({"snn_score_ns_per_sample", snn_ns});
     host_ns.push_back({"bnn_train_ns_per_sample", train_ns});
     ratios.push_back({"snn_over_bnn_score", snn_ns / bnn_ns});
+  }
+
+  // --- data: synthetic digits, generated and prepared -------------------
+  {
+    // One timed call, 1 000 samples: the per-sample cost of the test-stream
+    // synthesis every warm start pays.
+    constexpr std::size_t kSamples = 1000;
+    const double t0 = now_seconds();
+    const data::Dataset raw = data::generate_synthetic_digits(kSamples, 7);
+    const data::PreparedDataset p = data::prepare(raw, "synthetic");
+    const double us = (now_seconds() - t0) * 1e6 / kSamples;
+    g_sink = p.size();
+    std::printf("\n%-28s %12.2f us/sample\n", "synth", us);
+    host_ns.push_back({"synth_us_per_sample", us});
   }
 
   if (!json_path.empty()) {

@@ -37,9 +37,12 @@ int main(int argc, char** argv) {
   mc.verbose = true;
   const core::TrainedModel model = core::TrainedModel::create(mc);
 
-  std::printf("\nBNN: train %.2f%%, test %.2f%% | converted SNN is bit-exact "
-              "(same decisions)\n",
-              100.0 * model.bnn_train_accuracy,
+  // Train accuracy exists only when this run trained (no BNN cache hit).
+  std::printf("\nBNN: ");
+  if (model.bnn_train_accuracy) {
+    std::printf("train %.2f%%, ", 100.0 * *model.bnn_train_accuracy);
+  }
+  std::printf("test %.2f%% | converted SNN is bit-exact (same decisions)\n",
               100.0 * model.bnn_test_accuracy);
   std::printf("network: 768:256:256:256:10 -> %zu neurons, %zu synapses\n\n",
               model.snn.neuron_count(), model.snn.synapse_count());

@@ -10,13 +10,14 @@
 //   core::SystemReport r = system.evaluate(2000);
 //   r.print();
 //
-// TrainedModel::create trains the BNN from scratch (or loads a cached model)
-// and converts it; EsamSystem instantiates the cycle-accurate hardware for a
-// given cell/voltage configuration -- Fig. 8 builds five systems from the
-// same TrainedModel.
+// TrainedModel::create trains the BNN from scratch (or loads a cached model,
+// then builds only the test split) and converts it; EsamSystem instantiates
+// the cycle-accurate hardware for a given cell/voltage configuration --
+// Fig. 8 builds five systems from the same TrainedModel.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,11 +52,17 @@ struct ModelConfig {
 struct TrainedModel {
   nn::BnnNetwork bnn;
   nn::SnnNetwork snn;
+  /// `test` is the evaluation stream. `train` is built only when create()
+  /// trains; after a cache hit it is empty.
   data::TrainTestSplit data;
-  double bnn_train_accuracy = 0.0;
+  /// Set only when create() trained the BNN (empty after a cache hit).
+  std::optional<double> bnn_train_accuracy;
   double bnn_test_accuracy = 0.0;
 
-  /// Trains (or loads from cache) and converts.
+  /// Loads the BNN from cfg.cache_path when it holds one of cfg.shape, and
+  /// then builds only the test split, the same one a cold create builds.
+  /// Otherwise builds both splits, trains, and writes the cache (when a path
+  /// is set). Either way, converts the BNN to the Binary-SNN.
   static TrainedModel create(const ModelConfig& cfg);
 };
 

@@ -42,9 +42,12 @@ Dataset generate_synthetic_digits(std::size_t count, std::uint64_t seed);
 /// Removes a 2x2 pixel block from each corner: 784 -> 768 (paper sec 4.4.2).
 std::vector<float> crop_corners(const std::vector<float>& image784);
 
+/// The pixel level above which a pixel binarizes to +1 (a spike).
+inline constexpr float kBinarizeThreshold = 0.5f;
+
 /// Binarizes to {-1,+1} at `threshold`.
 std::vector<float> binarize_bipolar(const std::vector<float>& image,
-                                    float threshold = 0.5f);
+                                    float threshold = kBinarizeThreshold);
 
 /// Fully prepared evaluation set: bipolar vectors + spike vectors.
 struct PreparedDataset {
@@ -58,12 +61,18 @@ struct PreparedDataset {
   [[nodiscard]] double spike_density() const;
 };
 
-/// Crops + binarizes a raw dataset.
+/// Crops + binarizes a raw dataset (crop_corners, then binarize_bipolar at
+/// kBinarizeThreshold; throws std::invalid_argument on an image that is not
+/// 784 pixels).
 PreparedDataset prepare(const Dataset& raw, const std::string& source);
 
 /// Train/test pair from the default source: real MNIST if the IDX files are
 /// found under $ESAM_MNIST_DIR (train-images-idx3-ubyte etc.), otherwise the
-/// synthetic generator with disjoint seeds.
+/// synthetic generator with disjoint seeds. `n_train` / `n_test` are exact
+/// counts (capped at the IDX file's size): 0 means an empty split from either
+/// source, unlike load_mnist_idx's `limit`. The test split does not depend on
+/// `n_train`, so load_default_split(0, n, seed).test is the test split of any
+/// load_default_split(m, n, seed).
 struct TrainTestSplit {
   PreparedDataset train;
   PreparedDataset test;

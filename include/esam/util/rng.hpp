@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -24,14 +25,27 @@ class Rng {
   /// Seeds the stream; the same seed always yields the same sequence.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  /// Next raw 64-bit value. Inline, like the two uniform() draws: the
+  /// synthetic digit generator draws one per pixel.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform in [0, 1).
-  double uniform();
+  /// Uniform in [0, 1): the 53 high bits of next_u64().
+  double uniform() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
   /// Uniform integer in [0, n); n must be > 0. Unbiased (rejection sampling).
   std::uint64_t uniform_index(std::uint64_t n);

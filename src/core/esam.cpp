@@ -12,8 +12,6 @@ namespace esam::core {
 
 TrainedModel TrainedModel::create(const ModelConfig& cfg) {
   TrainedModel out;
-  out.data = data::load_default_split(cfg.n_train, cfg.n_test, cfg.data_seed);
-
   bool loaded = false;
   if (!cfg.cache_path.empty()) {
     nn::BnnNetwork cached;
@@ -29,7 +27,12 @@ TrainedModel TrainedModel::create(const ModelConfig& cfg) {
       }
     }
   }
-  if (!loaded) {
+  if (loaded) {
+    // Only the test split: it is the one a cold create builds beside the
+    // train split (see data::load_default_split).
+    out.data = data::load_default_split(0, cfg.n_test, cfg.data_seed);
+  } else {
+    out.data = data::load_default_split(cfg.n_train, cfg.n_test, cfg.data_seed);
     util::Rng rng(cfg.train.seed);
     out.bnn = nn::BnnNetwork(cfg.shape, rng);
     nn::BnnTrainer trainer(out.bnn, cfg.train);
@@ -41,10 +44,10 @@ TrainedModel TrainedModel::create(const ModelConfig& cfg) {
     }
     trainer.fit(out.data.train.bipolar, out.data.train.labels);
     if (!cfg.cache_path.empty()) out.bnn.save(cfg.cache_path);
+    out.bnn_train_accuracy =
+        out.bnn.accuracy(out.data.train.bipolar, out.data.train.labels);
   }
 
-  out.bnn_train_accuracy =
-      out.bnn.accuracy(out.data.train.bipolar, out.data.train.labels);
   out.bnn_test_accuracy =
       out.bnn.accuracy(out.data.test.bipolar, out.data.test.labels);
   out.snn = nn::SnnNetwork::from_bnn(out.bnn);

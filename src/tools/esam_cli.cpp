@@ -613,7 +613,7 @@ core::TrainedModel load_model() {
 /// set its model was evaluated on (the training half is not needed).
 data::PreparedDataset load_eval_stream() {
   core::ModelConfig mc;
-  return data::load_default_split(1, mc.n_test, mc.data_seed).test;
+  return data::load_default_split(0, mc.n_test, mc.data_seed).test;
 }
 
 core::OnlineOptions online_options(const CliOptions& opt) {

@@ -15,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 std::uint64_t splitmix64_mix(std::uint64_t x) {
@@ -33,25 +29,6 @@ Rng::Rng(std::uint64_t seed) {
   // produce four zero outputs in a row, but guard anyway.
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
 }
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   if (n == 0) throw std::invalid_argument("Rng::uniform_index: n must be > 0");

@@ -24,7 +24,8 @@ TEST(TrainedModel, CreateTrainsAndConverts) {
   EXPECT_EQ(m.bnn.shape(), (std::vector<std::size_t>{768, 32, 10}));
   EXPECT_EQ(m.snn.shape(), m.bnn.shape());
   // Even a small BNN beats chance comfortably after a few epochs.
-  EXPECT_GT(m.bnn_train_accuracy, 0.5);
+  ASSERT_TRUE(m.bnn_train_accuracy.has_value());
+  EXPECT_GT(*m.bnn_train_accuracy, 0.5);
   EXPECT_GT(m.bnn_test_accuracy, 0.4);
   // Conversion is exact, so SNN accuracy equals BNN accuracy.
   EXPECT_DOUBLE_EQ(m.snn.accuracy(m.data.test.spikes, m.data.test.labels),
@@ -44,6 +45,31 @@ TEST(TrainedModel, CacheRoundTrip) {
               second.bnn.layers()[l].latent.flat());
   }
   std::remove(cfg.cache_path.c_str());
+}
+
+TEST(TrainedModel, WarmCreateBuildsOnlyTheTestSplit) {
+  ModelConfig cfg = small_config();
+  cfg.cache_path = ::testing::TempDir() + "/esam_core_cache_warm.bin";
+  std::remove(cfg.cache_path.c_str());
+  const TrainedModel cold = TrainedModel::create(cfg);
+  const TrainedModel warm = TrainedModel::create(cfg);
+  std::remove(cfg.cache_path.c_str());
+
+  EXPECT_EQ(cold.data.train.size(), cfg.n_train);
+  EXPECT_TRUE(cold.bnn_train_accuracy.has_value());
+  EXPECT_EQ(warm.data.train.size(), 0u);
+  EXPECT_FALSE(warm.bnn_train_accuracy.has_value());
+
+  // The test split a warm create builds alone is the cold one.
+  EXPECT_EQ(warm.data.test.bipolar, cold.data.test.bipolar);
+  EXPECT_EQ(warm.data.test.spikes, cold.data.test.spikes);
+  EXPECT_EQ(warm.data.test.labels, cold.data.test.labels);
+  EXPECT_EQ(warm.data.test.source, cold.data.test.source);
+  EXPECT_EQ(warm.bnn_test_accuracy, cold.bnn_test_accuracy);
+  ASSERT_EQ(warm.snn.layers().size(), cold.snn.layers().size());
+  for (std::size_t l = 0; l < cold.snn.layers().size(); ++l) {
+    EXPECT_EQ(warm.snn.layers()[l].thresholds, cold.snn.layers()[l].thresholds);
+  }
 }
 
 TEST(TrainedModel, CacheIgnoredOnShapeMismatch) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 
 #include "esam/data/dataset.hpp"
@@ -77,6 +79,39 @@ TEST(Synthetic, DeterministicForSeed) {
   EXPECT_EQ(a.images[7], b.images[7]);
   const Dataset c = generate_synthetic_digits(20, 100);
   EXPECT_NE(a.images[7], c.images[7]);
+}
+
+/// 64-bit FNV-1a over `n` bytes, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Synthetic, GoldenBytes) {
+  // Pins the generator's exact output: the labels and every pixel's float
+  // bits, then the prepared spikes. A faster generator must reproduce these
+  // bytes, not just be deterministic.
+  constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+  const Dataset d = generate_synthetic_digits(64, 7);
+  std::uint64_t h = fnv1a(kFnvBasis, d.labels.data(), d.labels.size());
+  for (const std::vector<float>& img : d.images) {
+    h = fnv1a(h, img.data(), img.size() * sizeof(float));
+  }
+  EXPECT_EQ(h, 0x29c5e9cea899c51eULL);
+
+  const PreparedDataset p = prepare(d, "synthetic");
+  std::uint64_t hs = kFnvBasis;
+  for (const util::BitVec& s : p.spikes) {
+    for (std::size_t k = 0; k < s.size(); ++k) {
+      const unsigned char bit = s.test(k) ? 1 : 0;
+      hs = fnv1a(hs, &bit, 1);
+    }
+  }
+  EXPECT_EQ(hs, 0x045039b8e65187f9ULL);
 }
 
 TEST(Synthetic, CoversAllTenDigits) {
@@ -163,6 +198,36 @@ TEST(DefaultSplit, SyntheticFallbackDisjointSeeds) {
   EXPECT_EQ(s.test.size(), 30u);
   EXPECT_EQ(s.train.source, "synthetic");
   EXPECT_NE(s.train.bipolar[0], s.test.bipolar[0]);
+}
+
+TEST(DefaultSplit, ZeroMeansNoneOnEitherSource) {
+  unsetenv("ESAM_MNIST_DIR");
+  const TrainTestSplit syn = load_default_split(0, 30, 12);
+  EXPECT_EQ(syn.train.size(), 0u);
+  // The test split does not depend on the train size.
+  EXPECT_EQ(syn.test.spikes, load_default_split(50, 30, 12).test.spikes);
+
+  // IDX files under the default names: 0 must not mean "the whole file",
+  // as load_mnist_idx's limit does.
+  const std::string dir = ::testing::TempDir() + "/esam_idx_default";
+  std::filesystem::create_directories(dir);
+  write_idx_pair(dir + "/train-images-idx3-ubyte",
+                 dir + "/train-labels-idx1-ubyte", 7);
+  write_idx_pair(dir + "/t10k-images-idx3-ubyte",
+                 dir + "/t10k-labels-idx1-ubyte", 5);
+  setenv("ESAM_MNIST_DIR", dir.c_str(), 1);
+  const TrainTestSplit none = load_default_split(0, 3, 12);
+  const TrainTestSplit all = load_default_split(100, 0, 12);
+  unsetenv("ESAM_MNIST_DIR");
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(none.train.size(), 0u);
+  EXPECT_EQ(none.train.source, "mnist-idx");
+  ASSERT_EQ(none.test.size(), 3u);
+  EXPECT_EQ(none.test.source, "mnist-idx");
+  EXPECT_EQ(none.test.labels, (std::vector<std::uint8_t>{0, 1, 2}));
+  EXPECT_EQ(all.train.size(), 7u);  // capped at the file's count
+  EXPECT_EQ(all.test.size(), 0u);
 }
 
 }  // namespace

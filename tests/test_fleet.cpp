@@ -29,7 +29,7 @@ struct Fixture {
     util::Rng rng(77);
     nn::BnnNetwork bnn({768, 16, 10}, rng);
     snn = nn::SnnNetwork::from_bnn(bnn);
-    test = data::load_default_split(1, 48, 7).test;
+    test = data::load_default_split(0, 48, 7).test;
   }
 };
 

@@ -317,7 +317,7 @@ TEST(ParallelFor, FleetWithGarbageWorkerCountMatchesSerial) {
   util::Rng rng(77);
   const nn::SnnNetwork snn =
       nn::SnnNetwork::from_bnn(nn::BnnNetwork({768, 16, 10}, rng));
-  const data::PreparedDataset test = data::load_default_split(1, 48, 7).test;
+  const data::PreparedDataset test = data::load_default_split(0, 48, 7).test;
   fleet::FleetConfig fc;
   fc.devices = 5;
   fc.shard_inferences = 16;
