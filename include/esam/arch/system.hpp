@@ -168,10 +168,11 @@ struct OnlineRunResult {
   RunResult final_eval;
 };
 
-/// Throws std::invalid_argument, naming `who`, unless every threshold of
-/// `net` fits the Vth register of `neuron`-configured hardware (the check
-/// IfNeuron::set_vth makes when Tile::load_layer deploys a layer). Callers
-/// run it before touching any tile, so a rejected network changes nothing.
+/// Throws std::invalid_argument, naming `who`, unless `neuron` has valid
+/// register widths and every threshold of `net` fits its Vth register
+/// (NeuronConfig::vth_fits, the check Tile::load_layer makes when it
+/// deploys a layer). Callers run it before touching any tile, so a
+/// rejected network changes nothing.
 void check_thresholds_fit(const nn::SnnNetwork& net,
                           const neuron::NeuronConfig& neuron,
                           const std::string& who);

@@ -6,7 +6,8 @@
 // row-group has its own p-port arbiter over its 128 wordlines, so a
 // 768-input tile can select up to 6p spikes per cycle (sec. 4.4.2). Each
 // column hosts one IF neuron that sums the valid port bits from every
-// row-group in the cycle.
+// row-group in the cycle; the tile holds the neuron array's Vmem and Vth
+// registers as two int32 arrays (widths and rails: neuron::NeuronConfig).
 //
 // The tile processes one inference at a time: input spikes latch into the
 // arbiters' request vectors; each clock cycle the arbiters grant up to p
@@ -126,7 +127,10 @@ class Tile {
   [[nodiscard]] std::size_t col_groups() const { return col_groups_; }
   [[nodiscard]] const TileStats& stats() const { return stats_; }
 
-  /// Loads converted weights + thresholds; layer shape must match.
+  /// Loads converted weights, thresholds and readout offsets. The whole
+  /// layer is checked first -- shape, every row's width, the offsets'
+  /// count, every threshold against the Vth register -- and a bad layer
+  /// throws std::invalid_argument with the tile unchanged.
   void load_layer(const nn::SnnLayer& layer);
 
   /// Dynamic energy of `counts` (a stats delta of this tile): every event
@@ -161,22 +165,25 @@ class Tile {
   /// Whether run_inference() takes the closed form (fixed at construction).
   [[nodiscard]] bool closed_form() const { return closed_form_; }
 
-  /// Consumes the fired output spikes (hidden tiles; requires output_ready).
+  /// Consumes the fired output spikes -- the downstream grant of the
+  /// request bits (hidden tiles; requires output_ready).
   BitVec take_output();
   /// Same, copied into `out` (which keeps its storage when wide enough).
   void take_output_into(BitVec& out);
 
-  /// Output-layer readout: raw Vmem accumulators (requires output_ready on
-  /// an output-layer tile).
-  [[nodiscard]] std::vector<std::int32_t> output_vmem() const;
+  /// Output-layer readout: the Vmem registers (read after the fire phase of
+  /// an output-layer tile; overwritten by the next inference).
+  [[nodiscard]] const std::vector<std::int32_t>& output_vmem() const {
+    return vmem_;
+  }
   /// Winner-take-all readout: the index of the first maximum of the
   /// offset-corrected scores float(vmem_j) - readout_offset(j).
   [[nodiscard]] std::size_t winner() const;
   /// Clears the output-ready latch after readout (output-layer tiles).
   void consume_output();
 
-  /// Resets every neuron's membrane and request (new sample in carried-
-  /// membrane / rate-coded operation).
+  /// Zeroes every Vmem register (new sample in carried-membrane /
+  /// rate-coded operation).
   void reset_membranes();
 
   // --- learning-observer readout ------------------------------------------
@@ -196,10 +203,8 @@ class Tile {
   [[nodiscard]] const std::vector<std::int32_t>& fire_vmem() const {
     return fire_vmem_;
   }
-  /// Read-only neuron access (thresholds for margin-based rankings).
-  [[nodiscard]] const neuron::IfNeuron& neuron(std::size_t j) const {
-    return neurons_.at(j);
-  }
+  /// Neuron j's Vth register (thresholds for margin-based rankings).
+  [[nodiscard]] std::int32_t vth(std::size_t j) const { return vth_.at(j); }
 
   /// Reconstructs an nn::SnnLayer from the live SRAM macros (fault-masked
   /// observable weights), current thresholds and readout offsets -- the
@@ -261,7 +266,10 @@ class Tile {
   std::vector<sram::SramMacro> macros_;
   std::vector<arbiter::MultiPortArbiter> arbiters_;
   arbiter::ArbiterTimingModel arbiter_model_;
-  std::vector<neuron::IfNeuron> neurons_;
+  /// The neuron array: neuron j's Vmem and Vth registers. Vmem saturates
+  /// at cfg_.neuron's rails; Vth always fits its t-bit register.
+  std::vector<std::int32_t> vmem_;
+  std::vector<std::int32_t> vth_;
   neuron::NeuronArrayModel neuron_model_;
   std::vector<float> readout_offsets_;
 
@@ -282,6 +290,9 @@ class Tile {
   TileStats latched_;
   bool busy_ = false;
   bool output_ready_ = false;
+  /// The output request registers: bit j is neuron j's request r, set by
+  /// the fire phase and granted when the next tile takes the spikes
+  /// (output_ready_ forces that take before the next latch).
   BitVec output_spikes_;
   /// Learning-observer state: per-inference input copy and fire-time Vmem
   /// snapshot (fixed storage, overwritten in place each inference).

@@ -1,88 +1,47 @@
-// ESAM Integrate-and-Fire neuron (paper sec. 3.4, Fig. 5).
+// ESAM Integrate-and-Fire neuron array (paper sec. 3.4, Fig. 5).
 //
-// Each neuron consumes the sensed bits of the p multiport bitlines of its
-// SRAM column. A per-port validity flag marks which ports were actually
-// granted this cycle (an unused port must not be read as a '1'). Valid bits
-// are decoded {1,0} -> {+1,-1}, summed, and accumulated into an m-bit
-// membrane register Vmem. When the tile's arbiter reports R_empty (all input
-// spikes of the current inference served), Vmem is compared against the
-// per-neuron threshold Vth held in a t-bit register: if Vmem >= Vth the
-// output request r is set and Vmem resets to zero; r clears when the
-// downstream arbiter grants the spike (g = 1).
+// Each column of a tile hosts one neuron: an m-bit signed membrane register
+// Vmem and a t-bit signed threshold register Vth. Every cycle the neuron
+// decodes the sensed bits of its granted ports {1,0} -> {+1,-1}, sums them
+// and adds the sum to Vmem, saturating at the m-bit rails. When the tile's
+// arbiters report R_empty (all input spikes of the inference served), each
+// neuron compares Vmem >= Vth; a firing neuron raises its output request r
+// and resets Vmem to zero, and r clears when the downstream tile takes the
+// spikes. arch::Tile owns the registers as int32 arrays; this header holds
+// their widths (NeuronConfig) and the array's cost model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <stdexcept>
-#include <vector>
 
 #include "esam/tech/technology.hpp"
 #include "esam/util/units.hpp"
 
 namespace esam::neuron {
 
-/// Register widths of the neuron datapath.
+/// Register widths of the neuron datapath, and the one owner of the rules
+/// they imply.
 struct NeuronConfig {
   /// Vmem register width m (signed); must accommodate the worst-case sum of
   /// +-1 contributions over one inference (fan-in bounded).
   unsigned vmem_bits = 12;
   /// Vth register width t (signed).
   unsigned vth_bits = 12;
-};
 
-/// One IF neuron with saturating m-bit accumulation.
-class IfNeuron {
- public:
-  explicit IfNeuron(NeuronConfig cfg = {}, std::int32_t vth = 0);
-
-  [[nodiscard]] std::int32_t vmem() const { return vmem_; }
-  [[nodiscard]] std::int32_t vth() const { return vth_; }
-  void set_vth(std::int32_t vth);
-
-  /// Accumulates the decoded +-1 contributions of `bits` where `valid`;
-  /// spans must be the same length (= ports serving this neuron's column).
-  void integrate(std::span<const bool> bits, std::span<const bool> valid);
-
-  /// Accumulates a pre-summed contribution (fast path for the simulator;
-  /// semantically identical to integrate()). Inline: the simulator calls
-  /// this once per neuron per busy cycle.
-  void integrate_sum(std::int32_t delta) {
-    std::int32_t v = vmem_ + delta;
-    v = v < sat_min_ ? sat_min_ : v;
-    vmem_ = v > sat_max_ ? sat_max_ : v;
+  /// Throws std::invalid_argument unless both widths are in [2, 31].
+  void validate() const;
+  /// The saturation rails of the m-bit Vmem register (valid widths only).
+  [[nodiscard]] std::int32_t vmem_max() const {
+    return (std::int32_t{1} << (vmem_bits - 1)) - 1;
   }
-
-  /// R_empty handling: compares Vmem >= Vth, sets the output request and
-  /// resets Vmem when firing. Returns the new request state.
-  bool on_r_empty() {
-    if (vmem_ >= vth_) {
-      request_ = true;
-      vmem_ = 0;
-    }
-    return request_;
+  [[nodiscard]] std::int32_t vmem_min() const {
+    return -(std::int32_t{1} << (vmem_bits - 1));
   }
-
-  /// Pending output-spike request r.
-  [[nodiscard]] bool request() const { return request_; }
-  /// Downstream grant g: clears r.
-  void grant() { request_ = false; }
-
-  /// Resets membrane and request (new inference).
-  void reset() {
-    vmem_ = 0;
-    request_ = false;
+  /// Whether `vth` fits the t-bit Vth register (valid widths only).
+  [[nodiscard]] bool vth_fits(std::int32_t vth) const {
+    const std::int32_t half = std::int32_t{1} << (vth_bits - 1);
+    return vth >= -half && vth < half;
   }
-
-  [[nodiscard]] std::int32_t saturation_max() const { return sat_max_; }
-  [[nodiscard]] std::int32_t saturation_min() const { return sat_min_; }
-
- private:
-  NeuronConfig cfg_;
-  std::int32_t vmem_ = 0;
-  std::int32_t vth_ = 0;
-  std::int32_t sat_max_;
-  std::int32_t sat_min_;
-  bool request_ = false;
 };
 
 /// Timing / energy / area model of a column of neurons fed by `ports`

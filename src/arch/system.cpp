@@ -543,12 +543,10 @@ OnlineRunResult SystemSimulator::run_online(
 void check_thresholds_fit(const nn::SnnNetwork& net,
                           const neuron::NeuronConfig& neuron,
                           const std::string& who) {
-  neuron::IfNeuron probe(neuron);
+  neuron.validate();
   for (std::size_t l = 0; l < net.layers().size(); ++l) {
     for (const std::int32_t vth : net.layers()[l].thresholds) {
-      try {
-        probe.set_vth(vth);
-      } catch (const std::invalid_argument&) {
+      if (!neuron.vth_fits(vth)) {
         throw std::invalid_argument(
             who + ": layer " + std::to_string(l) + " threshold " +
             std::to_string(vth) + " does not fit the " +

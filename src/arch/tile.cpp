@@ -71,6 +71,7 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
   if (cfg_.inputs == 0 || cfg_.outputs == 0) {
     throw std::invalid_argument("Tile: inputs/outputs must be > 0");
   }
+  cfg_.neuron.validate();
   const auto spec = sram::BitcellSpec::of(cfg_.cell);
   const std::size_t ports = std::max<std::size_t>(spec.read_ports, 1);
   macros_.reserve(row_groups_ * col_groups_);
@@ -83,7 +84,8 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
     }
     arbiters_.emplace_back(array_rows(rg), ports);
   }
-  neurons_.assign(cfg_.outputs, neuron::IfNeuron(cfg_.neuron));
+  vmem_.assign(cfg_.outputs, 0);
+  vth_.assign(cfg_.outputs, 0);
   readout_offsets_.assign(cfg_.outputs, 0.0f);
   fire_vmem_.assign(cfg_.outputs, 0);
   ones_scratch_.assign(cfg_.outputs, 0);
@@ -95,10 +97,9 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
 
   // The burst has a closed form when Vmem starts from zero and no partial
   // sum of +-1 terms (|sum| <= fan-in) can reach a saturation rail.
-  const neuron::IfNeuron& probe = neurons_.front();
   const auto fan_in = static_cast<std::int64_t>(cfg_.inputs);
-  closed_form_ = !cfg_.carry_membrane && fan_in <= probe.saturation_max() &&
-                 -fan_in >= probe.saturation_min();
+  closed_form_ = !cfg_.carry_membrane && fan_in <= cfg_.neuron.vmem_max() &&
+                 -fan_in >= cfg_.neuron.vmem_min();
   rg_words_ = (cfg_.max_array_dim + 63) / 64;
   column_stride_ = row_groups_ * rg_words_;
   columns_.assign(cfg_.outputs * column_stride_, 0);
@@ -146,8 +147,20 @@ std::size_t Tile::array_cols(std::size_t col_group) const {
 
 void Tile::load_layer(const nn::SnnLayer& layer) {
   if (layer.in_features() != cfg_.inputs ||
-      layer.out_features() != cfg_.outputs) {
+      layer.out_features() != cfg_.outputs ||
+      layer.readout_offsets.size() != cfg_.outputs) {
     throw std::invalid_argument("Tile::load_layer: shape mismatch");
+  }
+  for (const BitVec& row : layer.weight_rows) {
+    if (row.size() != cfg_.outputs) {
+      throw std::invalid_argument("Tile::load_layer: weight row width");
+    }
+  }
+  for (const std::int32_t vth : layer.thresholds) {
+    if (!cfg_.neuron.vth_fits(vth)) {
+      throw std::invalid_argument(
+          "Tile::load_layer: Vth does not fit the t-bit register");
+    }
   }
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
     for (std::size_t cg = 0; cg < col_groups_; ++cg) {
@@ -161,10 +174,8 @@ void Tile::load_layer(const nn::SnnLayer& layer) {
       m.load(rows);
     }
   }
-  for (std::size_t j = 0; j < cfg_.outputs; ++j) {
-    neurons_[j].set_vth(layer.thresholds[j]);
-    readout_offsets_[j] = layer.readout_offsets[j];
-  }
+  vth_ = layer.thresholds;
+  readout_offsets_ = layer.readout_offsets;
 }
 
 EnergyLedger Tile::price(const TileStats& counts) const {
@@ -221,9 +232,7 @@ void Tile::latch(const BitVec& input_spikes) {
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
     input_spikes.slice_into(rg * cfg_.max_array_dim, input_slice_scratch_[rg]);
   }
-  if (!cfg_.carry_membrane) {
-    for (auto& n : neurons_) n.reset();
-  }
+  if (!cfg_.carry_membrane) std::fill(vmem_.begin(), vmem_.end(), 0);
   if (ledger_.ledger != nullptr) latched_ = stats_;
   // Received as parallel binary pulses over the fabric.
   stats_.input_spikes += input_spikes.count();
@@ -281,9 +290,13 @@ void Tile::step() {
   }
 
   if (total_grants > 0) {
+    // Each cycle's sum saturates at the Vmem rails before the next cycle's.
     const auto grants32 = static_cast<std::int32_t>(total_grants);
+    const std::int32_t lo = cfg_.neuron.vmem_min();
+    const std::int32_t hi = cfg_.neuron.vmem_max();
     for (std::size_t j = 0; j < cfg_.outputs; ++j) {
-      neurons_[j].integrate_sum(2 * ones_scratch_[j] - grants32);
+      const std::int32_t delta = 2 * ones_scratch_[j] - grants32;
+      vmem_[j] = std::clamp(vmem_[j] + delta, lo, hi);
     }
     ++stats_.grant_cycles[total_grants];
   }
@@ -345,7 +358,7 @@ std::uint64_t Tile::closed_form_burst() {
     const auto ones = static_cast<std::int32_t>(
         kern.and_count(input_words_.data(),
                        columns_.data() + j * column_stride_, column_stride_));
-    neurons_[j].integrate_sum(2 * ones - total32);
+    vmem_[j] = 2 * ones - total32;
   }
 
   // Events: each row-group arbiter grants min(pending, ports) rows per
@@ -383,11 +396,15 @@ void Tile::fire_phase() {
   // R_empty: every neuron compares Vmem >= Vth; firing neurons raise their
   // request bits and reset. The pre-reset membrane is snapshotted first so
   // learning observers can rank the fired columns (reusing fixed storage).
+  fire_vmem_ = vmem_;
   output_spikes_.clear();
-  for (std::size_t j = 0; j < cfg_.outputs; ++j) {
-    fire_vmem_[j] = neurons_[j].vmem();
-    if (cfg_.is_output_layer) continue;  // readout tiles expose Vmem instead
-    if (neurons_[j].on_r_empty()) output_spikes_.set(j);
+  if (!cfg_.is_output_layer) {  // readout tiles expose Vmem instead
+    for (std::size_t j = 0; j < cfg_.outputs; ++j) {
+      if (vmem_[j] >= vth_[j]) {
+        output_spikes_.set(j);
+        vmem_[j] = 0;
+      }
+    }
   }
   busy_ = false;
   output_ready_ = true;
@@ -401,8 +418,6 @@ void Tile::take_output_into(BitVec& out) {
     throw std::logic_error("Tile::take_output: output layer exposes Vmem");
   }
   output_ready_ = false;
-  // Downstream grant clears the request registers.
-  for (auto& n : neurons_) n.grant();
   out = output_spikes_;
 }
 
@@ -412,18 +427,12 @@ BitVec Tile::take_output() {
   return out;
 }
 
-std::vector<std::int32_t> Tile::output_vmem() const {
-  std::vector<std::int32_t> v(cfg_.outputs);
-  for (std::size_t j = 0; j < cfg_.outputs; ++j) v[j] = neurons_[j].vmem();
-  return v;
-}
-
 std::size_t Tile::winner() const {
   std::size_t best = 0;
   float best_score = 0.0f;
   for (std::size_t j = 0; j < cfg_.outputs; ++j) {
     const float score =
-        static_cast<float>(neurons_[j].vmem()) - readout_offsets_[j];
+        static_cast<float>(vmem_[j]) - readout_offsets_[j];
     if (j == 0 || score > best_score) {
       best = j;
       best_score = score;
@@ -461,9 +470,7 @@ void Tile::copy_column_from(const Tile& src, std::size_t j) {
   readout_offsets_.at(j) = src.readout_offsets_.at(j);
 }
 
-void Tile::reset_membranes() {
-  for (auto& n : neurons_) n.reset();
-}
+void Tile::reset_membranes() { std::fill(vmem_.begin(), vmem_.end(), 0); }
 
 std::size_t Tile::pending_requests() const {
   std::size_t n = 0;
@@ -534,10 +541,7 @@ nn::SnnLayer Tile::export_layer() const {
       }
     }
   }
-  layer.thresholds.resize(cfg_.outputs);
-  for (std::size_t j = 0; j < cfg_.outputs; ++j) {
-    layer.thresholds[j] = neurons_[j].vth();
-  }
+  layer.thresholds = vth_;
   layer.readout_offsets = readout_offsets_;
   return layer;
 }

@@ -126,7 +126,7 @@ void WtaStdpRule::resolve_forward(const arch::Tile& observed,
     // selection is fully deterministic.
     const std::vector<std::int32_t>& vmem = observed.fire_vmem();
     auto margin = [&](std::size_t j) {
-      return vmem[j] - observed.neuron(j).vth();
+      return vmem[j] - observed.vth(j);
     };
     std::partial_sort(out.begin(),
                       out.begin() + static_cast<std::ptrdiff_t>(k_), out.end(),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "esam/tech/calibration.hpp"
 
@@ -28,38 +29,11 @@ double adder_levels(std::size_t ports) {
 
 }  // namespace
 
-IfNeuron::IfNeuron(NeuronConfig cfg, std::int32_t vth)
-    : cfg_(cfg),
-      vth_(vth),
-      sat_max_((std::int32_t{1} << (cfg.vmem_bits - 1)) - 1),
-      sat_min_(-(std::int32_t{1} << (cfg.vmem_bits - 1))) {
-  if (cfg.vmem_bits < 2 || cfg.vmem_bits > 31 || cfg.vth_bits < 2 ||
-      cfg.vth_bits > 31) {
-    throw std::invalid_argument("IfNeuron: register widths must be in [2,31]");
-  }
-  set_vth(vth);
-}
-
-void IfNeuron::set_vth(std::int32_t vth) {
-  const std::int32_t t_max = (std::int32_t{1} << (cfg_.vth_bits - 1)) - 1;
-  const std::int32_t t_min = -(std::int32_t{1} << (cfg_.vth_bits - 1));
-  if (vth > t_max || vth < t_min) {
+void NeuronConfig::validate() const {
+  if (vmem_bits < 2 || vmem_bits > 31 || vth_bits < 2 || vth_bits > 31) {
     throw std::invalid_argument(
-        "IfNeuron: Vth does not fit the t-bit register");
+        "NeuronConfig: register widths must be in [2, 31]");
   }
-  vth_ = vth;
-}
-
-void IfNeuron::integrate(std::span<const bool> bits,
-                         std::span<const bool> valid) {
-  if (bits.size() != valid.size()) {
-    throw std::invalid_argument("IfNeuron::integrate: span size mismatch");
-  }
-  std::int32_t delta = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (valid[i]) delta += bits[i] ? 1 : -1;
-  }
-  integrate_sum(delta);
 }
 
 NeuronArrayModel::NeuronArrayModel(const tech::TechnologyParams& tech,

@@ -1,7 +1,7 @@
-// Tests for the IF neuron (Fig. 5) and the neuron array cost model.
+// Tests for the neuron array cost model (Fig. 5). The neuron registers'
+// behaviour -- saturation, fire and reset, width and threshold checks -- is
+// the tile's and is tested in test_tile.cpp.
 #include <gtest/gtest.h>
-
-#include <array>
 
 #include "esam/neuron/neuron.hpp"
 #include "esam/tech/calibration.hpp"
@@ -9,93 +9,6 @@
 
 namespace esam::neuron {
 namespace {
-
-TEST(IfNeuron, IntegratesValidatedBits) {
-  IfNeuron n({.vmem_bits = 8, .vth_bits = 8}, 2);
-  // Fig. 5: {1,0} decode to {+1,-1}, but only for valid ports.
-  const std::array<bool, 4> bits{true, false, true, true};
-  const std::array<bool, 4> valid{true, true, false, true};
-  n.integrate(bits, valid);
-  EXPECT_EQ(n.vmem(), 1);  // +1 -1 (skipped) +1
-}
-
-TEST(IfNeuron, InvalidPortsDoNotCount) {
-  // "This ensures an unused port is not erroneously read as a '1'".
-  IfNeuron n({}, 0);
-  const std::array<bool, 4> bits{true, true, true, true};
-  const std::array<bool, 4> valid{false, false, false, false};
-  n.integrate(bits, valid);
-  EXPECT_EQ(n.vmem(), 0);
-}
-
-TEST(IfNeuron, SpanSizeMismatchThrows) {
-  IfNeuron n({}, 0);
-  const std::array<bool, 3> bits{true, false, true};
-  const std::array<bool, 4> valid{true, true, true, true};
-  EXPECT_THROW(n.integrate(bits, valid), std::invalid_argument);
-}
-
-TEST(IfNeuron, FiresAtThresholdAndResets) {
-  IfNeuron n({}, 3);
-  n.integrate_sum(2);
-  EXPECT_FALSE(n.on_r_empty());
-  EXPECT_FALSE(n.request());
-  n.integrate_sum(1);  // vmem = 3 >= vth = 3
-  EXPECT_TRUE(n.on_r_empty());
-  EXPECT_TRUE(n.request());
-  EXPECT_EQ(n.vmem(), 0);  // reset after firing
-}
-
-TEST(IfNeuron, NegativeThresholdFiresOnZero) {
-  IfNeuron n({}, -5);
-  EXPECT_TRUE(n.on_r_empty());  // vmem 0 >= -5
-}
-
-TEST(IfNeuron, RequestHeldUntilGranted) {
-  // "If the Neuron's spike request r is granted (g = 1), r is reset to 0."
-  IfNeuron n({}, 1);
-  n.integrate_sum(5);
-  n.on_r_empty();
-  EXPECT_TRUE(n.request());
-  n.on_r_empty();  // still pending; vmem stayed 0 < 1 so no new fire
-  EXPECT_TRUE(n.request());
-  n.grant();
-  EXPECT_FALSE(n.request());
-}
-
-TEST(IfNeuron, SaturatesAtRegisterLimits) {
-  IfNeuron n({.vmem_bits = 4, .vth_bits = 4}, 0);  // range [-8, 7]
-  n.integrate_sum(100);
-  EXPECT_EQ(n.vmem(), 7);
-  n.integrate_sum(-100);
-  EXPECT_EQ(n.vmem(), -8);
-  EXPECT_EQ(n.saturation_max(), 7);
-  EXPECT_EQ(n.saturation_min(), -8);
-}
-
-TEST(IfNeuron, VthMustFitRegister) {
-  EXPECT_THROW(IfNeuron({.vmem_bits = 8, .vth_bits = 4}, 100),
-               std::invalid_argument);
-  IfNeuron n({.vmem_bits = 8, .vth_bits = 4}, 0);
-  EXPECT_THROW(n.set_vth(8), std::invalid_argument);   // max is 7
-  EXPECT_NO_THROW(n.set_vth(-8));
-}
-
-TEST(IfNeuron, BadRegisterWidthsRejected) {
-  EXPECT_THROW(IfNeuron({.vmem_bits = 1, .vth_bits = 8}, 0),
-               std::invalid_argument);
-  EXPECT_THROW(IfNeuron({.vmem_bits = 8, .vth_bits = 32}, 0),
-               std::invalid_argument);
-}
-
-TEST(IfNeuron, ResetClearsState) {
-  IfNeuron n({}, 1);
-  n.integrate_sum(10);
-  n.on_r_empty();
-  n.reset();
-  EXPECT_EQ(n.vmem(), 0);
-  EXPECT_FALSE(n.request());
-}
 
 TEST(NeuronArrayModel, AccumulateDelayMatchesTable2Split) {
   const auto& t = tech::imec3nm();

@@ -333,9 +333,10 @@ TEST(Serve, RejectsOutOfRangeLabelBeforeQueueing) {
 }
 
 TEST(Serve, RejectsThresholdsThatDoNotFitOnTheCallersThread) {
-  // A threshold past the 12-bit Vth register would throw inside a worker's
-  // Tile::load_layer and terminate the process; the constructor and
-  // publish() must reject it first, and the running server keeps serving.
+  // A threshold past the 12-bit Vth register fails Tile::load_layer's
+  // up-front check; inside a worker that throw would terminate the process,
+  // so the constructor and publish() must reject it first (through
+  // arch::check_thresholds_fit), and the running server keeps serving.
   const nn::SnnNetwork snn = random_snn({16, 4}, 418);
   std::vector<nn::SnnLayer> layers = snn.layers();
   layers[0].thresholds[0] = 5000;

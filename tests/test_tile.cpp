@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "esam/arch/system.hpp"
 #include "esam/arch/tile.hpp"
 #include "esam/tech/calibration.hpp"
 #include "esam/tech/technology.hpp"
@@ -77,6 +78,96 @@ TEST(Tile, LoadLayerValidatesShape) {
   EXPECT_THROW(t.load_layer(random_layer(128, 65, 1)), std::invalid_argument);
   EXPECT_THROW(t.load_layer(random_layer(127, 64, 1)), std::invalid_argument);
   EXPECT_NO_THROW(t.load_layer(random_layer(128, 64, 1)));
+}
+
+TEST(Tile, LoadLayerChecksTheWholeLayerBeforeWriting) {
+  // Each bad layer throws std::invalid_argument and leaves the tile as it
+  // was. The bad row is the last one, in the second row group, so a check
+  // made while loading would come after the first row group's macros.
+  TileConfig cfg = config_for(150, 150);
+  cfg.neuron.vth_bits = 4;  // Vth in [-8, 7]
+  Tile t(tech::imec3nm(), cfg);
+  t.load_layer(random_layer(150, 150, 21, /*vth=*/3));
+  const nn::SnnLayer before = t.export_layer();
+  const nn::SnnLayer good = random_layer(150, 150, 22, /*vth=*/-2);
+  const auto expect_rejected = [&](auto&& spoil, const char* what) {
+    nn::SnnLayer bad = good;
+    spoil(bad);
+    EXPECT_THROW(t.load_layer(bad), std::invalid_argument) << what;
+    const nn::SnnLayer after = t.export_layer();
+    EXPECT_TRUE(after.weight_rows == before.weight_rows) << what;
+    EXPECT_EQ(after.thresholds, before.thresholds) << what;
+    EXPECT_EQ(after.readout_offsets, before.readout_offsets) << what;
+  };
+  expect_rejected([](nn::SnnLayer& l) { l.readout_offsets.pop_back(); },
+                  "short readout offsets");
+  expect_rejected(
+      [](nn::SnnLayer& l) { l.weight_rows.back() = util::BitVec(149); },
+      "narrow weight row");
+  expect_rejected(
+      [](nn::SnnLayer& l) { l.weight_rows.back() = util::BitVec(151); },
+      "wide weight row");
+  expect_rejected([](nn::SnnLayer& l) { l.thresholds.back() = 8; },
+                  "Vth above the register");
+  expect_rejected([](nn::SnnLayer& l) { l.thresholds.back() = -9; },
+                  "Vth below the register");
+
+  // Thresholds at the register's edges fit.
+  nn::SnnLayer edges = good;
+  edges.thresholds.front() = 7;
+  edges.thresholds.back() = -8;
+  ASSERT_NO_THROW(t.load_layer(edges));
+  EXPECT_EQ(t.vth(0), 7);
+  EXPECT_EQ(t.vth(149), -8);
+  EXPECT_EQ(t.export_layer().thresholds, edges.thresholds);
+}
+
+TEST(Tile, RegisterWidthsOutsideTwoToThirtyOneRejected) {
+  // The tile and check_thresholds_fit apply the same width rule, so a
+  // network is never accepted for hardware that cannot be built.
+  const nn::SnnNetwork net =
+      nn::SnnNetwork::from_layers({random_layer(128, 8, 1)});
+  for (const unsigned bits : {0u, 1u, 32u, 40u}) {
+    for (const bool vmem : {true, false}) {
+      TileConfig cfg = config_for(128, 8);
+      (vmem ? cfg.neuron.vmem_bits : cfg.neuron.vth_bits) = bits;
+      EXPECT_THROW(Tile(tech::imec3nm(), cfg), std::invalid_argument)
+          << bits << (vmem ? " Vmem" : " Vth") << " bits";
+      EXPECT_THROW(check_thresholds_fit(net, cfg.neuron, "test"),
+                   std::invalid_argument)
+          << bits << (vmem ? " Vmem" : " Vth") << " bits";
+    }
+  }
+  for (const unsigned bits : {2u, 31u}) {
+    TileConfig cfg = config_for(128, 8);
+    cfg.neuron = {.vmem_bits = bits, .vth_bits = bits};
+    EXPECT_NO_THROW(Tile(tech::imec3nm(), cfg)) << bits << " bits";
+    EXPECT_NO_THROW(check_thresholds_fit(net, cfg.neuron, "test"));
+  }
+}
+
+TEST(Tile, ResetMembranesZeroesACarriedMembrane) {
+  TileConfig cfg = config_for(128, 8);
+  cfg.is_output_layer = true;
+  cfg.carry_membrane = true;
+  Tile t(tech::imec3nm(), cfg);
+  t.load_layer(random_layer(128, 8, 23));
+  util::BitVec in(128);
+  for (std::size_t i = 0; i < 128; i += 3) in.set(i);
+  (void)t.run_inference(in);
+  t.consume_output();
+  const std::vector<std::int32_t> once = t.output_vmem();
+  ASSERT_TRUE(std::any_of(once.begin(), once.end(),
+                          [](std::int32_t v) { return v != 0; }));
+  (void)t.run_inference(in);  // carried: the same sums again
+  t.consume_output();
+  for (std::size_t j = 0; j < once.size(); ++j) {
+    EXPECT_EQ(t.output_vmem()[j], 2 * once[j]) << "neuron " << j;
+  }
+  t.reset_membranes();
+  EXPECT_EQ(t.output_vmem(), std::vector<std::int32_t>(8, 0));
+  (void)t.run_inference(in);
+  EXPECT_EQ(t.output_vmem(), once);
 }
 
 TEST(Tile, WeightsLandInTheRightMacros) {
@@ -390,9 +481,11 @@ TEST(Tile, SaturatingStepMatchesPerCycleReference) {
           }
         }
       }
+      // Thresholds at the rails too: a Vmem clamped at a rail is compared
+      // against a threshold at that rail.
       for (std::size_t j = 0; j < kOut; ++j) {
-        layer.thresholds.push_back(
-            static_cast<std::int32_t>(rng.uniform_index(41)) - 20);
+        const auto vth = static_cast<std::int32_t>(rng.uniform_index(41)) - 20;
+        layer.thresholds.push_back(j % 7 == 1 ? kMax : j % 7 == 2 ? kMin : vth);
       }
       layer.readout_offsets.assign(kOut, 0.0f);
       tile.load_layer(layer);
