@@ -30,12 +30,22 @@
 // and each element sees the same float additions in the same order, from
 // +0, as the per-sample outer product; so gradients, and the bytes of a
 // saved cache, do not change. Adam is the util::simd adam_step kernel
-// (IEEE ops in the oracle's order, on every backend). Each batch runs
-// under util::FlushDenormals: decayed Adam moments would otherwise go
-// subnormal and stall x86 on every touch. Progress logging runs outside it,
-// in the caller's mode. That flush is not exact by construction;
-// tests/test_nn.cpp pins the saved bytes against the unflushed oracle over
-// a run that reaches subnormal moments.
+// (IEEE ops in the oracle's order, on every backend).
+//
+// Each batch runs in phases on every core (util::parallel_for, one worker
+// per hardware thread): the forward and softmax per sample, then per layer,
+// top down, the gradient per weight row and dA per sample, then Adam per
+// latent row, fused with re-packing that row's signs for the next batch
+// (the biases follow, one short Adam call per layer). Each row or sample
+// writes outputs no other one touches, with the serial loop's operations
+// in its order, and the losses are summed in sample order afterwards; so
+// the trained bytes are the same for any worker count.
+//
+// Every worker computes under util::FlushDenormals: decayed Adam moments
+// would otherwise go subnormal and stall x86 on every touch. Progress
+// logging runs outside it, in the caller's mode. That flush is not exact by
+// construction; tests/test_nn.cpp pins the saved bytes against the
+// unflushed oracle over a run that reaches subnormal moments.
 //
 // Inputs must be exactly +-1.0f and as wide as the first layer: predict(),
 // accuracy(), fit() and train_epoch() throw std::invalid_argument naming
@@ -107,6 +117,8 @@ class BnnNetwork {
   std::vector<BnnLayer> layers_;
 };
 
+struct PackedLayer;  // esam/nn/packed.hpp
+
 /// Adam + STE trainer.
 struct TrainConfig {
   std::size_t epochs = 20;
@@ -132,6 +144,7 @@ class BnnTrainer {
  public:
   /// Throws std::invalid_argument when cfg.batch_size is 0.
   BnnTrainer(BnnNetwork& net, TrainConfig cfg);
+  ~BnnTrainer();  // out of line: PackedLayer is incomplete here
 
   /// One full epoch over (xs, ys); returns mean cross-entropy loss.
   double train_epoch(const std::vector<std::vector<float>>& xs,
@@ -150,7 +163,7 @@ class BnnTrainer {
   double run_epoch(const std::vector<std::vector<float>>& xs,
                    const std::vector<std::uint64_t>& packed_xs,
                    const std::vector<std::uint8_t>& ys);
-  /// One Adam step on samples idx[begin, end), under
+  /// One Adam step on samples idx[begin, end), each worker under
   /// util::FlushDenormals.
   void train_batch(const std::vector<std::vector<float>>& xs,
                    const std::vector<std::uint64_t>& packed_xs,
@@ -165,17 +178,28 @@ class BnnTrainer {
   std::vector<Matrix> m_w_, v_w_;
   std::vector<std::vector<float>> m_b_, v_b_;
   std::uint64_t step_ = 0;
-  // Per-batch state, reused across batches. Per layer l: the gradients,
-  // the deployed +-1 weights as floats (l >= 1, for dA = dZ Wb), and
+  // The network's deployed weights, kept in step with its latent weights:
+  // packed signs and biases per layer (the forward), and the +-1 weights
+  // as floats (l >= 1, for dA = dZ Wb). Built per epoch, updated per row
+  // by the Adam phase.
+  std::vector<PackedLayer> packed_;
+  std::vector<Matrix> wb_;
+  // Per-batch state, reused across batches. Per layer l: the gradients and
   // batch-major buffers: pre-activations z_[l] and their gradients dz_[l]
   // (batch x out) and the +-1 inputs act_[l] (batch x in, l >= 1; layer 0
-  // reads the samples). bits_ holds one hidden input's packed signs.
-  std::vector<Matrix> grad_w_, wb_;
+  // reads the samples). loss_[s] is sample s's -log p.
+  std::vector<Matrix> grad_w_;
   std::vector<std::vector<float>> grad_b_, z_, dz_, act_;
-  std::vector<std::uint64_t> bits_;
-  // One weighted row sum's terms: the rows and their nonzero coefficients.
-  std::vector<const float*> term_rows_;
-  std::vector<float> term_coefs_;
+  std::vector<double> loss_;
+  // One slot per parallel_for worker: a hidden input's packed signs, and
+  // one weighted row sum's terms (the rows and their nonzero
+  // coefficients). Aligned apart so that workers share no cache line.
+  struct alignas(64) WorkerScratch {
+    std::vector<std::uint64_t> bits;
+    std::vector<const float*> term_rows;
+    std::vector<float> term_coefs;
+  };
+  std::vector<WorkerScratch> scratch_;
 };
 
 }  // namespace esam::nn

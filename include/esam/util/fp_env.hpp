@@ -8,6 +8,14 @@
 // (which covers the scalar backend too: it runs on SSE), FPCR.FZ on AArch64,
 // nothing elsewhere -- and its destructor restores the caller's mode.
 //
+// The mode is per thread: a guard changes only the thread that opened it.
+// A thread created inside a guard may or may not start flushed (on Linux
+// it starts in its creator's mode; std::thread promises nothing), and a
+// thread created earlier keeps its own mode. So each worker thread that does
+// trainer float work must open its own guard -- BnnTrainer's parallel
+// phases open one per run of indices -- or its results depend on where the
+// thread came from, and an unflushed worker stalls on every subnormal.
+//
 // It changes results only where a subnormal value appears, so it is not
 // exact by construction; tests/test_nn.cpp pins the trainer's saved bytes
 // against an unflushed float oracle over a run that reaches subnormal

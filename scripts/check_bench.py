@@ -16,6 +16,11 @@ Baseline files are the bench's own --json output plus a hand-written
 legitimately changes modelled numbers or performance floors.
 
 Usage: check_bench.py BASELINE CURRENT [--tol REL]
+
+Exit status: 0 when every gate passes, 1 on metric drift or a ratio under
+its floor, 2 when BASELINE or CURRENT cannot be read as JSON (a one-line
+"check_bench: cannot read PATH: REASON" on stderr; argparse also exits 2 on
+bad arguments), so a mistyped path never reads as a regression.
 """
 
 import argparse
@@ -30,6 +35,17 @@ def rel_diff(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0.0 else 0.0
 
 
+def load_json(path: str) -> dict:
+    """The JSON in `path`; exits 2 with one line if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        reason = e.strerror if isinstance(e, OSError) and e.strerror else e
+        print(f"check_bench: cannot read {path}: {reason}", file=sys.stderr)
+        sys.exit(2)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
@@ -42,10 +58,8 @@ def main() -> int:
     )
     opts = ap.parse_args()
 
-    with open(opts.baseline, encoding="utf-8") as f:
-        base = json.load(f)
-    with open(opts.current, encoding="utf-8") as f:
-        cur = json.load(f)
+    base = load_json(opts.baseline)
+    cur = load_json(opts.current)
 
     failures = []
 

@@ -3,6 +3,7 @@
 #include "esam/nn/packed.hpp"
 #include "esam/util/crc32.hpp"
 #include "esam/util/fp_env.hpp"
+#include "esam/util/parallel.hpp"
 #include "esam/util/simd.hpp"
 
 #include <unistd.h>
@@ -19,14 +20,10 @@
 namespace esam::nn {
 namespace {
 
-/// Writes the deployed +-1 weights of `latent` into `wb` as floats, the
-/// row operands of the backward's transposed product.
-void binarize_into(const Matrix& latent, Matrix& wb) {
-  const auto& src = latent.flat();
-  auto& dst = wb.flat();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = src[i] >= 0.0f ? 1.0f : -1.0f;
-  }
+/// Writes the deployed +-1 weights of `n` latent weights into `wb` as
+/// floats, the row operands of the backward's transposed product.
+void binarize_into(const float* latent, std::size_t n, float* wb) {
+  for (std::size_t i = 0; i < n; ++i) wb[i] = latent[i] >= 0.0f ? 1.0f : -1.0f;
 }
 
 /// Four floats in one SSE / NEON register (GCC and Clang vector extension).
@@ -62,6 +59,29 @@ void weighted_rows(const float* const* rows, const float* coef,
     for (std::size_t i = 0; i < n; ++i) acc += coef[i] * rows[i][c];
     out[c] = acc;
   }
+}
+
+/// Grains of the trainer's phases: samples per run in the forward, and
+/// rows (or samples) per run in the backward and Adam phases.
+constexpr std::size_t kSampleGrain = 4;
+constexpr std::size_t kRowGrain = 16;
+
+/// Calls fn(worker, i) for every i in [0, n) on all cores, through
+/// util::parallel_for: each worker claims runs of `grain` consecutive
+/// indices, so outputs that share a cache line (neighbouring rows of
+/// packed signs, short score rows) are written by one worker, and computes
+/// them under its own util::FlushDenormals, since the float mode is per
+/// thread.
+template <typename Fn>
+void for_each_index(std::size_t n, std::size_t grain, const Fn& fn) {
+  util::parallel_for((n + grain - 1) / grain, 0,
+                     [&](std::size_t worker, std::size_t run) {
+                       const util::FlushDenormals no_subnormals;
+                       const std::size_t end = std::min(n, (run + 1) * grain);
+                       for (std::size_t i = run * grain; i < end; ++i) {
+                         fn(worker, i);
+                       }
+                     });
 }
 
 /// Routes a progress line to the configured sink (stderr by default; the
@@ -314,7 +334,10 @@ BnnTrainer::BnnTrainer(BnnNetwork& net, TrainConfig cfg)
     grad_b_.emplace_back(layer.out_features(), 0.0f);
     if (l > 0) wb_[l] = Matrix(layer.out_features(), layer.in_features());
   }
+  scratch_.resize(util::resolve_workers(0, util::kMaxWorkers));
 }
+
+BnnTrainer::~BnnTrainer() = default;
 
 std::vector<std::uint64_t> BnnTrainer::pack_dataset(
     const std::vector<std::vector<float>>& xs,
@@ -346,40 +369,40 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
                              std::size_t begin, std::size_t end,
                              double& loss_sum) {
   // Decayed Adam moments would otherwise go subnormal and stall x86 on
-  // every touch. The caller's mode is back before run_epoch logs progress.
+  // every touch. This guard covers the serial steps; the float mode is per
+  // thread, so for_each_index opens one in each worker. The caller's mode
+  // is back before run_epoch logs progress.
   const util::FlushDenormals no_subnormals;
   auto& layers = net_->layers();
   const std::size_t n_layers = layers.size();
   const std::size_t batch = end - begin;
-
-  const PackedBnn packed_net(*net_);
-  const std::vector<PackedLayer>& packed = packed_net.layers();
   for (std::size_t l = 0; l < n_layers; ++l) {
-    z_[l].resize(batch * packed[l].out);
-    dz_[l].resize(batch * packed[l].out);
-    if (l > 0) act_[l].resize(batch * packed[l].in);
+    z_[l].resize(batch * packed_[l].out);
+    dz_[l].resize(batch * packed_[l].out);
+    if (l > 0) act_[l].resize(batch * packed_[l].in);
   }
+  loss_.resize(batch);
 
-  // Forward over the whole batch, in sample order (loss_sum keeps its
-  // order), on packed signs.
-  const std::size_t classes = packed.back().out;
+  // Forward and softmax per sample, on packed signs.
+  const std::size_t classes = packed_.back().out;
   const float temp =
       std::sqrt(static_cast<float>(layers.back().in_features()));
-  for (std::size_t s = 0; s < batch; ++s) {
+  for_each_index(batch, kSampleGrain, [&](std::size_t w, std::size_t s) {
+    std::vector<std::uint64_t>& bits = scratch_[w].bits;
     const std::size_t sample = idx[begin + s];
-    const std::uint64_t* in = packed_xs.data() + sample * packed[0].words;
+    const std::uint64_t* in = packed_xs.data() + sample * packed_[0].words;
     for (std::size_t l = 0; l < n_layers; ++l) {
-      const std::size_t out = packed[l].out;
+      const std::size_t out = packed_[l].out;
       float* z = z_[l].data() + s * out;
-      packed[l].forward(in, z);
+      packed_[l].forward(in, z);
       if (l + 1 == n_layers) break;
       float* a = act_[l + 1].data() + s * out;
       for (std::size_t j = 0; j < out; ++j) a[j] = sign_activation(z[j]);
       // The packed signs feed the next layer only; forward() is done with
       // `in`, so one buffer serves every layer.
-      bits_.resize(packed[l + 1].words);
-      pack_signs(a, out, bits_.data());
-      in = bits_.data();
+      bits.resize(packed_[l + 1].words);
+      pack_signs(a, out, bits.data());
+      in = bits.data();
     }
 
     // Softmax cross-entropy on the last pre-activations. Binary-weight
@@ -396,19 +419,22 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
     }
     const double logp =
         static_cast<double>((logits[label] - zmax) / temp) - std::log(denom);
-    loss_sum += -logp;
+    loss_[s] = -logp;
     for (std::size_t j = 0; j < classes; ++j) {
       const double p =
           std::exp(static_cast<double>((logits[j] - zmax) / temp)) / denom;
       dz[j] = static_cast<float>(p) - (j == label ? 1.0f : 0.0f);
     }
-  }
+  });
+  for (std::size_t s = 0; s < batch; ++s) loss_sum += loss_[s];
 
   // Backward one layer at a time, with STE through the sign activations.
   // The STE window scales with sqrt(fan_in), the natural magnitude of the
   // +-1-weighted sums (a +-1 window would zero nearly all hidden
   // gradients). Every gradient element is a weighted_rows sum over the
-  // nonzero dZ entries in the order the per-sample loop added them.
+  // nonzero dZ entries in the order the per-sample loop added them. Index
+  // j < out is weight row j (and grad_b[j]); index out + s is sample s's
+  // dA and STE mask. Both read only dz_[l].
   for (std::size_t l = n_layers; l-- > 0;) {
     const std::size_t in = layers[l].in_features();
     const std::size_t out = layers[l].out_features();
@@ -416,52 +442,51 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
     const auto input = [&](std::size_t s) {
       return l == 0 ? xs[idx[begin + s]].data() : act_[l].data() + s * in;
     };
-
-    // grad_b[j] and grad_w row j: sums over the batch's samples.
-    std::vector<float>& grad_b = grad_b_[l];
-    std::fill(grad_b.begin(), grad_b.end(), 0.0f);
-    for (std::size_t s = 0; s < batch; ++s) {
-      for (std::size_t j = 0; j < out; ++j) grad_b[j] += dz[s * out + j];
-    }
-    for (std::size_t j = 0; j < out; ++j) {
-      term_rows_.clear();
-      term_coefs_.clear();
-      for (std::size_t s = 0; s < batch; ++s) {
-        const float d = dz[s * out + j];
-        if (d == 0.0f) continue;
-        term_rows_.push_back(input(s));
-        term_coefs_.push_back(d);
-      }
-      weighted_rows(term_rows_.data(), term_coefs_.data(), term_rows_.size(),
-                    in, grad_w_[l].row_data(j));
-    }
-    if (l == 0) break;
-
-    // dA = dZ Wb per sample, then the STE mask of layer l - 1.
-    binarize_into(layers[l].latent, wb_[l]);
     const float ste_clip =
-        std::sqrt(static_cast<float>(layers[l - 1].in_features()));
-    for (std::size_t s = 0; s < batch; ++s) {
-      term_rows_.clear();
-      term_coefs_.clear();
+        l == 0 ? 0.0f
+               : std::sqrt(static_cast<float>(layers[l - 1].in_features()));
+    const std::size_t samples = l == 0 ? 0 : batch;
+    for_each_index(out + samples, kRowGrain, [&](std::size_t w, std::size_t i) {
+      WorkerScratch& ws = scratch_[w];
+      ws.term_rows.clear();
+      ws.term_coefs.clear();
+      if (i < out) {
+        const std::size_t j = i;
+        float grad_b = 0.0f;
+        for (std::size_t s = 0; s < batch; ++s) {
+          const float d = dz[s * out + j];
+          grad_b += d;
+          if (d == 0.0f) continue;
+          ws.term_rows.push_back(input(s));
+          ws.term_coefs.push_back(d);
+        }
+        grad_b_[l][j] = grad_b;
+        weighted_rows(ws.term_rows.data(), ws.term_coefs.data(),
+                      ws.term_rows.size(), in, grad_w_[l].row_data(j));
+        return;
+      }
+      const std::size_t s = i - out;
       for (std::size_t j = 0; j < out; ++j) {
         const float d = dz[s * out + j];
         if (d == 0.0f) continue;
-        term_rows_.push_back(wb_[l].row_data(j));
-        term_coefs_.push_back(d);
+        ws.term_rows.push_back(wb_[l].row_data(j));
+        ws.term_coefs.push_back(d);
       }
       float* da = dz_[l - 1].data() + s * in;
-      weighted_rows(term_rows_.data(), term_coefs_.data(), term_rows_.size(),
-                    in, da);
+      weighted_rows(ws.term_rows.data(), ws.term_coefs.data(),
+                    ws.term_rows.size(), in, da);
       const float* z = z_[l - 1].data() + s * in;
       for (std::size_t c = 0; c < in; ++c) {
         da[c] = std::fabs(z[c]) <= ste_clip ? da[c] : 0.0f;
       }
-    }
+    });
   }
 
-  // Adam step on the latent weights (clipped to [-1, 1]) and the biases
-  // (unclipped).
+  // Adam step per latent row (clipped to [-1, 1]), element-wise, so any
+  // split is exact. The row's new signs then go into packed_ and wb_ for
+  // the next batch. Index i is row i - first[l] of the layer l whose rows
+  // [first[l], first[l + 1]) hold it. The biases (unclipped) follow, one
+  // short call per layer.
   ++step_;
   util::simd::AdamStep adam{};
   adam.grad_scale = 1.0f / static_cast<float>(batch);
@@ -471,15 +496,30 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
   adam.correction2 = 1.0f - std::pow(adam.beta2, static_cast<float>(step_));
   adam.learning_rate = cfg_.learning_rate;
   adam.eps = cfg_.adam_eps;
+  adam.clip = 1.0f;
   const auto adam_step = util::simd::active().adam_step;
+  std::vector<std::size_t> first(n_layers + 1, 0);
   for (std::size_t l = 0; l < n_layers; ++l) {
-    adam.clip = 1.0f;
-    adam_step(layers[l].latent.flat().data(), m_w_[l].flat().data(),
-              v_w_[l].flat().data(), grad_w_[l].flat().data(),
-              grad_w_[l].size(), adam);
-    adam.clip = std::numeric_limits<float>::infinity();
+    first[l + 1] = first[l] + layers[l].out_features();
+  }
+  for_each_index(first.back(), kRowGrain, [&](std::size_t, std::size_t i) {
+    const std::size_t l = static_cast<std::size_t>(
+        std::upper_bound(first.begin(), first.end(), i) - first.begin() - 1);
+    const std::size_t j = i - first[l];
+    BnnLayer& layer = layers[l];
+    const std::size_t in = layer.in_features();
+    float* latent = layer.latent.row_data(j);
+    adam_step(latent, m_w_[l].row_data(j), v_w_[l].row_data(j),
+              grad_w_[l].row_data(j), in, adam);
+    PackedLayer& packed = packed_[l];
+    pack_signs(latent, in, packed.rows.data() + j * packed.words);
+    if (l > 0) binarize_into(latent, in, wb_[l].row_data(j));
+  });
+  adam.clip = std::numeric_limits<float>::infinity();
+  for (std::size_t l = 0; l < n_layers; ++l) {
     adam_step(layers[l].bias.data(), m_b_[l].data(), v_b_[l].data(),
               grad_b_[l].data(), grad_b_[l].size(), adam);
+    packed_[l].bias = layers[l].bias;
   }
 }
 
@@ -495,6 +535,17 @@ double BnnTrainer::run_epoch(const std::vector<std::vector<float>>& xs,
   std::vector<std::size_t> idx(xs.size());
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   rng_.shuffle(idx);
+  // The deployed weights of the network as it is now; train_batch keeps
+  // them in step from here on.
+  packed_.clear();
+  for (std::size_t l = 0; l < net_->layers().size(); ++l) {
+    const BnnLayer& layer = net_->layers()[l];
+    packed_.emplace_back(layer);
+    if (l > 0) {
+      binarize_into(layer.latent.flat().data(), layer.latent.size(),
+                    wb_[l].flat().data());
+    }
+  }
 
   double loss_sum = 0.0;
   std::size_t batches = 0;

@@ -342,10 +342,18 @@ std::pair<std::string, std::string> train_both(
 TEST(Bnn, BlockedTrainingMatchesFloatOracleOnRaggedShapes) {
   // Widths that are not multiples of the 32-column register block (nor of
   // 64), batch sizes that leave tail batches (70 samples: 70 % 3 == 1,
-  // 70 % 16 == 6, 70 % 64 == 6), and one sample per batch.
-  const std::vector<std::vector<std::size_t>> shapes{{70, 65, 129, 3},
-                                                     {33, 17, 5}};
-  for (const auto& shape : shapes) {
+  // 70 % 16 == 6, 70 % 64 == 6), and one sample per batch. The last shape
+  // has layers narrower than a core count, and batches of 2 and 5 samples,
+  // so the trainer's parallel phases have fewer rows and samples than
+  // cores.
+  struct Case {
+    std::vector<std::size_t> shape;
+    std::vector<std::size_t> batches;
+  };
+  const std::vector<Case> cases{{{70, 65, 129, 3}, {1, 3, 16, 64}},
+                                {{33, 17, 5}, {1, 3, 16, 64}},
+                                {{9, 3, 2}, {2, 5}}};
+  for (const auto& [shape, batches] : cases) {
     util::Rng data_rng(72);
     std::vector<std::vector<float>> xs;
     std::vector<std::uint8_t> ys;
@@ -355,7 +363,7 @@ TEST(Bnn, BlockedTrainingMatchesFloatOracleOnRaggedShapes) {
           ((xs.back()[0] > 0.0f) + 2 * (xs.back()[1] > 0.0f)) %
           shape.back()));
     }
-    for (std::size_t batch : {1u, 3u, 16u, 64u}) {
+    for (std::size_t batch : batches) {
       TrainConfig cfg;
       cfg.epochs = 3;
       cfg.batch_size = batch;
