@@ -10,11 +10,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "esam/core/esam.hpp"
 #include "esam/tech/technology.hpp"
 #include "esam/util/parse.hpp"
+#include "esam/util/simd.hpp"
 #include "esam/util/table.hpp"
 
 namespace esam::bench {
@@ -57,6 +59,59 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const char* usage) {
   }
   return out;
 }
+
+/// A bench's --json record: header fields, then the "metrics" (modelled,
+/// machine-independent; check_bench.py gates them exactly), "ratios"
+/// (same-host speedups; gated against floors) and "info" (host timings;
+/// never gated) sections. Empty sections are left out; doubles print as
+/// %.17g, so they read back exactly.
+struct BenchJson {
+  using Section = std::vector<std::pair<std::string, double>>;
+
+  // The `{}` initializers let a bench write `BenchJson json{"name", smoke};`
+  // under -Wextra (-Wmissing-field-initializers).
+  std::string bench;
+  bool smoke = false;
+  /// Header counts after "smoke", e.g. {"inferences", 200}.
+  std::vector<std::pair<std::string, std::size_t>> counts{};
+  Section metrics{};
+  Section ratios{};
+  Section info{};
+
+  /// Writes the record (with the active SIMD backend) to `path`; false,
+  /// after saying so on stderr, when the file cannot be opened.
+  bool write(const std::string& path) const {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return false;
+    }
+    std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench.c_str());
+    std::fprintf(f, "  \"simd_backend\": \"%s\",\n",
+                 util::simd::active_backend_name());
+    std::fprintf(f, "  \"smoke\": %s", smoke ? "true" : "false");
+    for (const auto& [key, n] : counts) {
+      std::fprintf(f, ",\n  \"%s\": %zu", key.c_str(), n);
+    }
+    const auto write_section = [f](const char* name, const Section& section) {
+      if (section.empty()) return;
+      std::fprintf(f, ",\n  \"%s\": {", name);
+      const char* sep = "\n";
+      for (const auto& [key, value] : section) {
+        std::fprintf(f, "%s    \"%s\": %.17g", sep, key.c_str(), value);
+        sep = ",\n";
+      }
+      std::fprintf(f, "\n  }");
+    };
+    write_section("metrics", metrics);
+    write_section("ratios", ratios);
+    write_section("info", info);
+    std::fprintf(f, "\n}\n");
+    std::fclose(f);
+    std::printf("wrote %s\n", path.c_str());
+    return true;
+  }
+};
 
 /// Positional `idx` as a strict non-negative integer; absent positionals
 /// fall back to `fallback`, garbage (signs, suffixes, overflow) exits 2.

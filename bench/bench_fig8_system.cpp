@@ -175,43 +175,26 @@ int main(int argc, char** argv) {
         "%.3fs lockstep+scalar -> %.3fs pipelined+%s = %.2fx\n",
         ratio_inferences, t_ref, t_opt, simd::active_backend_name(), speedup);
 
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
+    bench::BenchJson json{"fig8_system", smoke};
+    json.counts = {{"inferences", inferences}};
+    for (const core::SystemReport& r : reports) {
+      json.metrics.insert(
+          json.metrics.end(),
+          {{r.cell + ".accuracy", r.accuracy},
+           {r.cell + ".energy_per_inf_pj", r.energy_per_inf_pj},
+           {r.cell + ".power_mw", r.power_mw},
+           {r.cell + ".area_um2", r.area_um2},
+           {r.cell + ".avg_cycles_per_inf", r.avg_cycles_per_inf},
+           {r.cell + ".throughput_minf_per_s", r.throughput_minf_per_s}});
     }
-    std::fprintf(f, "{\n  \"bench\": \"fig8_system\",\n");
-    std::fprintf(f, "  \"simd_backend\": \"%s\",\n",
-                 simd::active_backend_name());
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"inferences\": %zu,\n", inferences);
-    std::fprintf(f, "  \"metrics\": {\n");
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-      const core::SystemReport& r = reports[i];
-      std::fprintf(f,
-                   "    \"%s.accuracy\": %.17g,\n"
-                   "    \"%s.energy_per_inf_pj\": %.17g,\n"
-                   "    \"%s.power_mw\": %.17g,\n"
-                   "    \"%s.area_um2\": %.17g,\n"
-                   "    \"%s.avg_cycles_per_inf\": %.17g,\n"
-                   "    \"%s.throughput_minf_per_s\": %.17g%s\n",
-                   r.cell.c_str(), r.accuracy, r.cell.c_str(),
-                   r.energy_per_inf_pj, r.cell.c_str(), r.power_mw,
-                   r.cell.c_str(), r.area_um2, r.cell.c_str(),
-                   r.avg_cycles_per_inf, r.cell.c_str(),
-                   r.throughput_minf_per_s,
-                   i + 1 < reports.size() ? "," : "");
-    }
-    std::fprintf(f, "  },\n  \"ratios\": {\n");
-    std::fprintf(f, "    \"optimized_over_reference\": %.17g\n", speedup);
-    std::fprintf(f, "  },\n  \"info\": {\n");
-    std::fprintf(f, "    \"sim_inf_per_s\": %.17g,\n",
-                 reports.empty() ? 0.0 : reports.back().sim_inf_per_s);
-    std::fprintf(f, "    \"reference_wall_s\": %.17g,\n", t_ref);
-    std::fprintf(f, "    \"optimized_wall_s\": %.17g\n", t_opt);
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
+    json.ratios = {{"optimized_over_reference", speedup}};
+    json.info = {
+        {"sim_inf_per_s",
+         reports.empty() ? 0.0 : reports.back().sim_inf_per_s},
+        {"reference_wall_s", t_ref},
+        {"optimized_wall_s", t_opt},
+    };
+    if (!json.write(json_path)) return 1;
   }
   return 0;
 }

@@ -8,7 +8,6 @@
 // machine-independent metrics as --json for the CI regression gate.
 #include "bench_common.hpp"
 #include "esam/fleet/fleet.hpp"
-#include "esam/util/simd.hpp"
 
 #include <chrono>
 #include <cstdio>
@@ -88,47 +87,28 @@ int main(int argc, char** argv) {
               deterministic ? "bit-identical" : "MISMATCH");
 
   if (!args.json_path.empty()) {
-    std::FILE* f = std::fopen(args.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 1;
-    }
     std::uint64_t updates = 0;
     std::size_t faults = 0;
     for (const fleet::DeviceReport& d : report.per_device) {
       updates += d.column_updates;
       faults += d.fault_cells;
     }
-    std::fprintf(f, "{\n  \"bench\": \"fleet\",\n");
-    std::fprintf(f, "  \"simd_backend\": \"%s\",\n",
-                 util::simd::active_backend_name());
-    std::fprintf(f, "  \"smoke\": %s,\n", args.smoke ? "true" : "false");
-    std::fprintf(f, "  \"devices\": %zu,\n", devices);
-    std::fprintf(f, "  \"metrics\": {\n");
-    std::fprintf(f, "    \"timing_yield\": %.17g,\n", report.timing_yield);
-    std::fprintf(f, "    \"functional_yield\": %.17g,\n",
-                 report.functional_yield);
-    std::fprintf(f, "    \"accuracy_final_min\": %.17g,\n",
-                 report.accuracy_final.min);
-    std::fprintf(f, "    \"accuracy_final_p50\": %.17g,\n",
-                 report.accuracy_final.p50);
-    std::fprintf(f, "    \"accuracy_drifted_p50\": %.17g,\n",
-                 report.accuracy_drifted.p50);
-    std::fprintf(f, "    \"energy_per_inf_pj_p50\": %.17g,\n",
-                 report.energy_per_inf_pj.p50);
-    std::fprintf(f, "    \"read_path_ns_p50\": %.17g,\n",
-                 report.read_path_ns.p50);
-    std::fprintf(f, "    \"fault_cells_total\": %.17g,\n",
-                 static_cast<double>(faults));
-    std::fprintf(f, "    \"column_updates_total\": %.17g,\n",
-                 static_cast<double>(updates));
-    std::fprintf(f, "    \"worker_determinism\": %.17g\n",
-                 deterministic ? 1.0 : 0.0);
-    std::fprintf(f, "  },\n  \"info\": {\n");
-    std::fprintf(f, "    \"wall_s\": %.17g\n", wall_s);
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", args.json_path.c_str());
+    bench::BenchJson json{"fleet", args.smoke};
+    json.counts = {{"devices", devices}};
+    json.metrics = {
+        {"timing_yield", report.timing_yield},
+        {"functional_yield", report.functional_yield},
+        {"accuracy_final_min", report.accuracy_final.min},
+        {"accuracy_final_p50", report.accuracy_final.p50},
+        {"accuracy_drifted_p50", report.accuracy_drifted.p50},
+        {"energy_per_inf_pj_p50", report.energy_per_inf_pj.p50},
+        {"read_path_ns_p50", report.read_path_ns.p50},
+        {"fault_cells_total", static_cast<double>(faults)},
+        {"column_updates_total", static_cast<double>(updates)},
+        {"worker_determinism", deterministic ? 1.0 : 0.0},
+    };
+    json.info = {{"wall_s", wall_s}};
+    if (!json.write(args.json_path)) return 1;
   }
   return deterministic ? 0 : 1;
 }

@@ -52,11 +52,6 @@ double ns_per_op(F&& op, double min_window_s, std::size_t inner = 1) {
   }
 }
 
-struct Metric {
-  std::string name;
-  double value;
-};
-
 util::BitVec random_bits(std::size_t width, std::uint64_t seed,
                          double density) {
   util::Rng rng(seed);
@@ -97,8 +92,7 @@ int main(int argc, char** argv) {
   }
   std::printf(")\n\n");
 
-  std::vector<Metric> host_ns;
-  std::vector<Metric> ratios;
+  bench::BenchJson json{"kernel_microbench", smoke};
 
   // --- SIMD kernels: active backend vs scalar reference ---------------------
   {
@@ -135,8 +129,8 @@ int main(int argc, char** argv) {
       const double speedup = c.scalar_ns / c.active_ns;
       std::printf("%-28s %12.2f %12.2f %8.2fx\n", c.name, c.active_ns,
                   c.scalar_ns, speedup);
-      host_ns.push_back({c.name, c.active_ns});
-      ratios.push_back({std::string(c.name) + "_simd_speedup", speedup});
+      json.info.push_back({c.name, c.active_ns});
+      json.ratios.push_back({std::string(c.name) + "_simd_speedup", speedup});
     }
   }
 
@@ -152,7 +146,7 @@ int main(int argc, char** argv) {
           while (!arb.r_empty()) arb.arbitrate_into(grants);
         },
         window);
-    host_ns.push_back({"arbiter_drain_128_p4", drain_ns});
+    json.info.push_back({"arbiter_drain_128_p4", drain_ns});
     std::printf("%-28s %12.2f\n", "arbiter_drain_128_p4", drain_ns);
   }
 
@@ -180,9 +174,9 @@ int main(int argc, char** argv) {
     std::printf("\n%-28s %12.0f ns/inference\n", "engine_sequential", seq_ns);
     std::printf("%-28s %12.0f ns/inference\n", "engine_pipelined", pipe_ns);
     std::printf("%-28s %11.2fx\n", "pipelined_speedup", speedup);
-    host_ns.push_back({"engine_sequential_ns_per_inf", seq_ns});
-    host_ns.push_back({"engine_pipelined_ns_per_inf", pipe_ns});
-    ratios.push_back({"pipelined_over_sequential", speedup});
+    json.info.push_back({"engine_sequential_ns_per_inf", seq_ns});
+    json.info.push_back({"engine_pipelined_ns_per_inf", pipe_ns});
+    json.ratios.push_back({"pipelined_over_sequential", speedup});
   }
 
   // --- scoring and training: packed BNN forward vs the SNN reference -----
@@ -224,10 +218,10 @@ int main(int argc, char** argv) {
     std::printf("%-28s %12.0f ns/sample\n", "snn_score", snn_ns);
     std::printf("%-28s %12.0f ns/sample-epoch\n", "bnn_train", train_ns);
     std::printf("%-28s %11.2fx\n", "snn_over_bnn_score", snn_ns / bnn_ns);
-    host_ns.push_back({"bnn_score_ns_per_sample", bnn_ns});
-    host_ns.push_back({"snn_score_ns_per_sample", snn_ns});
-    host_ns.push_back({"bnn_train_ns_per_sample", train_ns});
-    ratios.push_back({"snn_over_bnn_score", snn_ns / bnn_ns});
+    json.info.push_back({"bnn_score_ns_per_sample", bnn_ns});
+    json.info.push_back({"snn_score_ns_per_sample", snn_ns});
+    json.info.push_back({"bnn_train_ns_per_sample", train_ns});
+    json.ratios.push_back({"snn_over_bnn_score", snn_ns / bnn_ns});
   }
 
   // --- data: synthetic digits, generated and prepared -------------------
@@ -241,32 +235,12 @@ int main(int argc, char** argv) {
     const double us = (now_seconds() - t0) * 1e6 / kSamples;
     g_sink = p.size();
     std::printf("\n%-28s %12.2f us/sample\n", "synth", us);
-    host_ns.push_back({"synth_us_per_sample", us});
+    json.info.push_back({"synth_us_per_sample", us});
   }
 
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"kernel_microbench\",\n");
-    std::fprintf(f, "  \"simd_backend\": \"%s\",\n",
-                 simd::active_backend_name());
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"info\": {\n");
-    for (std::size_t i = 0; i < host_ns.size(); ++i) {
-      std::fprintf(f, "    \"%s\": %.17g%s\n", host_ns[i].name.c_str(),
-                   host_ns[i].value, i + 1 < host_ns.size() ? "," : "");
-    }
-    std::fprintf(f, "  },\n  \"ratios\": {\n");
-    for (std::size_t i = 0; i < ratios.size(); ++i) {
-      std::fprintf(f, "    \"%s\": %.17g%s\n", ratios[i].name.c_str(),
-                   ratios[i].value, i + 1 < ratios.size() ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
+    std::printf("\n");
+    if (!json.write(json_path)) return 1;
   }
   return 0;
 }

@@ -19,7 +19,6 @@
 #include "esam/sram/macro.hpp"
 #include "esam/tech/calibration.hpp"
 #include "esam/util/rng.hpp"
-#include "esam/util/simd.hpp"
 
 using namespace esam;
 
@@ -415,49 +414,28 @@ int main(int argc, char** argv) {
     // check_bench.py. The gated ratio compares the serial (k=1) modelled
     // per-update cost against the widest commit window; host wall-clock
     // figures go under "info" and are never gated.
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
+    bench::BenchJson json{"online_learning", smoke};
+    for (const KPoint& p : kpoints) {
+      const std::string k = "k" + std::to_string(p.k);
+      json.metrics.insert(
+          json.metrics.end(),
+          {{k + ".accuracy", p.r.epochs.back().eval_accuracy},
+           {k + ".column_updates",
+            static_cast<double>(p.r.learning.column_updates)},
+           {k + ".column_rmws", static_cast<double>(p.r.learning.column_rmws)},
+           {k + ".train_cycles",
+            static_cast<double>(p.r.epochs.back().train_cycles)},
+           {k + ".train_time_us", util::in_microseconds(p.r.train_time)},
+           {k + ".learning_energy_pj",
+            util::in_picojoules(p.r.learning.energy)},
+           {k + ".ns_per_update", p.ns_per_update}});
+      json.info.emplace_back(k + ".host_wall_ns_per_update",
+                             p.wall_ns_per_update);
     }
-    std::fprintf(f, "{\n  \"bench\": \"online_learning\",\n");
-    std::fprintf(f, "  \"simd_backend\": \"%s\",\n",
-                 util::simd::active_backend_name());
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"metrics\": {\n");
-    for (std::size_t i = 0; i < kpoints.size(); ++i) {
-      const KPoint& p = kpoints[i];
-      std::fprintf(
-          f,
-          "    \"k%zu.accuracy\": %.17g,\n"
-          "    \"k%zu.column_updates\": %llu,\n"
-          "    \"k%zu.column_rmws\": %llu,\n"
-          "    \"k%zu.train_cycles\": %llu,\n"
-          "    \"k%zu.train_time_us\": %.17g,\n"
-          "    \"k%zu.learning_energy_pj\": %.17g,\n"
-          "    \"k%zu.ns_per_update\": %.17g%s\n",
-          p.k, p.r.epochs.back().eval_accuracy, p.k,
-          static_cast<unsigned long long>(p.r.learning.column_updates), p.k,
-          static_cast<unsigned long long>(p.r.learning.column_rmws), p.k,
-          static_cast<unsigned long long>(p.r.epochs.back().train_cycles),
-          p.k, util::in_microseconds(p.r.train_time), p.k,
-          util::in_picojoules(p.r.learning.energy), p.k, p.ns_per_update,
-          i + 1 < kpoints.size() ? "," : "");
-    }
-    const KPoint& serial = kpoints.front();
-    const KPoint& widest = kpoints.back();
-    std::fprintf(f, "  },\n  \"ratios\": {\n");
-    std::fprintf(f, "    \"serial_over_batched_ns_per_update\": %.17g\n",
-                 serial.ns_per_update / widest.ns_per_update);
-    std::fprintf(f, "  },\n  \"info\": {\n");
-    for (std::size_t i = 0; i < kpoints.size(); ++i) {
-      std::fprintf(f, "    \"k%zu.host_wall_ns_per_update\": %.17g%s\n",
-                   kpoints[i].k, kpoints[i].wall_ns_per_update,
-                   i + 1 < kpoints.size() ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
+    json.ratios = {{"serial_over_batched_ns_per_update",
+                    kpoints.front().ns_per_update /
+                        kpoints.back().ns_per_update}};
+    if (!json.write(json_path)) return 1;
   }
   return 0;
 }

@@ -1,11 +1,13 @@
 // esam -- command-line front end to the ESAM reproduction.
 //
 // The CLI is a verb registry: every subcommand is a VerbDef row binding a
-// name to a handler, a positional-argument spec and the exact set of options
-// it accepts (drawn from one shared OptionDef table, so a flag means the
-// same thing everywhere it is legal). `esam help` and `esam help <verb>` are
-// generated from the same tables -- the usage text cannot drift from the
-// parser.
+// name to a handler, a positional-argument spec and the names of the options
+// it accepts. Each option is one OptionDef row -- flag, metavariable, help
+// text, the CliOptions field it writes and the rule that parses and bounds
+// it -- so a flag means the same thing everywhere it is legal, and
+// parse_args is one loop that applies the row. `esam help` and `esam help
+// <verb>` are generated from the same tables -- the usage text cannot drift
+// from the parser.
 //
 //   esam info                         technology + cell variant summary
 //   esam report [options]             train/load the model, run the system,
@@ -25,6 +27,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "esam/arch/trace.hpp"
@@ -42,122 +45,6 @@
 using namespace esam;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Option registry: one definition per flag, shared by every verb that
-// accepts it. Verbs opt into flags by OptId; anything else is rejected with
-// a pointer at `esam help <verb>`.
-
-enum class OptId {
-  kCell,
-  kVprech,
-  kInferences,
-  kTrace,
-  kLowPower,
-  kThreads,
-  kLearn,
-  kEpochs,
-  kDrift,
-  kHiddenRule,
-  kWtaK,
-  kHoldout,
-  kUpdateInterval,
-  kNote,
-  kCheckpoint,
-  kClients,
-  kRequests,
-  kWorkers,
-  kMaxBatch,
-  kMaxDelayUs,
-  kAdapt,
-  kAdaptBatch,
-  kSimd,
-  kDevices,
-  kDefectRate,
-  kSigma,
-  kSeed,
-};
-
-struct OptionDef {
-  OptId id;
-  const char* flag;
-  const char* value;  ///< metavariable, nullptr for boolean flags
-  const char* help;
-};
-
-const OptionDef kOptionTable[] = {
-    {OptId::kCell, "--cell", "NAME",
-     "1RW | 1RW+1R | 1RW+2R | 1RW+3R | 1RW+4R (default 1RW+4R)"},
-    {OptId::kVprech, "--vprech", "MV",
-     "precharge voltage in millivolts (default 500)"},
-    {OptId::kInferences, "--inferences", "N",
-     "test inferences to stream (default 500, 0 = all)"},
-    {OptId::kTrace, "--trace", "FILE.vcd",
-     "write a pipeline activity trace (runs the cycle-by-cycle lockstep "
-     "engine; results are bit-identical)"},
-    {OptId::kLowPower, "--low-power", nullptr,
-     "use the HVT 500 mV operating point"},
-    {OptId::kThreads, "--threads", "N",
-     "host threads sharding the simulation (0 = all cores, default 1); "
-     "modelled output does not depend on it"},
-    {OptId::kLearn, "--learn", nullptr,
-     "drift the inputs and adapt the deployed weights in the field"},
-    {OptId::kEpochs, "--epochs", "N",
-     "train/eval rounds for --learn (default 2)"},
-    {OptId::kDrift, "--drift", "F",
-     "fraction of input positions permuted by the drift, in [0, 1] "
-     "(default 0.25)"},
-    {OptId::kHiddenRule, "--hidden-rule", "NAME",
-     "hidden-tile plasticity: none | wta-stdp (default none; the output "
-     "tile always runs the supervised teacher)"},
-    {OptId::kWtaK, "--wta-k", "N",
-     "winning columns per inference for wta-stdp (default 1)"},
-    {OptId::kHoldout, "--holdout", "F",
-     "hold out this fraction of the samples as a separate eval stream, "
-     "in [0, 1) (default 0 = eval on the training stream)"},
-    {OptId::kUpdateInterval, "--update-interval", "K",
-     "k-step delayed updates: commit staged column updates every K "
-     "training samples (default 1 = immediate updates)"},
-    {OptId::kNote, "--note", "TEXT",
-     "free-form note stored in the checkpoint metadata"},
-    {OptId::kCheckpoint, "--checkpoint", "FILE",
-     "serve this checkpoint instead of training/loading the model"},
-    {OptId::kClients, "--clients", "N",
-     "concurrent client threads (default 4)"},
-    {OptId::kRequests, "--requests", "N",
-     "requests per client (0 = split the test stream round-robin)"},
-    {OptId::kWorkers, "--workers", "N",
-     "server worker threads, each with its own pipeline (default 2)"},
-    {OptId::kMaxBatch, "--max-batch", "N",
-     "dispatch a batch once this many requests are queued (default 16)"},
-    {OptId::kMaxDelayUs, "--max-delay-us", "F",
-     "latency budget: dispatch a partial batch once its oldest request "
-     "waited this long (default 200)"},
-    {OptId::kAdapt, "--adapt", nullptr,
-     "background adaptation: train on labeled requests and publish new "
-     "checkpoints while serving"},
-    {OptId::kAdaptBatch, "--adapt-batch", "N",
-     "labeled samples per adaptation round (default 32)"},
-    {OptId::kSimd, "--simd", "NAME",
-     "kernel backend: scalar | avx2 | neon (default: best available; the "
-     "ESAM_SIMD env var sets the same thing)"},
-    {OptId::kDevices, "--devices", "N",
-     "simulated dies in the fleet (default 16)"},
-    {OptId::kDefectRate, "--defect-rate", "F",
-     "per-bitcell stuck-at probability per die, in [0, 1] (default 1e-3)"},
-    {OptId::kSigma, "--sigma", "F",
-     "process-variation sigma fraction per die, in [0, 1] (default 0.04)"},
-    {OptId::kSeed, "--seed", "N",
-     "fleet base seed; per-die streams are splitmix64-derived from it "
-     "(default 2026)"},
-};
-
-const OptionDef* find_option(const std::string& flag) {
-  for (const OptionDef& o : kOptionTable) {
-    if (flag == o.flag) return &o;
-  }
-  return nullptr;
-}
 
 /// Parsed values of every option (each verb reads only the ones it allows).
 struct CliOptions {
@@ -189,401 +76,194 @@ struct CliOptions {
   std::size_t seed = 2026;
 };
 
-std::optional<sram::CellKind> parse_cell(const std::string& name) {
+// ---------------------------------------------------------------------------
+// Option registry: one row per flag, shared by every verb that accepts it.
+// Verbs name the flags they accept; anything else is rejected with a pointer
+// at `esam help <verb>`. Numeric rules reject signs, garbage and overflow
+// instead of the atoll-style silent wrap ("--threads -1" used to become
+// SIZE_MAX).
+
+/// A non-negative integer of at least `min`.
+struct SizeRule {
+  std::size_t CliOptions::*dst;
+  std::size_t min = 0;
+};
+
+/// A number in [lo, hi].
+struct RangeRule {
+  double CliOptions::*dst;
+  double lo;
+  double hi;
+};
+
+/// A named value: applies it, or prints the error (with the valid names) and
+/// returns false.
+using NamedRule = bool (*)(const char* value, CliOptions& opt);
+
+/// How a row parses: a boolean flag (takes no value), SizeRule, RangeRule, a
+/// verbatim string, or a NamedRule.
+using OptionRule = std::variant<bool CliOptions::*, SizeRule, RangeRule,
+                                std::string CliOptions::*, NamedRule>;
+
+bool set_cell(const char* value, CliOptions& opt) {
   for (sram::CellKind k : sram::kAllCellKinds) {
-    if (name == sram::to_string(k)) return k;
+    if (value == sram::to_string(k)) {
+      opt.cell = k;
+      return true;
+    }
   }
-  return std::nullopt;
+  std::fprintf(stderr,
+               "esam: unknown cell '%s' "
+               "(1RW | 1RW+1R | 1RW+2R | 1RW+3R | 1RW+4R)\n",
+               value);
+  return false;
 }
 
-// ---------------------------------------------------------------------------
-// Verb registry.
+bool set_hidden_rule(const char* value, CliOptions& opt) {
+  const auto rule = learning::parse_hidden_rule(value);
+  if (!rule) {
+    std::fprintf(stderr, "esam: unknown hidden rule '%s' (none | wta-stdp)\n",
+                 value);
+    return false;
+  }
+  opt.hidden_rule = *rule;
+  return true;
+}
 
-struct VerbDef {
-  const char* name;
-  const char* positional_usage;  ///< e.g. "save|load|info FILE", "" for none
-  const char* summary;           ///< one-liner for `esam help`
-  const char* description;       ///< body of `esam help <verb>`
-  std::size_t min_positionals;
-  std::size_t max_positionals;
-  std::initializer_list<OptId> options;
-  int (*handler)(const CliOptions&, const std::vector<std::string>&);
+/// Applied while parsing: the backend is process-wide kernel dispatch, not
+/// per-run state.
+bool set_simd(const char* value, CliOptions&) {
+  const auto backend = util::simd::parse_backend(value);
+  if (!backend) {
+    std::fprintf(stderr,
+                 "esam: unknown SIMD backend '%s' (scalar | avx2 | neon)\n",
+                 value);
+    return false;
+  }
+  if (!util::simd::set_active_backend(*backend)) {
+    std::fprintf(stderr,
+                 "esam: SIMD backend '%s' is not available on this host "
+                 "(see 'esam info')\n",
+                 value);
+    return false;
+  }
+  return true;
+}
+
+struct OptionDef {
+  const char* flag;
+  const char* value;  ///< metavariable, nullptr for boolean flags
+  OptionRule rule;
+  const char* help;
 };
 
-// Handlers (defined below the registry helpers).
-int cmd_info(const CliOptions&, const std::vector<std::string>&);
-int cmd_report(const CliOptions&, const std::vector<std::string>&);
-int cmd_sweep_cells(const CliOptions&, const std::vector<std::string>&);
-int cmd_sweep_vprech(const CliOptions&, const std::vector<std::string>&);
-int cmd_learn(const CliOptions&, const std::vector<std::string>&);
-int cmd_checkpoint(const CliOptions&, const std::vector<std::string>&);
-int cmd_serve(const CliOptions&, const std::vector<std::string>&);
-int cmd_fleet(const CliOptions&, const std::vector<std::string>&);
-int cmd_help(const CliOptions&, const std::vector<std::string>&);
-
-const VerbDef kVerbs[] = {
-    {"info", "", "technology + cell variant summary",
-     "Prints the 3nm technology parameters (nominal and low-power nodes)\n"
-     "and the five bitcell variants' area/timing/port characteristics.",
-     0, 0, {}, cmd_info},
-    {"report", "",
-     "train/load the model, run the system, print the Fig. 8 metrics",
-     "Trains the BNN (or loads the cached model), deploys it on the selected\n"
-     "cell/voltage configuration and streams test inferences through the\n"
-     "cycle-accurate pipeline (the fast software-pipelined engine; --trace\n"
-     "runs the lockstep engine instead, with identical results). With\n"
-     "--learn it instead runs the online-learning scenario: drift the\n"
-     "inputs, adapt the deployed weights in the field, report accuracy\n"
-     "recovery and the update cost.",
-     0, 0,
-     {OptId::kCell, OptId::kVprech, OptId::kInferences, OptId::kTrace,
-      OptId::kLowPower, OptId::kThreads, OptId::kLearn,
-      OptId::kEpochs, OptId::kDrift, OptId::kHiddenRule, OptId::kWtaK,
-      OptId::kHoldout, OptId::kUpdateInterval, OptId::kSimd},
-     cmd_report},
-    {"sweep-cells", "", "all five cells side by side (Fig. 8)",
-     "Evaluates the same trained model on every bitcell variant and prints\n"
-     "the Fig. 8 comparison table.",
-     0, 0,
-     {OptId::kVprech, OptId::kInferences, OptId::kThreads, OptId::kSimd},
-     cmd_sweep_cells},
-    {"sweep-vprech", "", "the Fig. 7 precharge-voltage study",
-     "Analytic per-op access time/energy across precharge voltages and read\n"
-     "port counts; no model or pipeline is built.",
-     0, 0, {}, cmd_sweep_vprech},
-    {"learn", "", "sec. 4.4.1 column-update cost comparison",
-     "Analytic read-modify-write cost of one column update per cell variant\n"
-     "vs the 6T baseline; no model or pipeline is built.",
-     0, 0, {}, cmd_learn},
-    {"checkpoint", "save|load|info FILE | diff FILE FILE",
-     "persist, redeploy, inspect or compare deployed weights",
-     "save FILE  trains (or loads the cached) model, optionally adapts it in\n"
-     "           the field first (--learn and its knobs), then snapshots the\n"
-     "           live SRAM weights into FILE (--note attaches metadata).\n"
-     "load FILE  deploys FILE into freshly built hardware -- no retraining --\n"
-     "           and evaluates it on the standard test stream.\n"
-     "info FILE  prints the checkpoint metadata and shape without building\n"
-     "           any hardware.\n"
-     "diff A B   compares two checkpoints layer by layer (weight bits that\n"
-     "           differ) and verifies the lineage link: does B record A's\n"
-     "           content CRC as its parent?",
-     2, 3,
-     {OptId::kCell, OptId::kVprech, OptId::kLowPower, OptId::kInferences,
-      OptId::kThreads, OptId::kLearn, OptId::kEpochs,
-      OptId::kDrift, OptId::kHiddenRule, OptId::kWtaK, OptId::kHoldout,
-      OptId::kUpdateInterval, OptId::kNote, OptId::kSimd},
-     cmd_checkpoint},
-    {"serve", "", "in-process inference-server demo",
-     "Deploys a model (--checkpoint FILE, or the trained/cached model) into\n"
-     "a serve::InferenceServer and drives it with concurrent client threads\n"
-     "submitting test images. Requests are dynamically batched: a batch\n"
-     "dispatches when it reaches --max-batch requests or when its oldest\n"
-     "request has waited --max-delay-us, whichever comes first. Without\n"
-     "--adapt the served predictions are checked bit-identical against an\n"
-     "offline run of the same checkpoint. With --adapt, labeled requests\n"
-     "train a background model copy that is atomically republished while\n"
-     "serving continues.",
-     0, 0,
-     {OptId::kCell, OptId::kVprech, OptId::kLowPower, OptId::kInferences,
-      OptId::kCheckpoint, OptId::kClients, OptId::kRequests, OptId::kWorkers,
-      OptId::kMaxBatch, OptId::kMaxDelayUs, OptId::kAdapt, OptId::kAdaptBatch,
-      OptId::kUpdateInterval, OptId::kHiddenRule, OptId::kWtaK, OptId::kSimd},
-     cmd_serve},
-    {"fleet", "", "fleet-scale multi-device simulation",
-     "Trains (or loads the cached) model once and deploys it onto --devices\n"
-     "simulated dies. Each die draws its own splitmix64-derived Monte-Carlo\n"
-     "streams from --seed: a process-variation corner (--sigma), a stuck-at\n"
-     "fault map (--defect-rate) and an input-drift trajectory (--drift).\n"
-     "Every die runs its shard of the test stream (--inferences samples,\n"
-     "wrapping around the shared stream), then adapts in the field through\n"
-     "the per-tile rule engine (--epochs rounds, --update-interval commit\n"
-     "window). The fleet report aggregates\n"
-     "timing yield, functional yield and accuracy/energy distributions\n"
-     "(min/p50/p99.7) across dies. --workers fans device simulation out\n"
-     "over a host worker pool; reports are bit-identical for any worker\n"
-     "count.",
-     0, 0,
-     {OptId::kDevices, OptId::kWorkers, OptId::kInferences, OptId::kCell,
-      OptId::kVprech, OptId::kLowPower, OptId::kEpochs,
-      OptId::kUpdateInterval, OptId::kDrift, OptId::kDefectRate,
-      OptId::kSigma, OptId::kSeed, OptId::kHiddenRule, OptId::kWtaK,
-      OptId::kSimd},
-     cmd_fleet},
-    {"help", "[verb]", "this overview, or one verb's options",
-     "Prints the verb table, or the usage, description and accepted options\n"
-     "of a single verb. All of it is generated from the same registry the\n"
-     "parser uses.",
-     0, 1, {}, cmd_help},
+const OptionDef kOptionTable[] = {
+    {"--cell", "NAME", set_cell,
+     "1RW | 1RW+1R | 1RW+2R | 1RW+3R | 1RW+4R (default 1RW+4R)"},
+    {"--vprech", "MV", RangeRule{&CliOptions::vprech_mv, 1.0, 10000.0},
+     "precharge voltage in millivolts (default 500)"},
+    {"--inferences", "N", SizeRule{&CliOptions::inferences},
+     "test inferences to stream (default 500, 0 = all)"},
+    {"--trace", "FILE.vcd", &CliOptions::trace_path,
+     "write a pipeline activity trace (runs the cycle-by-cycle lockstep "
+     "engine; results are bit-identical)"},
+    {"--low-power", nullptr, &CliOptions::low_power,
+     "use the HVT 500 mV operating point"},
+    {"--threads", "N", SizeRule{&CliOptions::threads},
+     "host threads sharding the simulation (0 = all cores, default 1); "
+     "modelled output does not depend on it"},
+    {"--learn", nullptr, &CliOptions::learn,
+     "drift the inputs and adapt the deployed weights in the field"},
+    {"--epochs", "N", SizeRule{&CliOptions::epochs, 1},
+     "train/eval rounds for --learn (default 2)"},
+    {"--drift", "F", RangeRule{&CliOptions::drift, 0.0, 1.0},
+     "fraction of input positions permuted by the drift, in [0, 1] "
+     "(default 0.25)"},
+    {"--hidden-rule", "NAME", set_hidden_rule,
+     "hidden-tile plasticity: none | wta-stdp (default none; the output "
+     "tile always runs the supervised teacher)"},
+    {"--wta-k", "N", SizeRule{&CliOptions::wta_k, 1},
+     "winning columns per inference for wta-stdp (default 1)"},
+    {"--holdout", "F", RangeRule{&CliOptions::holdout, 0.0, 0.99},
+     "hold out this fraction of the samples as a separate eval stream, "
+     "in [0, 0.99] (default 0 = eval on the training stream)"},
+    {"--update-interval", "K", SizeRule{&CliOptions::update_interval, 1},
+     "k-step delayed updates: commit staged column updates every K "
+     "training samples (default 1 = immediate updates)"},
+    {"--note", "TEXT", &CliOptions::note,
+     "free-form note stored in the checkpoint metadata"},
+    {"--checkpoint", "FILE", &CliOptions::checkpoint_path,
+     "serve this checkpoint instead of training/loading the model"},
+    {"--clients", "N", SizeRule{&CliOptions::clients},
+     "concurrent client threads (default 4)"},
+    {"--requests", "N", SizeRule{&CliOptions::requests},
+     "requests per client (0 = split the test stream round-robin)"},
+    {"--workers", "N", SizeRule{&CliOptions::workers},
+     "server worker threads, each with its own pipeline (default 2)"},
+    {"--max-batch", "N", SizeRule{&CliOptions::max_batch},
+     "dispatch a batch once this many requests are queued (default 16)"},
+    {"--max-delay-us", "F", RangeRule{&CliOptions::max_delay_us, 0.0, 1e9},
+     "latency budget: dispatch a partial batch once its oldest request "
+     "waited this long (default 200)"},
+    {"--adapt", nullptr, &CliOptions::adapt,
+     "background adaptation: train on labeled requests and publish new "
+     "checkpoints while serving"},
+    {"--adapt-batch", "N", SizeRule{&CliOptions::adapt_batch},
+     "labeled samples per adaptation round (default 32)"},
+    {"--simd", "NAME", set_simd,
+     "kernel backend: scalar | avx2 | neon (default: best available; the "
+     "ESAM_SIMD env var sets the same thing)"},
+    {"--devices", "N", SizeRule{&CliOptions::devices, 1},
+     "simulated dies in the fleet (default 16)"},
+    {"--defect-rate", "F", RangeRule{&CliOptions::defect_rate, 0.0, 1.0},
+     "per-bitcell stuck-at probability per die, in [0, 1] (default 1e-3)"},
+    {"--sigma", "F", RangeRule{&CliOptions::sigma, 0.0, 1.0},
+     "process-variation sigma fraction per die, in [0, 1] (default 0.04)"},
+    {"--seed", "N", SizeRule{&CliOptions::seed},
+     "fleet base seed; per-die streams are splitmix64-derived from it "
+     "(default 2026)"},
 };
 
-const VerbDef* find_verb(const std::string& name) {
-  for (const VerbDef& v : kVerbs) {
-    if (name == v.name) return &v;
+const OptionDef* find_option(const std::string& flag) {
+  for (const OptionDef& o : kOptionTable) {
+    if (flag == o.flag) return &o;
   }
   return nullptr;
 }
 
-bool verb_allows(const VerbDef& verb, OptId id) {
-  for (OptId o : verb.options) {
-    if (o == id) return true;
-  }
-  return false;
-}
-
-void print_verb_usage_line(const VerbDef& verb, std::FILE* out) {
-  std::fprintf(out, "usage: esam %s%s%s%s\n", verb.name,
-               verb.positional_usage[0] != '\0' ? " " : "",
-               verb.positional_usage,
-               verb.options.size() != 0 ? " [options]" : "");
-}
-
-int help_overview(std::FILE* out) {
-  std::fprintf(out, "usage: esam <verb> [options]\n\nverbs:\n");
-  for (const VerbDef& v : kVerbs) {
-    std::string head = v.name;
-    if (v.positional_usage[0] != '\0') {
-      head += ' ';
-      head += v.positional_usage;
-    }
-    std::fprintf(out, "  %-26s %s\n", head.c_str(), v.summary);
-  }
-  std::fprintf(out, "\nrun 'esam help <verb>' for per-verb options\n");
-  return out == stderr ? 2 : 0;
-}
-
-int help_verb(const VerbDef& verb, std::FILE* out) {
-  print_verb_usage_line(verb, out);
-  std::fprintf(out, "\n%s\n", verb.description);
-  if (verb.options.size() != 0) {
-    std::fprintf(out, "\noptions:\n");
-    for (OptId id : verb.options) {
-      for (const OptionDef& o : kOptionTable) {
-        if (o.id != id) continue;
-        std::string head = o.flag;
-        if (o.value != nullptr) {
-          head += ' ';
-          head += o.value;
-        }
-        std::fprintf(out, "  %-20s %s\n", head.c_str(), o.help);
-      }
-    }
-    std::fprintf(out,
-                 "\nnumeric flags take plain non-negative numbers "
-                 "(e.g. --threads 4, --drift 0.25)\n");
-  }
-  return out == stderr ? 2 : 0;
-}
-
-// ---------------------------------------------------------------------------
-// Option parsing: one strict table-driven pass, scoped to the verb's
-// accepted set. Numeric flags reject signs, garbage and overflow instead of
-// the atoll-style silent wrap ("--threads -1" used to become SIZE_MAX).
-
-struct ParsedArgs {
-  CliOptions opt;
-  std::vector<std::string> positionals;
-};
-
-std::optional<ParsedArgs> parse_args(const VerbDef& verb, int argc,
-                                     char** argv, int first) {
-  ParsedArgs out;
-  CliOptions& opt = out.opt;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      out.positionals.push_back(arg);
-      continue;
-    }
-    const OptionDef* def = find_option(arg);
-    if (def == nullptr || !verb_allows(verb, def->id)) {
+/// Applies `def`'s rule to its value `v`; prints the error and returns false
+/// on a bad value.
+bool apply_value(const OptionDef& def, const char* v, CliOptions& opt) {
+  if (const auto* r = std::get_if<SizeRule>(&def.rule)) {
+    const auto parsed = util::parse_size(v);
+    if (!parsed) {
       std::fprintf(stderr,
-                   "esam: unknown option '%s' for verb '%s' "
-                   "(see 'esam help %s')\n",
-                   arg.c_str(), verb.name, verb.name);
-      return std::nullopt;
+                   "esam: %s expects a non-negative integer, got '%s'\n",
+                   def.flag, v);
+      return false;
     }
-    auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "esam: %s expects a value\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    auto need_size = [&](std::size_t& dst) -> bool {
-      const char* v = need_value();
-      if (v == nullptr) return false;
-      const auto parsed = util::parse_size(v);
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "esam: %s expects a non-negative integer, got '%s'\n",
-                     arg.c_str(), v);
-        return false;
-      }
-      dst = *parsed;
-      return true;
-    };
-    auto need_double = [&](double& dst, double lo, double hi) -> bool {
-      const char* v = need_value();
-      if (v == nullptr) return false;
-      const auto parsed = util::parse_double(v);
-      if (!parsed || *parsed < lo || *parsed > hi) {
-        std::fprintf(stderr,
-                     "esam: %s expects a number in [%g, %g], got '%s'\n",
-                     arg.c_str(), lo, hi, v);
-        return false;
-      }
-      dst = *parsed;
-      return true;
-    };
-    auto need_string = [&](std::string& dst) -> bool {
-      const char* v = need_value();
-      if (v == nullptr) return false;
-      dst = v;
-      return true;
-    };
-    switch (def->id) {
-      case OptId::kCell: {
-        const char* v = need_value();
-        if (v == nullptr) return std::nullopt;
-        const auto cell = parse_cell(v);
-        if (!cell) {
-          std::fprintf(stderr, "unknown cell '%s'\n", v);
-          return std::nullopt;
-        }
-        opt.cell = *cell;
-        break;
-      }
-      case OptId::kVprech:
-        if (!need_double(opt.vprech_mv, 1.0, 10000.0)) return std::nullopt;
-        break;
-      case OptId::kInferences:
-        if (!need_size(opt.inferences)) return std::nullopt;
-        break;
-      case OptId::kTrace:
-        if (!need_string(opt.trace_path)) return std::nullopt;
-        break;
-      case OptId::kLowPower:
-        opt.low_power = true;
-        break;
-      case OptId::kThreads:
-        if (!need_size(opt.threads)) return std::nullopt;
-        break;
-      case OptId::kLearn:
-        opt.learn = true;
-        break;
-      case OptId::kEpochs:
-        if (!need_size(opt.epochs)) return std::nullopt;
-        if (opt.epochs == 0) {
-          std::fprintf(stderr, "esam: --epochs must be >= 1\n");
-          return std::nullopt;
-        }
-        break;
-      case OptId::kDrift:
-        if (!need_double(opt.drift, 0.0, 1.0)) return std::nullopt;
-        break;
-      case OptId::kHiddenRule: {
-        const char* v = need_value();
-        if (v == nullptr) return std::nullopt;
-        const auto rule = learning::parse_hidden_rule(v);
-        if (!rule) {
-          std::fprintf(stderr,
-                       "esam: unknown hidden rule '%s' (none | wta-stdp)\n",
-                       v);
-          return std::nullopt;
-        }
-        opt.hidden_rule = *rule;
-        break;
-      }
-      case OptId::kWtaK:
-        if (!need_size(opt.wta_k)) return std::nullopt;
-        if (opt.wta_k == 0) {
-          std::fprintf(stderr, "esam: --wta-k must be >= 1\n");
-          return std::nullopt;
-        }
-        break;
-      case OptId::kHoldout:
-        if (!need_double(opt.holdout, 0.0, 0.99)) return std::nullopt;
-        break;
-      case OptId::kUpdateInterval:
-        if (!need_size(opt.update_interval)) return std::nullopt;
-        if (opt.update_interval == 0) {
-          std::fprintf(stderr, "esam: --update-interval must be >= 1\n");
-          return std::nullopt;
-        }
-        break;
-      case OptId::kNote:
-        if (!need_string(opt.note)) return std::nullopt;
-        break;
-      case OptId::kCheckpoint:
-        if (!need_string(opt.checkpoint_path)) return std::nullopt;
-        break;
-      case OptId::kClients:
-        if (!need_size(opt.clients)) return std::nullopt;
-        break;
-      case OptId::kRequests:
-        if (!need_size(opt.requests)) return std::nullopt;
-        break;
-      case OptId::kWorkers:
-        if (!need_size(opt.workers)) return std::nullopt;
-        break;
-      case OptId::kMaxBatch:
-        if (!need_size(opt.max_batch)) return std::nullopt;
-        break;
-      case OptId::kMaxDelayUs:
-        if (!need_double(opt.max_delay_us, 0.0, 1e9)) return std::nullopt;
-        break;
-      case OptId::kAdapt:
-        opt.adapt = true;
-        break;
-      case OptId::kAdaptBatch:
-        if (!need_size(opt.adapt_batch)) return std::nullopt;
-        break;
-      case OptId::kSimd: {
-        const char* v = need_value();
-        if (v == nullptr) return std::nullopt;
-        const auto backend = util::simd::parse_backend(v);
-        if (!backend) {
-          std::fprintf(stderr,
-                       "esam: unknown SIMD backend '%s' "
-                       "(scalar | avx2 | neon)\n",
-                       v);
-          return std::nullopt;
-        }
-        // Applied immediately: the backend is process-wide kernel dispatch,
-        // not per-run state.
-        if (!util::simd::set_active_backend(*backend)) {
-          std::fprintf(stderr,
-                       "esam: SIMD backend '%s' is not available on this "
-                       "host (see 'esam info')\n",
-                       v);
-          return std::nullopt;
-        }
-        break;
-      }
-      case OptId::kDevices:
-        if (!need_size(opt.devices)) return std::nullopt;
-        if (opt.devices == 0) {
-          std::fprintf(stderr, "esam: --devices must be >= 1\n");
-          return std::nullopt;
-        }
-        break;
-      case OptId::kDefectRate:
-        if (!need_double(opt.defect_rate, 0.0, 1.0)) return std::nullopt;
-        break;
-      case OptId::kSigma:
-        if (!need_double(opt.sigma, 0.0, 1.0)) return std::nullopt;
-        break;
-      case OptId::kSeed:
-        if (!need_size(opt.seed)) return std::nullopt;
-        break;
+    if (*parsed < r->min) {
+      std::fprintf(stderr, "esam: %s must be >= %zu\n", def.flag, r->min);
+      return false;
     }
+    opt.*(r->dst) = *parsed;
+    return true;
   }
-  if (out.positionals.size() < verb.min_positionals ||
-      out.positionals.size() > verb.max_positionals) {
-    print_verb_usage_line(verb, stderr);
-    return std::nullopt;
+  if (const auto* r = std::get_if<RangeRule>(&def.rule)) {
+    const auto parsed = util::parse_double(v);
+    if (!parsed || *parsed < r->lo || *parsed > r->hi) {
+      std::fprintf(stderr, "esam: %s expects a number in [%g, %g], got '%s'\n",
+                   def.flag, r->lo, r->hi, v);
+      return false;
+    }
+    opt.*(r->dst) = *parsed;
+    return true;
   }
-  return out;
+  if (const auto* dst = std::get_if<std::string CliOptions::*>(&def.rule)) {
+    opt.*(*dst) = v;
+    return true;
+  }
+  return std::get<NamedRule>(def.rule)(v, opt);
 }
 
 // ---------------------------------------------------------------------------
@@ -1143,6 +823,181 @@ int cmd_fleet(const CliOptions& opt, const std::vector<std::string>&) {
   return 0;
 }
 
+// ---------------------------------------------------------------------------
+// Verb registry.
+
+struct VerbDef {
+  const char* name;
+  const char* positional_usage;  ///< e.g. "save|load|info FILE", "" for none
+  const char* summary;           ///< one-liner for `esam help`
+  const char* description;       ///< body of `esam help <verb>`
+  std::size_t min_positionals;
+  std::size_t max_positionals;
+  std::initializer_list<const char*> options;  ///< flags, by name
+  int (*handler)(const CliOptions&, const std::vector<std::string>&);
+};
+
+// Defined after the help generators it calls.
+int cmd_help(const CliOptions&, const std::vector<std::string>&);
+
+const VerbDef kVerbs[] = {
+    {"info", "", "technology + cell variant summary",
+     "Prints the 3nm technology parameters (nominal and low-power nodes)\n"
+     "and the five bitcell variants' area/timing/port characteristics.",
+     0, 0, {}, cmd_info},
+    {"report", "",
+     "train/load the model, run the system, print the Fig. 8 metrics",
+     "Trains the BNN (or loads the cached model), deploys it on the selected\n"
+     "cell/voltage configuration and streams test inferences through the\n"
+     "cycle-accurate pipeline (the fast software-pipelined engine; --trace\n"
+     "runs the lockstep engine instead, with identical results). With\n"
+     "--learn it instead runs the online-learning scenario: drift the\n"
+     "inputs, adapt the deployed weights in the field, report accuracy\n"
+     "recovery and the update cost.",
+     0, 0,
+     {"--cell", "--vprech", "--inferences", "--trace", "--low-power",
+      "--threads", "--learn", "--epochs", "--drift", "--hidden-rule",
+      "--wta-k", "--holdout", "--update-interval", "--simd"},
+     cmd_report},
+    {"sweep-cells", "", "all five cells side by side (Fig. 8)",
+     "Evaluates the same trained model on every bitcell variant and prints\n"
+     "the Fig. 8 comparison table.",
+     0, 0, {"--vprech", "--inferences", "--threads", "--simd"},
+     cmd_sweep_cells},
+    {"sweep-vprech", "", "the Fig. 7 precharge-voltage study",
+     "Analytic per-op access time/energy across precharge voltages and read\n"
+     "port counts; no model or pipeline is built.",
+     0, 0, {}, cmd_sweep_vprech},
+    {"learn", "", "sec. 4.4.1 column-update cost comparison",
+     "Analytic read-modify-write cost of one column update per cell variant\n"
+     "vs the 6T baseline; no model or pipeline is built.",
+     0, 0, {}, cmd_learn},
+    {"checkpoint", "save|load|info FILE | diff FILE FILE",
+     "persist, redeploy, inspect or compare deployed weights",
+     "save FILE  trains (or loads the cached) model, optionally adapts it in\n"
+     "           the field first (--learn and its knobs), then snapshots the\n"
+     "           live SRAM weights into FILE (--note attaches metadata).\n"
+     "load FILE  deploys FILE into freshly built hardware -- no retraining --\n"
+     "           and evaluates it on the standard test stream.\n"
+     "info FILE  prints the checkpoint metadata and shape without building\n"
+     "           any hardware.\n"
+     "diff A B   compares two checkpoints layer by layer (weight bits that\n"
+     "           differ) and verifies the lineage link: does B record A's\n"
+     "           content CRC as its parent?",
+     2, 3,
+     {"--cell", "--vprech", "--low-power", "--inferences", "--threads",
+      "--learn", "--epochs", "--drift", "--hidden-rule", "--wta-k",
+      "--holdout", "--update-interval", "--note", "--simd"},
+     cmd_checkpoint},
+    {"serve", "", "in-process inference-server demo",
+     "Deploys a model (--checkpoint FILE, or the trained/cached model) into\n"
+     "a serve::InferenceServer and drives it with concurrent client threads\n"
+     "submitting test images. Requests are dynamically batched: a batch\n"
+     "dispatches when it reaches --max-batch requests or when its oldest\n"
+     "request has waited --max-delay-us, whichever comes first. Without\n"
+     "--adapt the served predictions are checked bit-identical against an\n"
+     "offline run of the same checkpoint. With --adapt, labeled requests\n"
+     "train a background model copy that is atomically republished while\n"
+     "serving continues.",
+     0, 0,
+     {"--cell", "--vprech", "--low-power", "--inferences", "--checkpoint",
+      "--clients", "--requests", "--workers", "--max-batch",
+      "--max-delay-us", "--adapt", "--adapt-batch", "--update-interval",
+      "--hidden-rule", "--wta-k", "--simd"},
+     cmd_serve},
+    {"fleet", "", "fleet-scale multi-device simulation",
+     "Trains (or loads the cached) model once and deploys it onto --devices\n"
+     "simulated dies. Each die draws its own splitmix64-derived Monte-Carlo\n"
+     "streams from --seed: a process-variation corner (--sigma), a stuck-at\n"
+     "fault map (--defect-rate) and an input-drift trajectory (--drift).\n"
+     "Every die runs its shard of the test stream (--inferences samples,\n"
+     "wrapping around the shared stream), then adapts in the field through\n"
+     "the per-tile rule engine (--epochs rounds, --update-interval commit\n"
+     "window). The fleet report aggregates\n"
+     "timing yield, functional yield and accuracy/energy distributions\n"
+     "(min/p50/p99.7) across dies. --workers fans device simulation out\n"
+     "over a host worker pool; reports are bit-identical for any worker\n"
+     "count.",
+     0, 0,
+     {"--devices", "--workers", "--inferences", "--cell", "--vprech",
+      "--low-power", "--epochs", "--update-interval", "--drift",
+      "--defect-rate", "--sigma", "--seed", "--hidden-rule", "--wta-k",
+      "--simd"},
+     cmd_fleet},
+    {"help", "[verb]", "this overview, or one verb's options",
+     "Prints the verb table, or the usage, description and accepted options\n"
+     "of a single verb. All of it is generated from the same registry the\n"
+     "parser uses.",
+     0, 1, {}, cmd_help},
+};
+
+const VerbDef* find_verb(const std::string& name) {
+  for (const VerbDef& v : kVerbs) {
+    if (name == v.name) return &v;
+  }
+  return nullptr;
+}
+
+bool verb_allows(const VerbDef& verb, const char* flag) {
+  for (const char* o : verb.options) {
+    if (std::strcmp(o, flag) == 0) return true;
+  }
+  return false;
+}
+
+void print_verb_usage_line(const VerbDef& verb, std::FILE* out) {
+  std::fprintf(out, "usage: esam %s%s%s%s\n", verb.name,
+               verb.positional_usage[0] != '\0' ? " " : "",
+               verb.positional_usage,
+               verb.options.size() != 0 ? " [options]" : "");
+}
+
+int help_overview(std::FILE* out) {
+  std::fprintf(out, "usage: esam <verb> [options]\n\nverbs:\n");
+  for (const VerbDef& v : kVerbs) {
+    std::string head = v.name;
+    if (v.positional_usage[0] != '\0') {
+      head += ' ';
+      head += v.positional_usage;
+    }
+    std::fprintf(out, "  %-26s %s\n", head.c_str(), v.summary);
+  }
+  std::fprintf(out, "\nrun 'esam help <verb>' for per-verb options\n");
+  return out == stderr ? 2 : 0;
+}
+
+int help_verb(const VerbDef& verb, std::FILE* out) {
+  // A verb naming a flag with no table row is a registry bug: say so before
+  // printing anything, so `esam help <verb>` fails for it.
+  for (const char* flag : verb.options) {
+    if (find_option(flag) == nullptr) {
+      std::fprintf(stderr,
+                   "esam: verb '%s' lists option '%s', which has no row in "
+                   "the option table\n",
+                   verb.name, flag);
+      return 1;
+    }
+  }
+  print_verb_usage_line(verb, out);
+  std::fprintf(out, "\n%s\n", verb.description);
+  if (verb.options.size() != 0) {
+    std::fprintf(out, "\noptions:\n");
+    for (const char* flag : verb.options) {
+      const OptionDef& o = *find_option(flag);
+      std::string head = o.flag;
+      if (o.value != nullptr) {
+        head += ' ';
+        head += o.value;
+      }
+      std::fprintf(out, "  %-20s %s\n", head.c_str(), o.help);
+    }
+    std::fprintf(out,
+                 "\nnumeric flags take plain non-negative numbers "
+                 "(e.g. --threads 4, --drift 0.25)\n");
+  }
+  return out == stderr ? 2 : 0;
+}
+
 int cmd_help(const CliOptions&, const std::vector<std::string>& pos) {
   if (pos.empty()) return help_overview(stdout);
   const VerbDef* verb = find_verb(pos[0]);
@@ -1151,6 +1006,50 @@ int cmd_help(const CliOptions&, const std::vector<std::string>& pos) {
     return help_overview(stderr);
   }
   return help_verb(*verb, stdout);
+}
+
+// ---------------------------------------------------------------------------
+// Option parsing: one strict pass that applies each flag's table row, scoped
+// to the verb's accepted set.
+
+struct ParsedArgs {
+  CliOptions opt;
+  std::vector<std::string> positionals;
+};
+
+std::optional<ParsedArgs> parse_args(const VerbDef& verb, int argc,
+                                     char** argv, int first) {
+  ParsedArgs out;
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      out.positionals.push_back(arg);
+      continue;
+    }
+    const OptionDef* def = find_option(arg);
+    if (def == nullptr || !verb_allows(verb, def->flag)) {
+      std::fprintf(stderr,
+                   "esam: unknown option '%s' for verb '%s' "
+                   "(see 'esam help %s')\n",
+                   arg.c_str(), verb.name, verb.name);
+      return std::nullopt;
+    }
+    if (const auto* flag = std::get_if<bool CliOptions::*>(&def->rule)) {
+      out.opt.*(*flag) = true;
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "esam: %s expects a value\n", def->flag);
+      return std::nullopt;
+    }
+    if (!apply_value(*def, argv[++i], out.opt)) return std::nullopt;
+  }
+  if (out.positionals.size() < verb.min_positionals ||
+      out.positionals.size() > verb.max_positionals) {
+    print_verb_usage_line(verb, stderr);
+    return std::nullopt;
+  }
+  return out;
 }
 
 }  // namespace
